@@ -42,6 +42,14 @@ class VerificationFailedError(Exception):
 # ---------------------------------------------------------------------------
 # Messages
 
+def _decode_counted_bits(payload: bytes):
+    """(count, packed bits) from a u32 bit count and exactly its bytes."""
+    (count,) = struct.unpack("<I", payload[:4])
+    if len(payload) != 4 + (count + 7) // 8:
+        raise ValueError(f"{count} bits need {(count + 7) // 8} bytes, got {len(payload) - 4}")
+    return count, payload[4:]
+
+
 @dataclass(frozen=True)
 class ShuffleSeedMsg:
     seed: int
@@ -65,8 +73,7 @@ class QberSampleMsg:
 
     @staticmethod
     def decode(payload: bytes) -> "QberSampleMsg":
-        (count,) = struct.unpack("<I", payload[:4])
-        return QberSampleMsg(count, payload[4:])
+        return QberSampleMsg(*_decode_counted_bits(payload))
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,9 @@ class ParityRequestMsg:
     @staticmethod
     def decode(payload: bytes) -> "ParityRequestMsg":
         pass_index, count = struct.unpack("<BI", payload[:5])
-        ranges = tuple(
-            struct.unpack("<II", payload[5 + 8 * i : 13 + 8 * i]) for i in range(count)
-        )
-        return ParityRequestMsg(pass_index, ranges)
+        if len(payload) != 5 + 8 * count:
+            raise ValueError(f"{count} ranges need {8 * count} bytes, got {len(payload) - 5}")
+        return ParityRequestMsg(pass_index, tuple(struct.iter_unpack("<II", payload[5:])))
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,7 @@ class ParityResponseMsg:
 
     @staticmethod
     def decode(payload: bytes) -> "ParityResponseMsg":
-        (count,) = struct.unpack("<I", payload[:4])
-        return ParityResponseMsg(count, payload[4:])
+        return ParityResponseMsg(*_decode_counted_bits(payload))
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,8 @@ class AliceReconciler:
         if self.seed is None:
             raise ChannelClosedError("sample before shuffle seed")
         idx = _sample_indices(len(self._bits), self.params.sample_fraction, self.seed)
+        if msg.count != len(idx):
+            raise ChannelClosedError("sample size mismatch")
         mine = self._bits[idx]
         theirs = unpack_bits(msg.bits, msg.count)
         self.sample_size = len(idx)
@@ -398,29 +405,6 @@ def _batch_binary_search(state: _BobState, pass_index: int, ranges) -> list:
     return found
 
 
-def binary_search_correct(bits, perm, start, length, parity_oracle):
-    """Find the error position in one odd-parity block.
-
-    ``parity_oracle(ranges)`` returns the reference side's parities for
-    ``ranges`` (one interactive round per call).  Returns
-    (bit_index, parities_disclosed).
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    perm = np.asarray(perm, dtype=np.int64)
-    s, l = int(start), int(length)
-    disclosed = 0
-    while l > 1:
-        hl = (l + 1) // 2
-        (ap,) = parity_oracle(((s, hl),))
-        disclosed += 1
-        mine = int(np.bitwise_xor.reduce(bits[perm[s : s + hl]]))
-        if mine != ap:
-            l = hl
-        else:
-            s, l = s + hl, l - hl
-    return int(perm[s]), disclosed
-
-
 def reconcile_bob(
     bits: np.ndarray,
     channel,
@@ -451,7 +435,7 @@ def reconcile_bob(
         idx = _sample_indices(n0, params.sample_fraction, seed)
         mine = work[idx]
         reply = channel.request(QberSampleMsg(len(mine), pack_bits(mine)))
-        if not isinstance(reply, QberSampleMsg):
+        if not isinstance(reply, QberSampleMsg) or reply.count != len(mine):
             raise ChannelClosedError("bad sample response")
         state.exchanged_messages += 2
         theirs = unpack_bits(reply.bits, reply.count)

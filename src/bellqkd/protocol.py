@@ -363,18 +363,17 @@ def cascade_msg_to_frame(msg) -> Frame:
     return Frame(_CASCADE_FRAME_TYPES[type(msg)], msg.encode())
 
 
+_CASCADE_MSG_TYPES = {ftype: cls for cls, ftype in _CASCADE_FRAME_TYPES.items()}
+
+
 def frame_to_cascade_msg(frame: Frame):
-    if frame.type == FrameType.SHUFFLE_SEED:
-        return ShuffleSeedMsg.decode(frame.payload)
-    if frame.type == FrameType.QBER_SAMPLE:
-        return QberSampleMsg.decode(frame.payload)
-    if frame.type == FrameType.PARITY_REQUEST:
-        return ParityRequestMsg.decode(frame.payload)
-    if frame.type == FrameType.PARITY_RESPONSE:
-        return ParityResponseMsg.decode(frame.payload)
-    if frame.type == FrameType.VERIFY_TAG:
-        return VerifyTagMsg.decode(frame.payload)
-    raise MalformedFrameError(f"frame type {frame.type} is not a reconciliation message")
+    cls = _CASCADE_MSG_TYPES.get(frame.type)
+    if cls is None:
+        raise MalformedFrameError(f"frame type {frame.type} is not a reconciliation message")
+    try:
+        return cls.decode(frame.payload)
+    except (struct.error, ValueError) as exc:
+        raise MalformedFrameError(f"bad {FrameType(frame.type).name} payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +436,9 @@ def inproc_pair(timeout: float = 60.0,
     return alice, bob
 
 
+_READ_STEP = 1 << 16
+
+
 class SocketTransport:
     """Frame transport over a connected stream socket.
 
@@ -455,13 +457,19 @@ class SocketTransport:
         self._reader.start()
 
     def _read_exact(self, size: int) -> Optional[bytes]:
-        buf = b""
-        while len(buf) < size:
-            chunk = self._sock.recv(size - len(buf))
-            if not chunk:
+        # recv_into a bytearray: no quadratic copies.  The buffer starts at
+        # most _READ_STEP long and doubles only once it is full, so a
+        # header that claims more than the peer sends costs no memory.
+        buf = bytearray(min(size, _READ_STEP))
+        got = 0
+        while got < size:
+            if got == len(buf):
+                buf.extend(bytes(min(got, size - got)))
+            n = self._sock.recv_into(memoryview(buf)[got:])
+            if not n:
                 return None
-            buf += chunk
-        return buf
+            got += n
+        return bytes(buf)
 
     def _read_loop(self) -> None:
         try:
@@ -862,7 +870,7 @@ class AliceSession:
     def _on_confirm_tag(self, frame: Frame) -> List[Frame]:
         if not self._await_confirm_tag:
             return self._abort(AbortReason.PROTOCOL_VIOLATION, "unexpected confirm tag")
-        msg = VerifyTagMsg.decode(frame.payload)
+        msg = frame_to_cascade_msg(frame)
         if msg.tag is None:
             return self._abort(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
         mine = _confirm_tag(self._final_block, self.cfg.seed, self._block.index)
@@ -965,11 +973,6 @@ class AliceSession:
             delay_ticks=self.delay,
             block_sizes=self.block_sizes,
         )
-
-
-def advance(session: AliceSession, frame: Frame):
-    """Pure-ish transition wrapper: (state, frame) -> (state, out frames)."""
-    return session, session.advance(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -1319,11 +1322,10 @@ def audit_transcript(bob_to_alice: bytes, alice_to_bob: bytes) -> TranscriptAudi
         elif frame.type in (FrameType.PA_PARAMS, FrameType.PA_SEED):
             last_context = "amplify"
         elif frame.type == FrameType.QBER_SAMPLE:
-            msg = QberSampleMsg.decode(frame.payload)
-            sample_bits += msg.count
+            sample_bits += frame_to_cascade_msg(frame).count
             last_context = "reconcile"
         elif frame.type == FrameType.VERIFY_TAG:
-            msg = VerifyTagMsg.decode(frame.payload)
+            msg = frame_to_cascade_msg(frame)
             if msg.tag is not None:
                 if last_context == "amplify":
                     confirm_tags += 8 * len(msg.tag)
@@ -1335,9 +1337,9 @@ def audit_transcript(bob_to_alice: bytes, alice_to_bob: bytes) -> TranscriptAudi
 
     for frame in iter_frames(alice_to_bob):
         if frame.type == FrameType.PARITY_RESPONSE:
-            parity_bits += ParityResponseMsg.decode(frame.payload).count
+            parity_bits += frame_to_cascade_msg(frame).count
         elif frame.type == FrameType.QBER_SAMPLE:
-            sample_bits += QberSampleMsg.decode(frame.payload).count
+            sample_bits += frame_to_cascade_msg(frame).count
 
     return TranscriptAudit(
         parity_bits=parity_bits,

@@ -97,6 +97,34 @@ def toeplitz_hash_reference(bits: np.ndarray, seed_bits: np.ndarray, m: int) -> 
     return ((t @ x.astype(np.int64)) % 2).astype(np.uint8)
 
 
+def toeplitz_hash_dense(bits: np.ndarray, seed_bits: np.ndarray, m: int) -> np.ndarray:
+    """The former production kernel: a dense float64 product, O(n*m).
+
+    Same contract as bellqkd.privamp.toeplitz_hash; kept as the
+    reference the FFT kernel must match bit for bit.
+    """
+    x = np.asarray(bits, dtype=np.uint8)
+    s = np.asarray(seed_bits, dtype=np.uint8)
+    n = len(x)
+    if m < 0 or m > n:
+        raise ValueError("output length m must satisfy 0 <= m <= n")
+    if len(s) != n + m - 1:
+        raise ValueError(f"seed must have length n + m - 1 = {n + m - 1}")
+    if m == 0:
+        return np.empty(0, dtype=np.uint8)
+    # Row i of the matrix is s[m-1-i : m-1-i+n]; exact integer dot via
+    # float64 is safe for n < 2**53.
+    windows = np.lib.stride_tricks.sliding_window_view(s, n)  # shape (m, n)
+    xf = x.astype(np.float64)
+    out = np.empty(m, dtype=np.uint8)
+    chunk = max(1, min(1024, (1 << 24) // max(n, 1)))
+    for i in range(0, m, chunk):
+        rows = windows[i : i + chunk].astype(np.float64)
+        out[i : i + chunk] = (rows @ xf).astype(np.int64) & 1
+    # windows[t] corresponds to row m-1-t, so flip into row order.
+    return out[::-1].copy()
+
+
 # ---------------------------------------------------------------------------
 # Naive iterated mutual-nearest-neighbor pairing (plain loops)
 

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellqkd.cascade import (
+    AliceReconciler,
     CascadeParams,
+    ChannelClosedError,
+    QberSampleMsg,
+    ShuffleSeedMsg,
     VerificationFailedError,
     classic_initial_block,
+    reconcile_bob,
     reconcile_pair,
     verify_keys,
 )
@@ -91,6 +96,26 @@ def test_clean_sample_does_not_zero_the_prior():
             np.testing.assert_array_equal(bob.bits, alice.bits)
             return
     pytest.skip("no clean sample drawn in 50 attempts")
+
+
+class _WrongSizeSample:
+    """Peer that answers the QBER sample with 8 bits instead of 20."""
+
+    def send(self, msg):
+        pass
+
+    def request(self, msg):
+        return QberSampleMsg(8, b"\x00")
+
+
+def test_sample_size_mismatch_closes_channel():
+    bits = np.random.default_rng(2).integers(0, 2, 1000).astype(np.uint8)
+    alice = AliceReconciler(bits, CascadeParams())
+    alice.handle(ShuffleSeedMsg(7))
+    with pytest.raises(ChannelClosedError):
+        alice.handle(QberSampleMsg(8, b"\x00"))
+    with pytest.raises(ChannelClosedError):
+        reconcile_bob(bits, _WrongSizeSample(), CascadeParams(shuffle_seed=7))
 
 
 def test_single_pass_miss_fails_verification():

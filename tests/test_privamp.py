@@ -163,6 +163,51 @@ def test_toeplitz_linear_over_gf2(seed_int, n, m_raw):
     np.testing.assert_array_equal(hx, oracles.toeplitz_hash_reference(x, seed, m))
 
 
+@st.composite
+def toeplitz_shapes(draw):
+    """(n, m) with m in {0, 1, n, any}, or with n + m - 1 next to a power of two."""
+    kind = draw(st.sampled_from(["zero", "one", "full", "any", "pow2"]))
+    if kind == "pow2":
+        total = (1 << draw(st.integers(1, 13))) + draw(st.sampled_from([-1, 0, 1]))
+        total = min(total, 2 * 4096 - 1)  # n + m - 1
+        n = draw(st.integers((total + 2) // 2, min(4096, total + 1)))
+        return n, total + 1 - n
+    n = draw(st.integers(1, 4096))
+    m = {"zero": 0, "one": 1, "full": n}.get(kind)
+    return n, draw(st.integers(0, n)) if m is None else m
+
+
+@given(toeplitz_shapes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_toeplitz_matches_dense_oracle(shape, seed_int):
+    n, m = shape
+    rng = np.random.default_rng(seed_int)
+    seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+    x = rng.integers(0, 2, n).astype(np.uint8)
+    got = toeplitz_hash(x, seed, m)
+    assert got.dtype == np.uint8 and got.shape == (m,)
+    np.testing.assert_array_equal(got, oracles.toeplitz_hash_dense(x, seed, m))
+
+
+def test_toeplitz_matches_dense_oracle_large():
+    rng = np.random.default_rng(29)
+    n, m = 30011, 15013
+    seed = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+    x = rng.integers(0, 2, n).astype(np.uint8)
+    np.testing.assert_array_equal(toeplitz_hash(x, seed, m),
+                                  oracles.toeplitz_hash_dense(x, seed, m))
+
+
+def test_toeplitz_rounding_guard_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.5)
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 2, 100).astype(np.uint8)
+    seed = rng.integers(0, 2, 100 + 40 - 1).astype(np.uint8)
+    with pytest.raises(FloatingPointError):
+        toeplitz_hash(x, seed, 40)
+
+
 def test_toeplitz_rejects_bad_shapes():
     x = np.ones(10, dtype=np.uint8)
     with pytest.raises(ValueError):

@@ -276,6 +276,33 @@ def test_socket_transport_roundtrip():
         t2.close()
 
 
+def test_socket_transport_frame_larger_than_one_read():
+    s1, s2 = socket.socketpair()
+    t1 = SocketTransport(s1, timeout=2.0)
+    t2 = SocketTransport(s2, timeout=2.0)
+    try:
+        payload = np.random.default_rng(4).integers(0, 256, 3_000_001, np.uint8).tobytes()
+        t1.send_frame(Frame(FrameType.PA_SEED, payload))
+        t1.send_frame(Frame(FrameType.HELLO, b"\x01"))
+        assert t2.recv_frame() == Frame(FrameType.PA_SEED, payload)
+        assert t2.recv_frame() == Frame(FrameType.HELLO, b"\x01")
+    finally:
+        t1.close()
+        t2.close()
+
+
+def test_socket_transport_peer_closes_mid_payload():
+    from bellqkd.protocol import PeerDisconnectedError
+    s1, s2 = socket.socketpair()
+    t2 = SocketTransport(s2, timeout=2.0)
+    data = encode_frame(FrameType.PA_SEED, b"\xab" * 1000)
+    s1.sendall(data[:-10])
+    s1.close()
+    with pytest.raises(PeerDisconnectedError):
+        t2.recv_frame()
+    t2.close()
+
+
 def test_socket_transport_disconnect():
     from bellqkd.protocol import PeerDisconnectedError
     s1, s2 = socket.socketpair()
@@ -464,6 +491,46 @@ def test_bob_aborts_on_unexpected_frame_type():
     assert frames[0].type == FrameType.HELLO
     assert frames[-1].type == FrameType.ABORT
     assert decode_abort(frames[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+
+
+@pytest.fixture(scope="module")
+def bob_transcript():
+    """Bob's frames of one short session, and a factory for a fresh Alice."""
+    ch = _channel(duration=1.5)
+    b_out = []
+    _run(ch, recorders=(None, b_out.append), block_min_key_bits=2000)
+
+    def fresh_alice():
+        src = JointSegmentSource(ch)
+        cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
+        return AliceSession(transport=None, segments=src.segments("alice"), config=cfg)
+
+    return list(iter_frames(b"".join(b_out))), fresh_alice
+
+
+@pytest.mark.parametrize("keep", [0, 1, 3, -1])
+@pytest.mark.parametrize("ftype", [FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE,
+                                   FrameType.PARITY_REQUEST], ids=lambda t: t.name)
+def test_alice_aborts_on_truncated_reconciliation_payload(bob_transcript, ftype, keep):
+    frames, fresh_alice = bob_transcript
+    alice = fresh_alice()
+    for frame in frames:
+        if frame.type == ftype:
+            break
+        alice.advance(frame)
+    assert alice.phase == Phase.RECONCILE
+    out = alice.advance(Frame(ftype, frame.payload[:keep]))
+    assert alice.phase == Phase.ABORTED
+    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert out[0].type == FrameType.ABORT
+    assert decode_abort(out[0].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+
+
+@pytest.mark.parametrize("keep", [0, 3, 4, -1])
+def test_truncated_parity_response_is_malformed(keep):
+    payload = cascade_msg_to_frame(ParityResponseMsg(12, b"\xa5\x30")).payload
+    with pytest.raises(MalformedFrameError):
+        frame_to_cascade_msg(Frame(FrameType.PARITY_RESPONSE, payload[:keep]))
 
 
 class _TamperStats:
