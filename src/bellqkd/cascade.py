@@ -297,6 +297,8 @@ class AliceReconciler:
     def _handle_verify(self, msg: VerifyTagMsg) -> VerifyTagMsg:
         if msg.tag is None:
             raise ChannelClosedError("expected a key tag")
+        if self.seed is None:
+            raise ChannelClosedError("key tag before shuffle seed")
         tag_bits = self.params.verification_tag_bits
         mine = verify_keys(self._bits, tag_bits, self.seed)
         equal = mine == msg.tag

@@ -10,7 +10,8 @@ Config files are flat ``key = value`` text with ``#`` comments; unknown
 keys are rejected.  All keys default to the paper-like operating point.
 
 Exit codes: 0 success, 2 insecure regime, 3 verification failure,
-4 transport/protocol failure, 5 config or input error.
+4 transport/protocol failure, 5 config or input error.  A side that
+aborted prints ``alice|bob: <REASON>: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -277,6 +278,9 @@ def _execute(cfg: ExperimentConfig, alice_segments, bob_segments,
     t_alice, t_bob = _make_transports(cfg.transport, session_cfg.timeout)
     alice, bob = run_transport_pair(t_alice, t_bob, alice_segments, bob_segments, session_cfg)
     code = _session_exit_code(alice, bob)
+    for side in (alice, bob):
+        if side.abort_reason is not None:
+            print(f"{side.role}: {side.abort_reason.name}: {side.abort_message}", file=sys.stderr)
 
     if code == EXIT_OK:
         if [s.encode() for s in alice.stats] != [s.encode() for s in bob.stats]:

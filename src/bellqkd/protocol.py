@@ -16,6 +16,26 @@ The strict batch/announce lockstep makes the transcript a pure function
 of the inputs, so recorded runs replay byte-identically per direction.
 Alice is the reactive endpoint (``advance`` maps one incoming frame to
 outgoing frames); Bob drives.
+
+Error contract.  Every failure ends the session in one recorded abort,
+``SessionResult.abort_reason`` plus ``abort_message``:
+
+- a failed check (|S| <= 2, a key tag, a parameter or BlockStats
+  mismatch, a frame illegal in the current phase) aborts with its own
+  reason: INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK or
+  PROTOCOL_VIOLATION;
+- ``MalformedFrameError`` (bytes that do not decode) and the
+  reconciler's ``ChannelClosedError`` abort with PROTOCOL_VIOLATION;
+- ``PeerDisconnectedError`` and ``SessionTimeoutError`` abort with the
+  local-only PEER_DISCONNECTED and TIMEOUT, which are never sent.
+
+Every other abort sends the peer one ABORT frame carrying the reason
+and the message, except VERIFICATION_FAILED on the final key, which the
+tag exchange has already told both sides.  A received ABORT is never
+answered: its reason (INTERNAL if unknown, PROTOCOL_VIOLATION if the
+payload is empty) and its text become the local abort.  ``advance``
+does not raise, except ``ProtocolViolationError`` once the session is
+finished.
 """
 
 from __future__ import annotations
@@ -54,6 +74,7 @@ from .privamp import (
     toeplitz_hash,
 )
 from .sifting import (
+    BellEstimate,
     CoincidenceClass,
     EmptyTermError,
     InvalidDetectorError,
@@ -167,11 +188,13 @@ def decode_frame(data: bytes) -> Frame:
         raise MalformedFrameError("bad magic")
     if version != FRAME_VERSION:
         raise UnsupportedVersionError(f"version {version}")
-    if not 1 <= ftype <= 13:
-        raise MalformedFrameError(f"unknown frame type {ftype}")
+    try:
+        ftype = FrameType(ftype)
+    except ValueError:
+        raise MalformedFrameError(f"unknown frame type {ftype}") from None
     if len(data) != _HEADER.size + length:
         raise MalformedFrameError("frame length mismatch")
-    return Frame(FrameType(ftype), data[_HEADER.size :])
+    return Frame(ftype, data[_HEADER.size :])
 
 
 def iter_frames(data: bytes) -> Iterator[Frame]:
@@ -379,20 +402,18 @@ def frame_to_cascade_msg(frame: Frame):
 # ---------------------------------------------------------------------------
 # Transports
 
-class _ClosedSentinel:
-    pass
-
-
-_CLOSED = _ClosedSentinel()
+_CLOSED = object()  # ends the peer's stream in a receive queue
 
 
 class QueueTransport:
     """In-process duplex pipe; frames travel as encoded bytes.
 
     ``recorder`` (if set) sees every encoded outgoing frame, in order.
+    Incoming frames are read from the ``rx`` queue, where ``_CLOSED``
+    marks the end of the peer's stream.
     """
 
-    def __init__(self, rx: queue.Queue, tx: queue.Queue, timeout: float = 60.0,
+    def __init__(self, rx: queue.Queue, tx: Optional[queue.Queue], timeout: float = 60.0,
                  recorder: Optional[Callable[[bytes], None]] = None):
         self._rx = rx
         self._tx = tx
@@ -404,10 +425,10 @@ class QueueTransport:
         data = encode_frame(frame.type, frame.payload)
         if self.recorder is not None:
             self.recorder(data)
-        try:
-            self._tx.put(data)
-        except Exception as exc:  # pragma: no cover - queue puts do not fail
-            raise PeerDisconnectedError(str(exc))
+        self._transmit(data)
+
+    def _transmit(self, data: bytes) -> None:
+        self._tx.put(data)
 
     def recv_frame(self) -> Frame:
         try:
@@ -417,7 +438,7 @@ class QueueTransport:
         if data is _CLOSED:
             # propagate for any further reader
             self._rx.put(data)
-            raise PeerDisconnectedError("peer closed the pipe")
+            raise PeerDisconnectedError("peer closed the connection")
         return decode_frame(data)
 
     def close(self) -> None:
@@ -439,20 +460,17 @@ def inproc_pair(timeout: float = 60.0,
 _READ_STEP = 1 << 16
 
 
-class SocketTransport:
+class SocketTransport(QueueTransport):
     """Frame transport over a connected stream socket.
 
-    A reader thread drains the socket into a bounded queue so that large
-    sends from both sides cannot deadlock on full kernel buffers.
+    A reader thread drains the socket into a bounded receive queue so that
+    large sends from both sides cannot deadlock on full kernel buffers.
     """
 
     def __init__(self, sock: socket.socket, timeout: float = 60.0,
                  recorder: Optional[Callable[[bytes], None]] = None):
+        super().__init__(rx=queue.Queue(maxsize=32), tx=None, timeout=timeout, recorder=recorder)
         self._sock = sock
-        self.timeout = timeout
-        self.recorder = recorder
-        self._queue: queue.Queue = queue.Queue(maxsize=32)
-        self._send_lock = threading.Lock()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -478,33 +496,19 @@ class SocketTransport:
                 if header is None:
                     break
                 _, _, _, length = _HEADER.unpack(header)
-                payload = self._read_exact(length) if length else b""
-                if length and payload is None:
+                payload = self._read_exact(length)
+                if payload is None:
                     break
-                self._queue.put(header + (payload or b""))
+                self._rx.put(header + payload)
         except OSError:
             pass
-        self._queue.put(_CLOSED)
+        self._rx.put(_CLOSED)
 
-    def send_frame(self, frame: Frame) -> None:
-        data = encode_frame(frame.type, frame.payload)
-        if self.recorder is not None:
-            self.recorder(data)
+    def _transmit(self, data: bytes) -> None:
         try:
-            with self._send_lock:
-                self._sock.sendall(data)
+            self._sock.sendall(data)
         except OSError as exc:
             raise PeerDisconnectedError(str(exc))
-
-    def recv_frame(self) -> Frame:
-        try:
-            data = self._queue.get(timeout=self.timeout)
-        except queue.Empty:
-            raise SessionTimeoutError(f"no frame within {self.timeout} s")
-        if data is _CLOSED:
-            self._queue.put(data)
-            raise PeerDisconnectedError("socket closed")
-        return decode_frame(data)
 
     def close(self) -> None:
         try:
@@ -548,6 +552,8 @@ class SessionResult:
     delay_ticks: Optional[int] = None
     # reconciled key length of each successfully completed block, in order
     block_sizes: List[int] = field(default_factory=list)
+    # why the session aborted: the local message, or the peer's ABORT text
+    abort_message: str = ""
 
     @property
     def done(self) -> bool:
@@ -579,21 +585,69 @@ def _basis_to_detector(basis: np.ndarray) -> np.ndarray:
     return np.where(basis == 0, 1, 3).astype(np.uint8)
 
 
+# ---------------------------------------------------------------------------
+# Aborts
+
 class _AbortSignal(Exception):
-    def __init__(self, reason: AbortReason, message: str = "", notify: bool = True):
-        super().__init__(message or reason.name)
+    """Ends the session with ``reason``; ``notify`` sends the peer an ABORT."""
+
+    def __init__(self, reason: AbortReason, message: str, notify: bool = True):
+        super().__init__(message)
         self.reason = reason
+        self.message = message
         self.notify = notify
 
 
-# ---------------------------------------------------------------------------
-# Alice: reactive endpoint
+# The one map from an exception to the abort it ends the session with.
+_ABORT_REASONS = (
+    (PeerDisconnectedError, AbortReason.PEER_DISCONNECTED),
+    (SessionTimeoutError, AbortReason.TIMEOUT),
+    (MalformedFrameError, AbortReason.PROTOCOL_VIOLATION),
+    (ChannelClosedError, AbortReason.PROTOCOL_VIOLATION),
+)
+_LOCAL_ONLY = (AbortReason.PEER_DISCONNECTED, AbortReason.TIMEOUT)
+_ABORT_ERRORS = (_AbortSignal,) + tuple(exc for exc, _ in _ABORT_REASONS)
 
-class _AliceBlock:
-    def __init__(self, index: int, seg_start: int):
+
+def _abort_signal(exc: Exception) -> _AbortSignal:
+    if isinstance(exc, _AbortSignal):
+        return exc
+    reason = next(r for cls, r in _ABORT_REASONS if isinstance(exc, cls))
+    return _AbortSignal(reason, str(exc), notify=reason not in _LOCAL_ONLY)
+
+
+def _peer_abort(frame: Frame) -> _AbortSignal:
+    """The abort a received ABORT frame stands for; it is never answered."""
+    try:
+        code, message = decode_abort(frame.payload)
+    except MalformedFrameError as exc:
+        return _AbortSignal(AbortReason.PROTOCOL_VIOLATION, str(exc), notify=False)
+    try:
+        reason = AbortReason(code)
+    except ValueError:
+        reason = AbortReason.INTERNAL
+    return _AbortSignal(reason, message, notify=False)
+
+
+# ---------------------------------------------------------------------------
+# Per-block record and the shared run loop
+
+class _Block:
+    """One key block on either side: its state, and its BlockStats row."""
+
+    def __init__(self, index: int, seg_start: int, seg_seconds: float):
         self.index = index
         self.seg_start = seg_start
-        self.seg_count = 0
+        self.seg_end = seg_start  # one past the last segment the block used
+        self.seg_seconds = seg_seconds
+        self.coincidences = 0
+        self.accidentals = 0
+        self.bell: Optional[BellEstimate] = None
+        self.recon: Optional[ReconciliationResult] = None
+        self.estimate: Optional[SecurityEstimate] = None
+        self.final = np.empty(0, dtype=np.uint8)
+        # Alice only: matches accumulated per segment, the responder, and
+        # whether the block waits for an ABORT or for the confirm tag
         self.a_base = 0
         self.b_base = 0
         self.a_idx: list = []
@@ -602,32 +656,59 @@ class _AliceBlock:
         self.key_bits: list = []
         self.bell_dets: list = []
         self.key_count = 0
-        self.coincidences = 0
-        self.accidentals = 0
+        self.responder: Optional[AliceReconciler] = None
+        self.insecure = False
+        self.tag_due = False
+
+    def bell_test(self, alice_dets: np.ndarray, bob_dets: np.ndarray,
+                  geometry: SettingGeometry) -> bool:
+        """Estimate S from the revealed Bell branch; True if |S| > 2."""
+        try:
+            self.bell = chsh_value(count_coincidences(alice_dets, bob_dets), geometry)
+        except InvalidDetectorError:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "revealed detector out of range")
+        except EmptyTermError:
+            return False
+        return abs(self.bell.s_value) > 2.0
+
+    def pa_params(self, cfg: SessionConfig) -> PaParams:
+        """Set the security estimate; returns the amplification parameters."""
+        est = self.estimate = secret_fraction(
+            self.recon.n, self.recon.leaked_bits, self.bell.s_value,
+            cfg.finite_deduction, cfg.rate_multiplier,
+        )
+        return PaParams(est.n, est.leak_ec, est.final_length,
+                        cfg.finite_deduction, est.s_value, cfg.rate_multiplier)
+
+    def stats(self, qber: float) -> BlockStats:
+        nan = float("nan")
+        bell, recon = self.bell, self.recon
+        if recon is None:  # refused at the Bell stage
+            leak, i_eve = 0, nan
+        else:
+            leak = recon.leaked_bits
+            # without an estimate, reconciliation failed before amplification
+            i_eve = (self.estimate.i_eve if self.estimate is not None
+                     else eve_information(bell.s_value))
+        return BlockStats(
+            block_index=self.index,
+            t_start=self.seg_start * self.seg_seconds,
+            t_end=self.seg_end * self.seg_seconds,
+            coincidence_count=self.coincidences,
+            accidental_count=self.accidentals,
+            qber=qber,
+            s_value=bell.s_value if bell is not None else nan,
+            s_stderr=bell.standard_error if bell is not None else nan,
+            leak_ec=leak,
+            i_eve=i_eve,
+            final_bits=len(self.final),
+        )
 
 
-_ALICE_LEGAL = {
-    Phase.HELLO: {FrameType.HELLO},
-    Phase.SYNC: {FrameType.TIMETAG_BATCH},
-    Phase.SIFT: set(),
-    Phase.BELL: {FrameType.BELL_REVEAL},
-    Phase.RECONCILE: {
-        FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE,
-        FrameType.PARITY_REQUEST, FrameType.VERIFY_TAG,
-    },
-    Phase.AMPLIFY: {FrameType.PA_PARAMS, FrameType.PA_SEED},
-    Phase.CONFIRM: {FrameType.VERIFY_TAG, FrameType.BLOCK_STATS},
-    Phase.DONE: set(),
-    Phase.ABORTED: set(),
-}
+class _Endpoint:
+    """What both endpoints share: results, the block record, the run loop."""
 
-
-class AliceSession:
-    """The matching/responding endpoint.
-
-    Purely reactive after the opening HELLO: every incoming frame maps to
-    a deterministic list of outgoing frames via :meth:`advance`.
-    """
+    role = ""
 
     def __init__(self, transport, segments: Iterable, config: SessionConfig = SessionConfig()):
         self.transport = transport
@@ -635,23 +716,88 @@ class AliceSession:
         self.cfg = config
         self.phase = Phase.HELLO
         self.abort_reason: Optional[AbortReason] = None
+        self.abort_message = ""
         self.stats: List[BlockStats] = []
         self.key_bits: List[np.ndarray] = []
         self.block_sizes: List[int] = []
         self.delay: Optional[int] = None
-        self._segments_consumed = 0
-        self._block: Optional[_AliceBlock] = None
-        self._block_index = 0
+        self._block = _Block(0, 0, config.segment_seconds)
+
+    def run(self) -> SessionResult:
+        try:
+            self._drive()
+        except _ABORT_ERRORS as exc:
+            try:
+                for frame in self._abort(exc):
+                    self.transport.send_frame(frame)
+            except PeerDisconnectedError:
+                pass  # nobody left to tell
+        finally:
+            self.transport.close()
+        return SessionResult(
+            role=self.role,
+            phase=self.phase,
+            abort_reason=self.abort_reason,
+            stats=self.stats,
+            key_bits=(np.concatenate(self.key_bits) if self.key_bits
+                      else np.empty(0, dtype=np.uint8)),
+            delay_ticks=self.delay,
+            block_sizes=self.block_sizes,
+            abort_message=self.abort_message,
+        )
+
+    def _abort(self, exc: Exception) -> List[Frame]:
+        """Record the abort ``exc`` stands for; returns the ABORT frame to send."""
+        if self.phase == Phase.ABORTED:  # the first abort stands
+            return []
+        sig = _abort_signal(exc)
+        self.phase = Phase.ABORTED
+        self.abort_reason = sig.reason
+        self.abort_message = sig.message
+        if not sig.notify:
+            return []
+        return [Frame(FrameType.ABORT, encode_abort(int(sig.reason), sig.message))]
+
+    def _close_block(self, stats: BlockStats) -> None:
+        """Keep a finished block's row, size and key; open the next block."""
+        blk = self._block
+        self.stats.append(stats)
+        self.block_sizes.append(blk.recon.n)
+        if len(blk.final):
+            self.key_bits.append(blk.final)
+        self._block = _Block(blk.index + 1, blk.seg_end, self.cfg.segment_seconds)
+
+
+# ---------------------------------------------------------------------------
+# Alice: reactive endpoint
+
+# Largest tick a batch may carry: delay recovery works in signed 64-bit
+# arithmetic, so larger ticks could wrap.  2**62 ticks is about 18 years.
+_MAX_TICK = 1 << 62
+
+# While a final block waits for Bob's confirm tag, only that tag is legal.
+_TAG_DUE = "confirm tag due"
+
+
+class AliceSession(_Endpoint):
+    """The matching/responding endpoint.
+
+    Purely reactive after the opening HELLO: every incoming frame maps to
+    a deterministic list of outgoing frames via :meth:`advance`.
+    """
+
+    role = "alice"
+
+    def __init__(self, transport, segments: Iterable, config: SessionConfig = SessionConfig()):
+        super().__init__(transport, segments, config)
         self._warm_a: list = []
         self._warm_b: list = []
-        self._warm_segments = 0
-        self._responder: Optional[AliceReconciler] = None
-        self._bell = None
-        self._insecure = False
-        self._recon: Optional[ReconciliationResult] = None
-        self._estimate: Optional[SecurityEstimate] = None
-        self._final_block: Optional[np.ndarray] = None
-        self._await_confirm_tag = False
+
+    def _drive(self) -> None:
+        self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
+        while self.phase not in (Phase.DONE, Phase.ABORTED):
+            for out in self.advance(self.transport.recv_frame()):
+                self.transport.send_frame(out)
 
     # -- frame handling ----------------------------------------------------
 
@@ -659,103 +805,57 @@ class AliceSession:
         """Process one incoming frame; returns the frames to send back."""
         if self.phase in (Phase.DONE, Phase.ABORTED):
             raise ProtocolViolationError("session is finished")
-        if frame.type == FrameType.ABORT:
-            return self._on_peer_abort(frame)
-        if frame.type not in _ALICE_LEGAL[self.phase]:
-            return self._abort(
-                AbortReason.PROTOCOL_VIOLATION,
-                f"{FrameType(frame.type).name} not legal in {self.phase.name}",
-            )
-        if self._insecure:
-            # After a subcritical S only an ABORT from the peer is acceptable.
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "expected abort after |S| <= 2")
         try:
-            if frame.type == FrameType.HELLO:
-                return self._on_hello(frame)
-            if frame.type == FrameType.TIMETAG_BATCH:
-                return self._on_batch(frame)
-            if frame.type == FrameType.BELL_REVEAL:
-                return self._on_bell(frame)
-            if frame.type in (FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE,
-                              FrameType.PARITY_REQUEST):
-                return self._on_cascade(frame)
-            if frame.type == FrameType.VERIFY_TAG:
-                if self.phase == Phase.RECONCILE:
-                    return self._on_cascade(frame)
-                return self._on_confirm_tag(frame)
-            if frame.type == FrameType.PA_PARAMS:
-                return self._on_pa_params(frame)
-            if frame.type == FrameType.PA_SEED:
-                return self._on_pa_seed(frame)
-            if frame.type == FrameType.BLOCK_STATS:
-                return self._on_block_stats(frame)
-        except MalformedFrameError as exc:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, str(exc))
-        raise AssertionError("unreachable")
-
-    def _abort(self, reason: AbortReason, message: str = "") -> List[Frame]:
-        self.phase = Phase.ABORTED
-        self.abort_reason = reason
-        if reason in (AbortReason.PEER_DISCONNECTED, AbortReason.TIMEOUT):
-            return []
-        return [Frame(FrameType.ABORT, encode_abort(int(reason), message))]
-
-    def _on_peer_abort(self, frame: Frame) -> List[Frame]:
-        reason, _ = decode_abort(frame.payload)
-        self.phase = Phase.ABORTED
-        try:
-            self.abort_reason = AbortReason(reason)
-        except ValueError:
-            self.abort_reason = AbortReason.INTERNAL
-        if self.abort_reason == AbortReason.INSECURE_REGIME and self._bell is not None:
-            # The peer refused the block after the Bell stage; log the row.
-            self.stats.append(self._local_stats(qber=float("nan"), leak=0,
-                                                i_eve=float("nan"), final_bits=0))
-        return []
+            if frame.type == FrameType.ABORT:
+                raise _peer_abort(frame)
+            state = _TAG_DUE if self._block.tag_due else self.phase
+            handler = self._HANDLERS.get(state, {}).get(frame.type)
+            if handler is None:
+                raise _AbortSignal(
+                    AbortReason.PROTOCOL_VIOLATION,
+                    f"{FrameType(frame.type).name} not legal in {self.phase.name}",
+                )
+            if self._block.insecure:
+                # After a subcritical S only an ABORT from the peer is acceptable.
+                raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected abort after |S| <= 2")
+            return handler(self, frame)
+        except _ABORT_ERRORS as exc:
+            return self._abort(exc)
 
     def _on_hello(self, frame: Frame) -> List[Frame]:
-        role = decode_hello(frame.payload)
-        if role != 1:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "peer is not the tag-sending side")
+        if decode_hello(frame.payload) != 1:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "peer is not the tag-sending side")
         self.phase = Phase.SYNC
         return []
 
     def _on_batch(self, frame: Frame) -> List[Frame]:
         b_ticks, b_codes = decode_timetag_batch(frame.payload)
-        if len(b_ticks) == 0:
-            self.phase = Phase.DONE
-            return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_END).encode())]
-        if int(b_codes.max()) > 1:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "basis code out of range")
-        own = next(self.segments, None)
+        if len(b_ticks):
+            if int(b_codes.max()) > 1:
+                raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "basis code out of range")
+            if b_ticks[-1] >= _MAX_TICK or np.any(b_ticks[1:] < b_ticks[:-1]):
+                raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
+                                   "tag times unsorted or out of range")
+        # an empty batch, or no data of her own, ends the session
+        own = next(self.segments, None) if len(b_ticks) else None
         if own is None:
             self.phase = Phase.DONE
             return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_END).encode())]
         a_ticks, a_dets = own
-        if self._block is None:
-            self._block = _AliceBlock(self._block_index, self._segments_consumed)
-        self._segments_consumed += 1
-        self._block.seg_count += 1
+        self._block.seg_end += 1
 
         if self.delay is None:
-            self._warm_a.append((a_ticks, a_dets))
+            self._warm_a.append(own)
             self._warm_b.append((b_ticks, b_codes))
-            self._warm_segments += 1
+            a_ticks, a_dets = (np.concatenate(c) for c in zip(*self._warm_a))
+            b_ticks, b_codes = (np.concatenate(c) for c in zip(*self._warm_b))
             try:
-                est = find_delay(
-                    np.concatenate([t for t, _ in self._warm_a]),
-                    np.concatenate([t for t, _ in self._warm_b]),
-                    self.cfg.window,
-                )
+                est = find_delay(a_ticks, b_ticks, self.cfg.window)
             except NoPeakError as exc:
-                if self._warm_segments >= self.cfg.peak_search_segments:
-                    return self._abort(AbortReason.NO_PEAK, str(exc))
+                if len(self._warm_a) >= self.cfg.peak_search_segments:
+                    raise _AbortSignal(AbortReason.NO_PEAK, str(exc))
                 return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_CONTINUE).encode())]
             self.delay = est.delay_ticks
-            a_ticks = np.concatenate([t for t, _ in self._warm_a])
-            a_dets = np.concatenate([d for _, d in self._warm_a])
-            b_ticks = np.concatenate([t for t, _ in self._warm_b])
-            b_codes = np.concatenate([c for _, c in self._warm_b])
             self._warm_a.clear()
             self._warm_b.clear()
 
@@ -804,175 +904,92 @@ class AliceSession:
         bell_b = decode_bell_reveal(frame.payload)
         bell_a = np.concatenate(blk.bell_dets)
         if len(bell_b) != len(bell_a):
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
-        try:
-            self._bell = chsh_value(count_coincidences(bell_a, bell_b), self.cfg.geometry)
-            s_ok = abs(self._bell.s_value) > 2.0
-        except InvalidDetectorError:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "revealed detector out of range")
-        except EmptyTermError:
-            self._bell = None
-            s_ok = False
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
+        secure = blk.bell_test(bell_a, bell_b, self.cfg.geometry)
         self.phase = Phase.RECONCILE
-        if not s_ok:
-            self._insecure = True
+        if not secure:
+            # the peer refuses the block next; log its row as the peer does
+            blk.insecure = True
+            self.stats.append(blk.stats(qber=float("nan")))
             return []
-        self._responder = AliceReconciler(np.concatenate(blk.key_bits), self.cfg.cascade)
+        blk.responder = AliceReconciler(np.concatenate(blk.key_bits), self.cfg.cascade)
         return []
 
     def _on_cascade(self, frame: Frame) -> List[Frame]:
-        msg = frame_to_cascade_msg(frame)
-        try:
-            reply = self._responder.handle(msg)
-        except ChannelClosedError as exc:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, str(exc))
+        blk = self._block
+        reply = blk.responder.handle(frame_to_cascade_msg(frame))
         out = [] if reply is None else [cascade_msg_to_frame(reply)]
-        if self._responder.done:
-            self._recon = self._responder.result
-            if self._recon.verified:
-                self.phase = Phase.AMPLIFY
-            else:
-                self.phase = Phase.CONFIRM
-                self._final_block = np.empty(0, dtype=np.uint8)
-                self._estimate = None
-                self._await_confirm_tag = False
+        if blk.responder.done:
+            blk.recon = blk.responder.result
+            self.phase = Phase.AMPLIFY if blk.recon.verified else Phase.CONFIRM
         return out
 
     def _on_pa_params(self, frame: Frame) -> List[Frame]:
         pa = PaParams.decode(frame.payload)
-        est = secret_fraction(
-            self._recon.n, self._recon.leaked_bits, self._bell.s_value,
-            self.cfg.finite_deduction, self.cfg.rate_multiplier,
-        )
-        mine = PaParams(est.n, est.leak_ec, est.final_length,
-                        self.cfg.finite_deduction, est.s_value, self.cfg.rate_multiplier)
-        if pa != mine:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "privacy amplification parameter mismatch")
-        self._estimate = est
-        if est.final_length == 0:
-            self._final_block = np.empty(0, dtype=np.uint8)
-            self._await_confirm_tag = False
+        if pa != self._block.pa_params(self.cfg):
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
+                               "privacy amplification parameter mismatch")
+        if pa.final_length == 0:
             self.phase = Phase.CONFIRM
         return []
 
     def _on_pa_seed(self, frame: Frame) -> List[Frame]:
-        if self._estimate is None:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "seed before parameters")
+        blk = self._block
+        if blk.estimate is None:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "seed before parameters")
         seed_bits = decode_pa_seed(frame.payload)
-        m = self._estimate.final_length
-        if len(seed_bits) != self._recon.n + m - 1:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "toeplitz seed length mismatch")
-        self._final_block = toeplitz_hash(self._recon.bits, seed_bits, m)
-        self._await_confirm_tag = True
+        m = blk.estimate.final_length
+        if len(seed_bits) != blk.recon.n + m - 1:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "toeplitz seed length mismatch")
+        blk.final = toeplitz_hash(blk.recon.bits, seed_bits, m)
+        blk.tag_due = True
         self.phase = Phase.CONFIRM
         return []
 
     def _on_confirm_tag(self, frame: Frame) -> List[Frame]:
-        if not self._await_confirm_tag:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "unexpected confirm tag")
+        blk = self._block
+        if not blk.tag_due:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "unexpected confirm tag")
         msg = frame_to_cascade_msg(frame)
         if msg.tag is None:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
-        mine = _confirm_tag(self._final_block, self.cfg.seed, self._block.index)
-        self._await_confirm_tag = False
-        if mine != msg.tag:
-            out = [cascade_msg_to_frame(VerifyTagMsg(status=0))]
-            self.stats.append(self._local_stats(
-                qber=float("nan"), leak=self._recon.leaked_bits,
-                i_eve=self._estimate.i_eve, final_bits=0))
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.VERIFICATION_FAILED
-            return out
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
+        blk.tag_due = False
+        if _confirm_tag(blk.final, self.cfg.seed, blk.index) != msg.tag:
+            blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
+            self.stats.append(blk.stats(qber=float("nan")))
+            self._abort(_AbortSignal(AbortReason.VERIFICATION_FAILED, "final key tag mismatch",
+                                     notify=False))
+            return [cascade_msg_to_frame(VerifyTagMsg(status=0))]
         return [cascade_msg_to_frame(VerifyTagMsg(status=1))]
-
-    def _local_stats(self, qber: float, leak: int, i_eve: float, final_bits: int) -> BlockStats:
-        blk = self._block
-        seg = self.cfg.segment_seconds
-        if self._bell is not None:
-            s_value, s_stderr = self._bell.s_value, self._bell.standard_error
-        else:
-            s_value, s_stderr = float("nan"), float("nan")
-        return BlockStats(
-            block_index=blk.index,
-            t_start=blk.seg_start * seg,
-            t_end=(blk.seg_start + blk.seg_count) * seg,
-            coincidence_count=blk.coincidences,
-            accidental_count=blk.accidentals,
-            qber=qber,
-            s_value=s_value,
-            s_stderr=s_stderr,
-            leak_ec=leak,
-            i_eve=i_eve,
-            final_bits=final_bits,
-        )
 
     def _on_block_stats(self, frame: Frame) -> List[Frame]:
         theirs = BlockStats.decode(frame.payload)
         if not (np.isnan(theirs.qber) or 0.0 <= theirs.qber <= 1.0):
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "qber out of range")
-        if self._estimate is not None:
-            i_eve = self._estimate.i_eve
-        else:
-            # reconciliation failed before amplification parameters arrived
-            i_eve = eve_information(self._bell.s_value)
-        mine = self._local_stats(
-            qber=theirs.qber,  # includes the peer-side correction count
-            leak=self._recon.leaked_bits,
-            i_eve=i_eve,
-            final_bits=len(self._final_block),
-        )
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "qber out of range")
+        # the qber includes the peer-side correction count
+        mine = self._block.stats(qber=theirs.qber)
         if mine.encode() != frame.payload:
-            return self._abort(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
-        self.stats.append(mine)
-        self.block_sizes.append(self._recon.n)
-        if len(self._final_block):
-            self.key_bits.append(self._final_block)
-        echo = Frame(FrameType.BLOCK_STATS, frame.payload)
-        self._reset_block()
-        return [echo]
-
-    def _reset_block(self) -> None:
-        self._block = None
-        self._block_index += 1
-        self._responder = None
-        self._bell = None
-        self._insecure = False
-        self._recon = None
-        self._estimate = None
-        self._final_block = None
-        self._await_confirm_tag = False
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
+        self._close_block(mine)
         self.phase = Phase.SYNC
+        return [Frame(FrameType.BLOCK_STATS, frame.payload)]
 
-    # -- session loop ------------------------------------------------------
-
-    def run(self) -> SessionResult:
-        try:
-            self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
-            while self.phase not in (Phase.DONE, Phase.ABORTED):
-                frame = self.transport.recv_frame()
-                for out in self.advance(frame):
-                    self.transport.send_frame(out)
-        except PeerDisconnectedError:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.PEER_DISCONNECTED
-        except SessionTimeoutError:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.TIMEOUT
-        except MalformedFrameError:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.PROTOCOL_VIOLATION
-        finally:
-            self.transport.close()
-        return SessionResult(
-            role="alice",
-            phase=self.phase,
-            abort_reason=self.abort_reason,
-            stats=self.stats,
-            key_bits=(np.concatenate(self.key_bits) if self.key_bits
-                      else np.empty(0, dtype=np.uint8)),
-            delay_ticks=self.delay,
-            block_sizes=self.block_sizes,
-        )
+    # The frames Alice accepts in each state, and their handlers.
+    _HANDLERS = {
+        Phase.HELLO: {FrameType.HELLO: _on_hello},
+        Phase.SYNC: {FrameType.TIMETAG_BATCH: _on_batch},
+        Phase.BELL: {FrameType.BELL_REVEAL: _on_bell},
+        Phase.RECONCILE: {
+            FrameType.SHUFFLE_SEED: _on_cascade,
+            FrameType.QBER_SAMPLE: _on_cascade,
+            FrameType.PARITY_REQUEST: _on_cascade,
+            FrameType.VERIFY_TAG: _on_cascade,
+        },
+        Phase.AMPLIFY: {FrameType.PA_PARAMS: _on_pa_params, FrameType.PA_SEED: _on_pa_seed},
+        Phase.CONFIRM: {FrameType.VERIFY_TAG: _on_confirm_tag,
+                        FrameType.BLOCK_STATS: _on_block_stats},
+        _TAG_DUE: {FrameType.VERIFY_TAG: _on_confirm_tag},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -993,30 +1010,18 @@ class _FrameCascadeChannel:
         return frame_to_cascade_msg(frame)
 
 
-class BobSession:
+_NO_SEGMENT = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8))
+
+
+class BobSession(_Endpoint):
     """Streams tags, drives reconciliation and amplification."""
 
-    def __init__(self, transport, segments: Iterable, config: SessionConfig = SessionConfig()):
-        self.transport = transport
-        self.segments = iter(segments)
-        self.cfg = config
-        self.phase = Phase.HELLO
-        self.abort_reason: Optional[AbortReason] = None
-        self.stats: List[BlockStats] = []
-        self.key_bits: List[np.ndarray] = []
-        self.block_sizes: List[int] = []
-        self.delay: Optional[int] = None
-        self._segments_sent = 0
+    role = "bob"
 
     def _expect(self, *types: FrameType) -> Frame:
         frame = self.transport.recv_frame()
         if frame.type == FrameType.ABORT:
-            reason, message = decode_abort(frame.payload)
-            try:
-                parsed = AbortReason(reason)
-            except ValueError:
-                parsed = AbortReason.INTERNAL
-            raise _AbortSignal(parsed, message, notify=False)
+            raise _peer_abort(frame)
         if frame.type not in types:
             raise _AbortSignal(
                 AbortReason.PROTOCOL_VIOLATION,
@@ -1025,94 +1030,40 @@ class BobSession:
             )
         return frame
 
-    def run(self) -> SessionResult:
-        try:
-            self._run()
-        except _AbortSignal as sig:
-            if sig.notify:
-                try:
-                    self.transport.send_frame(
-                        Frame(FrameType.ABORT, encode_abort(int(sig.reason), str(sig)))
-                    )
-                except PeerDisconnectedError:
-                    pass
-            self.phase = Phase.ABORTED
-            self.abort_reason = sig.reason
-        except PeerDisconnectedError:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.PEER_DISCONNECTED
-        except SessionTimeoutError:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.TIMEOUT
-        except MalformedFrameError:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.PROTOCOL_VIOLATION
-        finally:
-            self.transport.close()
-        return SessionResult(
-            role="bob",
-            phase=self.phase,
-            abort_reason=self.abort_reason,
-            stats=self.stats,
-            key_bits=(np.concatenate(self.key_bits) if self.key_bits
-                      else np.empty(0, dtype=np.uint8)),
-            delay_ticks=self.delay,
-            block_sizes=self.block_sizes,
-        )
-
-    def _run(self) -> None:
+    def _drive(self) -> None:
         self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(1)))
-        hello = self._expect(FrameType.HELLO)
-        if decode_hello(hello.payload) != 0:
+        if decode_hello(self._expect(FrameType.HELLO).payload) != 0:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "peer is not the matching side")
-        block_index = 0
-        while True:
-            finished = self._run_block(block_index)
-            if finished:
-                self.phase = Phase.DONE
-                return
-            block_index += 1
+        while self._run_block():
+            pass
+        self.phase = Phase.DONE
 
-    def _run_block(self, block_index: int) -> bool:
-        """One block; returns True when the data ended (session done)."""
+    def _run_block(self) -> bool:
+        """One block; returns False when the data ended (session done)."""
         cfg = self.cfg
+        blk = self._block
         self.phase = Phase.SYNC
-        seg_start = self._segments_sent
         det_chunks: list = []
-        det_count = 0
 
         while True:
-            seg = next(self.segments, None)
-            if seg is None:
-                self.transport.send_frame(Frame(FrameType.TIMETAG_BATCH, b""))
-                ma_frame = self._expect(FrameType.MATCH_ANNOUNCE)
-                ma = MatchAnnounce.decode(ma_frame.payload)
-                if ma.flag != ANNOUNCE_END:
-                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected end announce")
-                return True
-            ticks, dets = seg
+            ticks, dets = next(self.segments, _NO_SEGMENT)
             basis = (np.asarray(dets) >= 3).astype(np.uint8)
             self.transport.send_frame(
                 Frame(FrameType.TIMETAG_BATCH, encode_timetag_batch(ticks, basis))
             )
+            ma = MatchAnnounce.decode(self._expect(FrameType.MATCH_ANNOUNCE).payload)
             if len(ticks) == 0:
                 # an empty batch reads as end-of-data on the far side
-                ma_frame = self._expect(FrameType.MATCH_ANNOUNCE)
-                ma = MatchAnnounce.decode(ma_frame.payload)
                 if ma.flag != ANNOUNCE_END:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected end announce")
-                return True
+                return False
             det_chunks.append(np.asarray(dets, dtype=np.uint8))
-            det_count += len(ticks)
-            self._segments_sent += 1
-            ma_frame = self._expect(FrameType.MATCH_ANNOUNCE)
-            ma = MatchAnnounce.decode(ma_frame.payload)
-            if ma.flag == ANNOUNCE_CONTINUE:
-                continue
+            blk.seg_end += 1
             if ma.flag == ANNOUNCE_BLOCK:
                 break
-            # peer ran out of its own data; end with the partial block dropped
-            return True
+            if ma.flag != ANNOUNCE_CONTINUE:
+                # peer ran out of its own data; end with the partial block dropped
+                return False
 
         # Sift: recover key/Bell branches from the announced matches.
         self.phase = Phase.SIFT
@@ -1120,114 +1071,67 @@ class BobSession:
         if len(ma.b_idx) and int(ma.b_idx.max()) >= len(my_dets):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "match index out of range")
         self.delay = ma.delay_ticks
-        key_mask = ma.classes == int(CoincidenceClass.KEY)
-        bell_mask = ma.classes == int(CoincidenceClass.BELL)
-        key_dets = my_dets[ma.b_idx[key_mask]]
-        if len(key_dets) and int(key_dets.max()) > 2:
+        blk.coincidences = len(ma.b_idx)
+        blk.accidentals = ma.accidentals
+        key_dets = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.KEY)]]
+        if len(key_dets) == 0:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block without key bits")
+        if int(key_dets.max()) > 2:
             # a key-branch event must sit in this side's key basis
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "key class outside key basis")
         my_key = bob_key_bits(key_dets)
-        bell_mine = my_dets[ma.b_idx[bell_mask]]
+        bell_mine = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
 
-        reveal = self._expect(FrameType.BELL_REVEAL)
-        bell_theirs = decode_bell_reveal(reveal.payload)
+        bell_theirs = decode_bell_reveal(self._expect(FrameType.BELL_REVEAL).payload)
         if len(bell_theirs) != len(bell_mine):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
         self.phase = Phase.BELL
         self.transport.send_frame(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(bell_mine)))
-
-        seg = self.cfg.segment_seconds
-        base_stats = dict(
-            block_index=block_index,
-            t_start=seg_start * seg,
-            t_end=self._segments_sent * seg,
-            coincidence_count=len(ma.b_idx),
-            accidental_count=ma.accidentals,
-        )
-        try:
-            bell = chsh_value(count_coincidences(bell_theirs, bell_mine), cfg.geometry)
-            s_ok = abs(bell.s_value) > 2.0
-        except InvalidDetectorError:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "revealed detector out of range")
-        except EmptyTermError:
-            bell = None
-            s_ok = False
-        if not s_ok:
-            stats = BlockStats(
-                qber=float("nan"),
-                s_value=bell.s_value if bell else float("nan"),
-                s_stderr=bell.standard_error if bell else float("nan"),
-                leak_ec=0, i_eve=float("nan"), final_bits=0, **base_stats,
-            )
-            self.stats.append(stats)
+        if not blk.bell_test(bell_theirs, bell_mine, cfg.geometry):
+            self.stats.append(blk.stats(qber=float("nan")))
+            bell = blk.bell
             raise _AbortSignal(AbortReason.INSECURE_REGIME,
                                f"|S| = {abs(bell.s_value) if bell else 0:.4f} <= 2")
 
         # Reconcile (this side drives; the peer serves parities).
         self.phase = Phase.RECONCILE
         params = replace(cfg.cascade,
-                         shuffle_seed=_derived_seed(cfg.seed, block_index, _CASCADE_SEED_TAG))
-        channel = _FrameCascadeChannel(self)
+                         shuffle_seed=_derived_seed(cfg.seed, blk.index, _CASCADE_SEED_TAG))
         try:
-            recon = reconcile_bob(my_key, channel, params)
+            blk.recon = reconcile_bob(my_key, _FrameCascadeChannel(self), params)
         except VerificationFailedError as exc:
-            recon = exc.result
+            blk.recon = exc.result
 
-        final = np.empty(0, dtype=np.uint8)
-        est = None
-        if recon.verified:
+        if blk.recon.verified:
             self.phase = Phase.AMPLIFY
-            est = secret_fraction(recon.n, recon.leaked_bits, bell.s_value,
-                                  cfg.finite_deduction, cfg.rate_multiplier)
-            pa = PaParams(est.n, est.leak_ec, est.final_length,
-                          cfg.finite_deduction, est.s_value, cfg.rate_multiplier)
+            pa = blk.pa_params(cfg)
             self.transport.send_frame(Frame(FrameType.PA_PARAMS, pa.encode()))
-            if est.final_length > 0:
+            if pa.final_length > 0:
                 seed_bits = generate_toeplitz_seed(
-                    recon.n, est.final_length,
-                    np.random.SeedSequence(
-                        [int(cfg.seed), int(block_index), _PA_SEED_TAG]),
+                    blk.recon.n, pa.final_length,
+                    np.random.SeedSequence([int(cfg.seed), int(blk.index), _PA_SEED_TAG]),
                 )
                 self.transport.send_frame(Frame(FrameType.PA_SEED, encode_pa_seed(seed_bits)))
-                final = toeplitz_hash(recon.bits, seed_bits, est.final_length)
+                blk.final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
 
                 self.phase = Phase.CONFIRM
-                tag = _confirm_tag(final, cfg.seed, block_index)
+                tag = _confirm_tag(blk.final, cfg.seed, blk.index)
                 self.transport.send_frame(cascade_msg_to_frame(VerifyTagMsg(tag=tag)))
                 status = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG))
                 if status.status != 1:
-                    self.stats.append(BlockStats(
-                        qber=_block_qber(recon), s_value=bell.s_value,
-                        s_stderr=bell.standard_error, leak_ec=recon.leaked_bits,
-                        i_eve=est.i_eve, final_bits=0, **base_stats,
-                    ))
+                    blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
+                    self.stats.append(blk.stats(_block_qber(blk.recon)))
                     raise _AbortSignal(AbortReason.VERIFICATION_FAILED,
                                        "final key tag mismatch", notify=False)
-            else:
-                self.phase = Phase.CONFIRM
-        else:
-            self.phase = Phase.CONFIRM
+        self.phase = Phase.CONFIRM
 
-        i_eve = est.i_eve if est is not None else eve_information(bell.s_value)
-        stats = BlockStats(
-            qber=_block_qber(recon),
-            s_value=bell.s_value,
-            s_stderr=bell.standard_error,
-            leak_ec=recon.leaked_bits,
-            i_eve=i_eve,
-            final_bits=len(final),
-            **base_stats,
-        )
+        stats = blk.stats(_block_qber(blk.recon))
         payload = stats.encode()
         self.transport.send_frame(Frame(FrameType.BLOCK_STATS, payload))
-        echo = self._expect(FrameType.BLOCK_STATS)
-        if echo.payload != payload:
+        if self._expect(FrameType.BLOCK_STATS).payload != payload:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
-        self.stats.append(stats)
-        self.block_sizes.append(recon.n)
-        if len(final):
-            self.key_bits.append(final)
-        return False
+        self._close_block(stats)
+        return True
 
 
 def run_session(role: str, transport, segments: Iterable,

@@ -9,8 +9,10 @@ from bellqkd.cascade import (
     AliceReconciler,
     CascadeParams,
     ChannelClosedError,
+    ParityRequestMsg,
     QberSampleMsg,
     ShuffleSeedMsg,
+    VerifyTagMsg,
     VerificationFailedError,
     classic_initial_block,
     reconcile_bob,
@@ -116,6 +118,17 @@ def test_sample_size_mismatch_closes_channel():
         alice.handle(QberSampleMsg(8, b"\x00"))
     with pytest.raises(ChannelClosedError):
         reconcile_bob(bits, _WrongSizeSample(), CascadeParams(shuffle_seed=7))
+
+
+@pytest.mark.parametrize("msg", [
+    QberSampleMsg(8, b"\x00"),
+    ParityRequestMsg(0, ((0, 8),)),
+    VerifyTagMsg(tag=b"\x00" * 8),
+], ids=lambda m: type(m).__name__)
+def test_message_before_shuffle_seed_closes_channel(msg):
+    alice = AliceReconciler(np.zeros(100, dtype=np.uint8), CascadeParams())
+    with pytest.raises(ChannelClosedError):
+        alice.handle(msg)
 
 
 def test_single_pass_miss_fails_verification():

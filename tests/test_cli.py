@@ -1,6 +1,7 @@
 """Config parsing, CSV output, and command-line entry points."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,6 +274,19 @@ def test_full_intercept_attack_exits_insecure(tmp_path, capsys):
     )
     assert main(["run", "--config", str(path)]) == EXIT_INSECURE
     capsys.readouterr()
+
+
+def test_insecure_run_prints_abort_lines(tmp_path, capsys):
+    path = tmp_path / "attack.conf"
+    path.write_text(
+        "pair_rate = 20000\nbackground_rate = 0\nvisibility_hv = 1.0\n"
+        "visibility_diag = 1.0\nduration = 1.5\nbob_delay = 500\n"
+        "rng_seed = 3\nblock_min_key_bits = 1500\nintercept_fraction = 1.0\n"
+    )
+    assert main(["run", "--config", str(path)]) == EXIT_INSECURE
+    err = capsys.readouterr().err
+    for side in ("alice", "bob"):
+        assert re.search(rf"^{side}: INSECURE_REGIME: \|S\| = \d\.\d{{4}} <= 2$", err, re.M)
 
 
 def test_bad_config_file_exits_config_error(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Framing, transports, session state machine, end-to-end sessions."""
 
+import copy
+import hashlib
 import queue
 import socket
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bellqkd.cascade import (
@@ -533,19 +535,25 @@ def test_truncated_parity_response_is_malformed(keep):
         frame_to_cascade_msg(Frame(FrameType.PARITY_RESPONSE, payload[:keep]))
 
 
-class _TamperStats:
-    """Transport wrapper flipping a byte in outgoing BLOCK_STATS frames."""
+class _Tamper:
+    """Transport wrapper rewriting every outgoing frame of one type."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, ftype, change):
         self._inner = inner
+        self._ftype = ftype
+        self._change = change
 
     def send_frame(self, frame):
-        if frame.type == FrameType.BLOCK_STATS:
-            frame = Frame(frame.type, frame.payload[:-1] + bytes([frame.payload[-1] ^ 1]))
+        if frame.type == self._ftype:
+            frame = self._change(frame)
         self._inner.send_frame(frame)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+def _flip_last_byte(frame):
+    return Frame(frame.type, frame.payload[:-1] + bytes([frame.payload[-1] ^ 1]))
 
 
 def test_tampered_block_stats_detected():
@@ -553,11 +561,139 @@ def test_tampered_block_stats_detected():
     cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
     src = JointSegmentSource(ch)
     t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
-    ra, rb = run_transport_pair(t_alice, _TamperStats(t_bob),
+    ra, rb = run_transport_pair(t_alice, _Tamper(t_bob, FrameType.BLOCK_STATS, _flip_last_byte),
                                 src.segments("alice"), src.segments("bob"), cfg)
     assert ra.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert rb.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert ra.key_bytes() == b""
+
+
+@pytest.mark.parametrize("change", [
+    # a PARITY_RESPONSE carrying more parities than were asked for
+    lambda f: cascade_msg_to_frame(ParityResponseMsg(
+        frame_to_cascade_msg(f).count + 8, frame_to_cascade_msg(f).bits + b"\x00")),
+    # a QBER_SAMPLE where the PARITY_RESPONSE belongs
+    lambda f: Frame(FrameType.QBER_SAMPLE, f.payload),
+], ids=["wrong-count", "sample-instead"])
+def test_bad_parity_reply_ends_in_abort(change):
+    ch = _channel(duration=1.5)
+    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
+    src = JointSegmentSource(ch)
+    t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
+    ra, rb = run_transport_pair(_Tamper(t_alice, FrameType.PARITY_RESPONSE, change), t_bob,
+                                src.segments("alice"), src.segments("bob"), cfg)
+    assert rb.phase == ra.phase == Phase.ABORTED
+    assert rb.abort_reason == ra.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert rb.abort_message == ra.abort_message == "bad parity response"
+    assert ra.key_bytes() == rb.key_bytes() == b""
+
+
+def test_alice_refuses_block_stats_before_confirm_tag():
+    ch = ChannelConfig(duration=6, rng_seed=3)
+    cfg = SessionConfig(block_min_key_bits=10000, seed=3)
+    src = JointSegmentSource(ch)
+    b_out = []
+    run_inproc_pair(src.segments("alice"), src.segments("bob"), cfg, recorders=(None, b_out.append))
+    frames = list(iter_frames(b"".join(b_out)))
+    at = [f.type for f in frames].index(FrameType.PA_SEED) + 1
+    assert frames[at].type == FrameType.VERIFY_TAG
+    del frames[at]  # the confirm tag over the final key
+
+    alice = AliceSession(None, JointSegmentSource(ch).segments("alice"), cfg)
+    out = []
+    for frame in frames:
+        out += alice.advance(frame)
+        if alice.phase == Phase.ABORTED:
+            break
+    assert [f.type for f in out].count(FrameType.ABORT) == 1
+    assert out[-1].type == FrameType.ABORT
+    assert decode_abort(out[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+    assert FrameType.BLOCK_STATS not in [f.type for f in out]
+    assert alice.key_bits == [] and alice.stats == []
+
+
+def test_alice_aborts_on_unsorted_tag_batch():
+    alice = AliceSession(transport=None, segments=iter([
+        (np.array([100, 200], np.uint64), np.array([1, 1], np.uint8)),
+    ]))
+    alice.advance(Frame(FrameType.HELLO, encode_hello(1)))
+    batch = encode_timetag_batch(np.array([300, 200], np.uint64), np.array([0, 0], np.uint8))
+    out = alice.advance(Frame(FrameType.TIMETAG_BATCH, batch))
+    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert decode_abort(out[0].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                            "tag times unsorted or out of range")
+
+
+def test_bob_aborts_on_block_without_key_bits():
+    t_alice, t_bob = inproc_pair(timeout=5.0)
+    t_alice.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
+    bell_only = MatchAnnounce(ANNOUNCE_BLOCK, 4000, 0, np.array([0], np.uint32),
+                              np.array([0], np.uint32), np.array([1], np.uint8))
+    t_alice.send_frame(Frame(FrameType.MATCH_ANNOUNCE, bell_only.encode()))
+    src = JointSegmentSource(_channel(duration=1.0))
+    result = run_session("bob", t_bob, src.segments("bob"), SessionConfig())
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == "block without key bits"
+
+
+def test_abort_message_kept_on_both_sides():
+    ch = _channel(visibility_hv=1.0, visibility_diag=1.0, background_rate=0.0)
+    ra, rb = _run(ch, attack=AttackConfig(intercept_fraction=1.0), block_min_key_bits=1500)
+    assert rb.abort_message.startswith("|S| = ") and rb.abort_message.endswith(" <= 2")
+    assert ra.abort_message == rb.abort_message  # the peer's text, kept
+    t = QueueTransport(rx=queue.Queue(), tx=queue.Queue(), timeout=0.05)
+    assert BobSession(t, iter([])).run().abort_message == "no frame within 0.05 s"
+    t_alice, t_bob = inproc_pair(timeout=5.0)
+    t_bob.close()
+    assert run_session("alice", t_alice, iter([])).abort_message == "peer closed the connection"
+
+
+def _digest(chunks) -> str:
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
+
+
+# SHA-256 of each direction's frames and of the final key.  A change here
+# is a wire-format change and must come with a FRAME_VERSION bump.
+_PINNED_SESSIONS = {
+    "paper-20s": (
+        dict(channel=ChannelConfig(duration=20, rng_seed=1),
+             cfg=SessionConfig(block_min_key_bits=10000, seed=1)),
+        "9ef12525f089fd9828e20ea01b8c46619a718e9814f0574e98c0d47654633d00",
+        "b93ca36221ebc99b25eb12bbcb315f9e93b15c901741ab6f1e35c29573af5f7b",
+        "08e985b1ab42a44e88a20023da1cabd85abca2faf217f98489ce7484056aee8d",
+    ),
+    "insecure-abort": (
+        dict(channel=ChannelConfig(duration=3, rng_seed=7),
+             attack=AttackConfig(intercept_fraction=1.0),
+             cfg=SessionConfig(block_min_key_bits=2000, seed=7)),
+        "fbf4ba9f26c121b983f072652cbbc2c28b04d8b428480f209b5e3ebd6edfeb0c",
+        "5f5d9bfc6119e2c80c851c2a75c5610994bf5e9d2f968190ac98e27dbc1817bd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "tampered-stats": (
+        dict(channel=_channel(duration=1.5),
+             cfg=SessionConfig(block_min_key_bits=2000, seed=5),
+             tamper=lambda t: _Tamper(t, FrameType.BLOCK_STATS, _flip_last_byte)),
+        "d3ca36bbb4ec37d8b3cddfa75bd096c018788370d289de51c54a7ea76e2d5d06",
+        "91f4717cfc0fc7cef260253ddda9cff3c4360795d723aaa01892daf6ed982181",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_SESSIONS))
+def test_transcripts_match_pinned_hashes(name):
+    setup, a2b_hash, b2a_hash, key_hash = _PINNED_SESSIONS[name]
+    cfg = setup["cfg"]
+    src = JointSegmentSource(setup["channel"], setup.get("attack", AttackConfig()),
+                             segment_seconds=cfg.segment_seconds)
+    a2b, b2a = [], []
+    t_alice, t_bob = inproc_pair(timeout=cfg.timeout, recorders=(a2b.append, b2a.append))
+    ra, rb = run_transport_pair(t_alice, setup.get("tamper", lambda t: t)(t_bob),
+                                src.segments("alice"), src.segments("bob"), cfg)
+    assert (_digest(a2b), _digest(b2a)) == (a2b_hash, b2a_hash)
+    assert hashlib.sha256(ra.key_bytes()).hexdigest() == key_hash
+    assert ra.key_bytes() == rb.key_bytes()
 
 
 def test_session_timeout():
@@ -599,3 +735,51 @@ def test_run_session_validates_role():
 def test_session_config_validation():
     with pytest.raises(ValueError):
         SessionConfig(block_min_key_bits=0)
+
+
+@pytest.fixture(scope="module")
+def alice_in_each_phase(bob_transcript):
+    """Phase -> (Alice as she enters it, the frame the transcript sends next)."""
+    frames, fresh_alice = bob_transcript
+    alice = fresh_alice()
+    alice.segments = iter(list(alice.segments))  # a list iterator deep-copies
+    snapshots = {}
+    for frame in frames:
+        snapshots.setdefault(alice.phase, (copy.deepcopy(alice), frame))
+        alice.advance(frame)
+    return snapshots
+
+
+def _mutated_payload(data, payload: bytes) -> bytes:
+    kind = data.draw(st.sampled_from(["keep", "truncate", "extend", "flip", "random"]))
+    if kind == "truncate":
+        return payload[: data.draw(st.integers(0, max(0, len(payload) - 1)))]
+    if kind == "extend":
+        return payload + data.draw(st.binary(min_size=1, max_size=16))
+    if kind == "flip" and payload:
+        i = data.draw(st.integers(0, len(payload) - 1))
+        return payload[:i] + bytes([payload[i] ^ data.draw(st.integers(1, 255))]) + payload[i + 1:]
+    if kind == "random":
+        return data.draw(st.binary(max_size=64))
+    return payload
+
+
+@given(data=st.data())
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_alice_advance_never_raises(alice_in_each_phase, data):
+    phases = [Phase.HELLO, Phase.SYNC, Phase.BELL, Phase.RECONCILE, Phase.AMPLIFY, Phase.CONFIRM]
+    assert set(phases) <= set(alice_in_each_phase)
+    snapshot, real = alice_in_each_phase[data.draw(st.sampled_from(phases))]
+    alice = copy.deepcopy(snapshot)
+    ftype = data.draw(st.one_of(st.just(real.type), st.sampled_from(list(FrameType))))
+    out = alice.advance(Frame(ftype, _mutated_payload(data, real.payload)))
+
+    assert isinstance(out, list) and all(isinstance(f, Frame) for f in out)
+    aborts = [f for f in out if f.type == FrameType.ABORT]
+    if aborts:
+        assert out == aborts[:1] and alice.phase == Phase.ABORTED
+        decode_abort(aborts[0].payload)
+    if alice.phase in (Phase.DONE, Phase.ABORTED):
+        with pytest.raises(ProtocolViolationError):
+            alice.advance(real)
