@@ -388,12 +388,19 @@ def _background(
     t1: float,
     offset_s: float,
 ):
+    """Uncorrelated events on every detector, grouped by detector.
+
+    Each group is time-sorted (same draws, same order of draws), so the
+    stable sort of the whole stream merges a few sorted runs.  Equal
+    times inside a group carry the same detector id, so sorting them
+    first cannot change the merged stream.
+    """
     times = []
     dets = []
     for plus, minus in detector_table:
         for det in (plus, minus):
             k = rng.poisson(rate * (t1 - t0))
-            times.append(rng.uniform(t0, t1, k) + offset_s)
+            times.append(np.sort(rng.uniform(t0, t1, k)) + offset_s)
             dets.append(np.full(k, det, dtype=np.uint8))
     if not times:
         return np.empty(0), np.empty(0, dtype=np.uint8)
@@ -473,6 +480,12 @@ class JointSegmentSource:
     boundaries so that the concatenation of a side's segments equals the
     time-sorted full stream.  Memory stays bounded by a couple of
     segments regardless of run length.
+
+    Per raw segment the work is the pair sampling and one stable sort
+    per side, which merges the pair tags (in emission order up to
+    jitter) with the per-detector background runs (each drawn sorted).
+    Each emitted segment then costs a stable re-sort of the carried-over
+    tags plus the new raw segment.
     """
 
     def __init__(

@@ -1120,7 +1120,8 @@ class BobSession(_Endpoint):
                 status = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG))
                 if status.status != 1:
                     blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
-                    self.stats.append(blk.stats(_block_qber(blk.recon)))
+                    # qber NaN, as Alice logs it: she has no correction count
+                    self.stats.append(blk.stats(qber=float("nan")))
                     raise _AbortSignal(AbortReason.VERIFICATION_FAILED,
                                        "final key tag mismatch", notify=False)
         self.phase = Phase.CONFIRM

@@ -90,35 +90,47 @@ class DelayEstimate:
     confidence: float
 
 
-def _difference_histogram(a, b, span, nbins, to_bin, max_diffs=60_000_000):
+# Tags per histogram chunk, and the granularity of the ``max_diffs`` stop.
+_HIST_CHUNK = 2_000
+_HIST_STOP_CHUNK = 20_000
+
+
+def _difference_histogram(a, b, span, binw, max_diffs=60_000_000):
     """Histogram of (b - a) differences restricted to |diff| <= span.
 
-    ``to_bin`` maps a difference array to bin indices.  Works in chunks to
-    bound memory; stops early if an extreme number of differences would be
-    produced (the histogram is statistical, truncation only loses tail
+    Bin ``k`` holds the differences with ``(diff + span) // binw == k``,
+    for ``k`` in ``0 .. 2 * (span // binw)``; when ``span`` is not a
+    multiple of ``binw`` the few differences past the last bin fall into
+    it.  Each tag's partner range in ``b`` comes from two searchsorted
+    calls over all of ``a``; the differences are then formed and binned
+    in small chunks to bound memory.  Stops early, at a 20k-tag
+    boundary, once more than ``max_diffs`` differences have been binned
+    (the histogram is statistical, truncation only loses tail
     statistics).
     """
-    hist = np.zeros(nbins, dtype=np.int64)
-    total = 0
-    chunk = 20_000
-    for i in range(0, len(a), chunk):
-        a_chunk = a[i : i + chunk]
-        lo = np.searchsorted(b, a_chunk - span, side="left")
-        hi = np.searchsorted(b, a_chunk + span, side="right")
-        counts = hi - lo
-        m = int(counts.sum())
-        if m == 0:
-            continue
-        # Expand [lo, hi) ranges into flat indices of b.
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(m) - np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        idx = starts + offsets
-        diffs = b[idx] - np.repeat(a_chunk, counts)
-        hist += np.bincount(to_bin(diffs), minlength=nbins)
-        total += m
-        if total > max_diffs:
-            break
-    return hist, total
+    nbins = 2 * (span // binw) + 1
+    lo = np.searchsorted(b, a - span, side="left")
+    counts = np.searchsorted(b, a + span, side="right") - lo
+    # The first 20k-tag stretch that carries the running total past
+    # max_diffs is the last one binned.
+    stretch_totals = np.cumsum(np.add.reduceat(counts, np.arange(0, len(a), _HIST_STOP_CHUNK)))
+    over = np.flatnonzero(stretch_totals > max_diffs)
+    stop = len(a) if len(over) == 0 else min(len(a), (int(over[0]) + 1) * _HIST_STOP_CHUNK)
+
+    hist = np.zeros((2 * span) // binw + 1, dtype=np.int64)
+    for i in range(0, stop, _HIST_CHUNK):
+        c = counts[i : min(i + _HIST_CHUNK, stop)]
+        ends = np.cumsum(c)
+        # Flat indices into b of every [lo, lo + count) range, then the
+        # bin of each difference, built in place.
+        vals = np.repeat(lo[i : i + len(c)] - (ends - c), c)
+        vals += np.arange(ends[-1])
+        vals = b[vals]
+        vals -= np.repeat(a[i : i + len(c)] - span, c)
+        vals //= binw
+        hist += np.bincount(vals, minlength=len(hist))
+    hist[nbins - 1] += hist[nbins:].sum()
+    return hist[:nbins], int(counts[:stop].sum())
 
 
 def _peak_and_background(hist, exclude_halfwidth):
@@ -148,7 +160,6 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
 
     span = cfg.span_ticks
     binw = cfg.bin_ticks
-    nbins = 2 * (span // binw) + 1
     center = span // binw
 
     # A slice of the streams carries enough statistics for the coarse scan.
@@ -159,10 +170,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     if len(b_use) == 0:
         raise NoPeakError("streams do not overlap within the search span")
 
-    def to_coarse(diffs):
-        return np.clip((diffs + span) // binw, 0, nbins - 1).astype(np.int64)
-
-    hist, total = _difference_histogram(a_use, b_use, span, nbins, to_coarse)
+    hist, total = _difference_histogram(a_use, b_use, span, binw)
     if total == 0:
         raise NoPeakError("no tag differences inside the search span")
     peak_bin, peak, background = _peak_and_background(hist, exclude_halfwidth=4)
@@ -176,10 +184,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     fine_bins = 2 * fine_span + 1
     b_shifted = b - coarse_delay
 
-    def to_fine(diffs):
-        return np.clip(diffs + fine_span, 0, fine_bins - 1).astype(np.int64)
-
-    fine_hist, fine_total = _difference_histogram(a, b_shifted, fine_span, fine_bins, to_fine)
+    fine_hist, fine_total = _difference_histogram(a, b_shifted, fine_span, 1)
     if fine_total == 0:
         return DelayEstimate(int(coarse_delay), confidence)
 
@@ -213,6 +218,18 @@ def _nearest_candidates(a, b):
     return cand, dist
 
 
+def _has_partner(x, y, pos, half):
+    """For each x[i]: whether y[pos[i] - 1] or y[pos[i]] is within +-half.
+
+    ``pos[i]`` is where x[i] falls in y, so those are its two neighbours;
+    a sentinel beyond reach of every x stands in for a missing one.
+    """
+    if len(x) == 0:
+        return np.zeros(0, dtype=bool)
+    y = np.concatenate(([x[0] - half - 1], y, [x[-1] + half + 1]))
+    return (x - y[pos] <= half) | (y[pos + 1] - x <= half)
+
+
 def match_coincidences(
     alice_ticks: np.ndarray,
     bob_ticks: np.ndarray,
@@ -226,15 +243,28 @@ def match_coincidences(
     them, and repeats.  Deterministic, uses each tag at most once, and is
     symmetric under swapping the streams (with negated delay).
 
+    The rounds run only on the tags that have some partner within the
+    window, found by one merge of the two streams.  That gives the same
+    pairs as running them on every tag: a tag's nearest in-window partner
+    is always such a tag, and a tag without one is never the nearest
+    in-window partner of anything.
+
     Returns (alice_indices, bob_indices) into the input arrays, ordered by
     Alice's tag time.
     """
     a = np.asarray(alice_ticks).astype(np.int64)
-    b = np.asarray(bob_ticks).astype(np.int64) - int(delay_ticks)
+    b = np.asarray(bob_ticks).astype(np.int64)
+    b -= int(delay_ticks)
     half = cfg.half_window_ticks
 
-    alive_a = np.arange(len(a))
-    alive_b = np.arange(len(b))
+    # A stable sort of two sorted runs is a linear merge.  Ties put a
+    # first, so each a lands after the b strictly below it and each b
+    # after the a at or below it.
+    from_a = np.argsort(np.concatenate([a, b]), kind="stable") < len(a)
+    pos_a = np.flatnonzero(from_a) - np.arange(len(a))
+    pos_b = np.flatnonzero(~from_a) - np.arange(len(b))
+    alive_a = np.flatnonzero(_has_partner(a, b, pos_a, half))
+    alive_b = np.flatnonzero(_has_partner(b, a, pos_b, half))
     out_a = []
     out_b = []
     while len(alive_a) and len(alive_b):
@@ -271,7 +301,8 @@ def count_accidentals(
 
     Estimates the uncorrelated (accidental) rate inside the real window;
     expected value is r_alice * r_bob * window * duration for independent
-    streams.
+    streams.  It runs the exact matcher at the offset delay, so only the
+    few tags with a partner inside the offset window enter its rounds.
     """
     ia, _ = match_coincidences(alice_ticks, bob_ticks, delay_ticks + cfg.offset_ticks, cfg)
     return int(len(ia))

@@ -170,3 +170,102 @@ def naive_mutual_match(alice_ticks, bob_ticks, delay, half_window):
     ia = np.array([i for i, _ in pairs], dtype=np.int64)
     ib = np.array([j for _, j in pairs], dtype=np.int64)
     return ia, ib
+
+
+# ---------------------------------------------------------------------------
+# The former time-tag kernels, kept unchanged as references: the matcher
+# ran its rounds over every tag, and the delay histogram binned through a
+# caller-supplied ``to_bin`` in 20k-tag chunks.
+
+def _nearest_candidates(a, b):
+    """For each element of a: index in b of the nearest value (ties -> earlier)."""
+    pos = np.searchsorted(b, a)
+    left = np.clip(pos - 1, 0, len(b) - 1)
+    right = np.clip(pos, 0, len(b) - 1)
+    dist_left = np.abs(a - b[left])
+    dist_right = np.abs(b[right] - a)
+    dist_left[pos == 0] = np.iinfo(np.int64).max
+    dist_right[pos == len(b)] = np.iinfo(np.int64).max
+    take_left = dist_left <= dist_right  # tie prefers the earlier tag
+    cand = np.where(take_left, left, right)
+    dist = np.where(take_left, dist_left, dist_right)
+    return cand, dist
+
+
+def match_coincidences_full_rounds(
+    alice_ticks: np.ndarray,
+    bob_ticks: np.ndarray,
+    delay_ticks: int,
+    cfg,
+):
+    """Pair up tags with |(bob - delay) - alice| <= window/2.
+
+    Mutual-nearest pairing, iterated to closure: each round matches every
+    (a, b) pair that are each other's nearest in-window partner, removes
+    them, and repeats.  Deterministic, uses each tag at most once, and is
+    symmetric under swapping the streams (with negated delay).
+
+    Returns (alice_indices, bob_indices) into the input arrays, ordered by
+    Alice's tag time.
+    """
+    a = np.asarray(alice_ticks).astype(np.int64)
+    b = np.asarray(bob_ticks).astype(np.int64) - int(delay_ticks)
+    half = cfg.half_window_ticks
+
+    alive_a = np.arange(len(a))
+    alive_b = np.arange(len(b))
+    out_a = []
+    out_b = []
+    while len(alive_a) and len(alive_b):
+        av = a[alive_a]
+        bv = b[alive_b]
+        cand_b, dist_ab = _nearest_candidates(av, bv)
+        cand_a, _ = _nearest_candidates(bv, av)
+        mutual = (cand_a[cand_b] == np.arange(len(av))) & (dist_ab <= half)
+        if not mutual.any():
+            break
+        out_a.append(alive_a[mutual])
+        out_b.append(alive_b[cand_b[mutual]])
+        alive_a = alive_a[~mutual]
+        keep_b = np.ones(len(alive_b), dtype=bool)
+        keep_b[cand_b[mutual]] = False
+        alive_b = alive_b[keep_b]
+
+    if not out_a:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    ia = np.concatenate(out_a)
+    ib = np.concatenate(out_b)
+    order = np.argsort(ia, kind="stable")
+    return ia[order], ib[order]
+
+
+def difference_histogram_full_chunks(a, b, span, nbins, to_bin, max_diffs=60_000_000):
+    """Histogram of (b - a) differences restricted to |diff| <= span.
+
+    ``to_bin`` maps a difference array to bin indices.  Works in chunks to
+    bound memory; stops early if an extreme number of differences would be
+    produced (the histogram is statistical, truncation only loses tail
+    statistics).
+    """
+    hist = np.zeros(nbins, dtype=np.int64)
+    total = 0
+    chunk = 20_000
+    for i in range(0, len(a), chunk):
+        a_chunk = a[i : i + chunk]
+        lo = np.searchsorted(b, a_chunk - span, side="left")
+        hi = np.searchsorted(b, a_chunk + span, side="right")
+        counts = hi - lo
+        m = int(counts.sum())
+        if m == 0:
+            continue
+        # Expand [lo, hi) ranges into flat indices of b.
+        starts = np.repeat(lo, counts)
+        offsets = np.arange(m) - np.repeat(np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
+        idx = starts + offsets
+        diffs = b[idx] - np.repeat(a_chunk, counts)
+        hist += np.bincount(to_bin(diffs), minlength=nbins)
+        total += m
+        if total > max_diffs:
+            break
+    return hist, total

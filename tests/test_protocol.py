@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import queue
 import socket
 import threading
@@ -566,6 +567,24 @@ def test_tampered_block_stats_detected():
     assert ra.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert rb.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert ra.key_bytes() == b""
+
+
+def test_failed_confirm_tag_logs_equal_stats_rows():
+    # Bob's first VERIFY_TAG closes Cascade, the second is the confirm tag
+    # over the final key; only that one is flipped
+    sent = itertools.count()
+    ch = _channel(duration=1.5)
+    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
+    src = JointSegmentSource(ch)
+    t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
+    tamper = _Tamper(t_bob, FrameType.VERIFY_TAG,
+                     lambda f: _flip_last_byte(f) if next(sent) == 1 else f)
+    ra, rb = run_transport_pair(t_alice, tamper, src.segments("alice"), src.segments("bob"), cfg)
+    assert ra.abort_reason == rb.abort_reason == AbortReason.VERIFICATION_FAILED
+    assert len(ra.stats) == len(rb.stats) == 1
+    assert ra.stats[0].encode() == rb.stats[0].encode()
+    assert np.isnan(rb.stats[0].qber) and rb.stats[0].final_bits == 0
+    assert ra.key_bytes() == rb.key_bytes() == b""
 
 
 @pytest.mark.parametrize("change", [

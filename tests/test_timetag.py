@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,6 +11,7 @@ from bellqkd.timetag import (
     NoPeakError,
     TagFileError,
     WindowConfig,
+    _difference_histogram,
     count_accidentals,
     find_delay,
     match_coincidences,
@@ -201,6 +202,83 @@ def test_accidentals_match_rate_product():
     acc = count_accidentals(a, b, 0, cfg)
     expected = r_a * r_b * (cfg.window_ticks + 1) * 125e-12 * t
     assert abs(acc - expected) < 6 * np.sqrt(expected)
+
+
+# ---------------------------------------------------------------------------
+# The prefiltered matcher and the chunked delay histogram against the
+# former kernels in oracles.py
+
+dense_ticks = st.lists(st.integers(0, 400), max_size=60).map(sorted)
+
+
+@st.composite
+def burst_streams(draw):
+    """Two streams clustered around shared burst times, with repeats."""
+    centres = draw(st.lists(st.integers(40, 2**40), max_size=4))
+
+    def side():
+        return sorted(c + d for c in centres
+                      for d in draw(st.lists(st.integers(-40, 40), max_size=12)))
+    return side(), side()
+
+
+@given(st.one_of(st.tuples(dense_ticks, dense_ticks), burst_streams()),
+       st.integers(-80, 80),
+       st.sampled_from([0.125, 1.0, 3.75, 10.0]),
+       st.sampled_from([-20.0, 0.0, 2.5, 20.0]))
+@settings(max_examples=300, deadline=None)
+def test_match_and_accidentals_equal_full_rounds(streams, delay, window, offset):
+    cfg = WindowConfig(coincidence_window=window, accidental_offset=offset)
+    a = np.array(streams[0], dtype=np.uint64)
+    b = np.array(streams[1], dtype=np.uint64)
+    ia, ib = match_coincidences(a, b, delay, cfg)
+    ra, rb = oracles.match_coincidences_full_rounds(a, b, delay, cfg)
+    np.testing.assert_array_equal(ia, ra)
+    np.testing.assert_array_equal(ib, rb)
+    assert ia.dtype == ib.dtype == np.int64
+    ra, _ = oracles.match_coincidences_full_rounds(a, b, delay + cfg.offset_ticks, cfg)
+    assert count_accidentals(a, b, delay, cfg) == len(ra)
+
+
+def _full_chunks_histogram(a, b, span, binw, max_diffs):
+    nbins = 2 * (span // binw) + 1
+    return oracles.difference_histogram_full_chunks(
+        a, b, span, nbins,
+        lambda d: np.clip((d + span) // binw, 0, nbins - 1).astype(np.int64), max_diffs)
+
+
+@given(st.lists(st.integers(0, 3000), max_size=80).map(sorted),
+       st.lists(st.integers(0, 3000), max_size=80).map(sorted),
+       st.integers(1, 700), st.integers(1, 64), st.integers(0, 3000))
+@example([100], [104, 105], 5, 3, 100)  # both differences land past the last bin
+@settings(max_examples=300, deadline=None)
+def test_difference_histogram_equals_full_chunks(a_list, b_list, span, binw, max_diffs):
+    a = np.array(a_list, dtype=np.int64)
+    b = np.array(b_list, dtype=np.int64)
+    hist, total = _difference_histogram(a, b, span, binw, max_diffs)
+    want_hist, want_total = _full_chunks_histogram(a, b, span, binw, max_diffs)
+    np.testing.assert_array_equal(hist, want_hist)
+    assert total == want_total
+    assert hist.sum() == total
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(20_001, 65_000), st.floats(0.0, 1.2))
+@settings(max_examples=25, deadline=None)
+def test_difference_histogram_truncates_like_full_chunks(seed, n_a, cap_fraction):
+    # a stream longer than one 20k-tag stop stretch, and a max_diffs cap
+    # anywhere from 0 to past the full count
+    rng = np.random.default_rng(seed)
+    a = np.sort(rng.integers(0, 200_000, n_a))
+    b = np.sort(rng.integers(0, 200_000, 30_000))
+    span, binw = 38, 5  # bins 0 .. 14, and (38 + 38) // 5 = 15 folds into 14
+    full = _difference_histogram(a, b, span, binw)[1]
+    cap = int(cap_fraction * full)
+    hist, total = _difference_histogram(a, b, span, binw, cap)
+    want_hist, want_total = _full_chunks_histogram(a, b, span, binw, cap)
+    np.testing.assert_array_equal(hist, want_hist)
+    assert total == want_total
+    if cap < full * (20_000 / n_a) * 0.9:
+        assert total < full  # the cap cut the histogram short
 
 
 # ---------------------------------------------------------------------------
