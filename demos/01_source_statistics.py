@@ -10,6 +10,10 @@ routing split between Bell test, key, and discard.
 import numpy as np
 
 from bellqkd.physics import (
+    ALICE_ANGLES,
+    ALICE_DETECTORS,
+    BOB_ANGLES,
+    BOB_DETECTORS,
     AliceSetting,
     AttackConfig,
     BobSetting,
@@ -19,7 +23,6 @@ from bellqkd.physics import (
     generate_event_streams,
     joint_probability,
     singlet_correlation,
-    standard_geometry,
 )
 from bellqkd.sifting import (
     CoincidenceClass,
@@ -31,15 +34,11 @@ from bellqkd.sifting import (
 )
 from bellqkd.timetag import WindowConfig, find_delay, match_coincidences
 
-geometry = standard_geometry()
-
 print("=== analyzer settings ===")
 for s in AliceSetting:
-    print(f"  Alice {s.name:7s} {geometry.alice_plus_angles[s]:6.1f} deg "
-          f"-> detectors {geometry.alice_detectors[s]}")
+    print(f"  Alice {s.name:7s} {ALICE_ANGLES[s]:6.1f} deg -> detectors {ALICE_DETECTORS[s]}")
 for s in BobSetting:
-    print(f"  Bob   {s.name:7s} {geometry.bob_plus_angles[s]:6.1f} deg "
-          f"-> detectors {geometry.bob_detectors[s]}")
+    print(f"  Bob   {s.name:7s} {BOB_ANGLES[s]:6.1f} deg -> detectors {BOB_DETECTORS[s]}")
 
 print("\n=== singlet correlations, E = -V cos 2(a - b) ===")
 pairs = [(AliceSetting.KEY, BobSetting.KEY),
@@ -48,8 +47,8 @@ pairs = [(AliceSetting.KEY, BobSetting.KEY),
          (AliceSetting.BELL_2, BobSetting.KEY),
          (AliceSetting.BELL_2, BobSetting.DIAG)]
 for sa, sb in pairs:
-    ta = geometry.alice_plus_angles[sa]
-    tb = geometry.bob_plus_angles[sb]
+    ta = ALICE_ANGLES[sa]
+    tb = BOB_ANGLES[sb]
     e = singlet_correlation(ta, tb)
     print(f"  E({sa.name:6s},{sb.name:4s}) = {e:+.4f}   "
           f"P(+,+) = {joint_probability(ta, tb)[1, 1]:.4f}")

@@ -13,9 +13,7 @@ from .physics import (
     ChannelConfig,
     EventStreams,
     JointSegmentSource,
-    SettingGeometry,
     generate_event_streams,
-    standard_geometry,
 )
 from .timetag import (
     DelayEstimate,
@@ -97,7 +95,6 @@ __all__ = [
     "SecurityEstimate",
     "SessionConfig",
     "SessionResult",
-    "SettingGeometry",
     "TagFileError",
     "VerificationFailedError",
     "WindowConfig",
@@ -121,7 +118,6 @@ __all__ = [
     "run_inproc_pair",
     "run_session",
     "secret_fraction",
-    "standard_geometry",
     "toeplitz_hash",
     "verify_keys",
     "write_tag_file",

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -149,7 +149,6 @@ def classic_initial_block(qber: float, n: int) -> int:
 @dataclass(frozen=True)
 class CascadeParams:
     passes: int = 4
-    initial_block_fn: Callable[[float, int], int] = classic_initial_block
     shuffle_seed: Optional[int] = None
     verification_tag_bits: int = 64
     sample_fraction: float = 0.02
@@ -323,16 +322,11 @@ class LocalChannel:
 
     def __init__(self, responder: AliceReconciler):
         self.responder = responder
-        self.closed = False
 
     def send(self, msg) -> None:
-        if self.closed:
-            raise ChannelClosedError("channel closed")
         self.responder.handle(msg)
 
     def request(self, msg):
-        if self.closed:
-            raise ChannelClosedError("channel closed")
         reply = self.responder.handle(msg)
         if reply is None:
             raise ChannelClosedError("no reply from responder")
@@ -452,7 +446,7 @@ def reconcile_bob(
         state.bits = work
 
     n = len(work)
-    k1 = params.initial_block_fn(qber_estimate, n)
+    k1 = classic_initial_block(qber_estimate, n)
     for p in range(params.passes):
         k_p = min(k1 * (2**p), max(1, n // 2))
         perm = _pass_permutation(n, p, seed)

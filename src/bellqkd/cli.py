@@ -28,7 +28,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .physics import AttackConfig, ChannelConfig, JointSegmentSource, _time_origin_ticks
+from .physics import (ALICE_DETECTORS, BOB_DETECTORS, AttackConfig, ChannelConfig,
+                      JointSegmentSource, _time_origin_ticks)
 from .privamp import InsecureRegimeError, SecurityEstimate, binary_entropy, secret_fraction
 from .protocol import (
     AbortReason,
@@ -39,7 +40,7 @@ from .protocol import (
     inproc_pair,
     run_transport_pair,
 )
-from .timetag import TagFileError, read_tag_file, seconds_to_ticks, write_tag_file
+from .timetag import MAX_TICK, TagFileError, read_tag_file, seconds_to_ticks, write_tag_file
 
 EXIT_OK = 0
 EXIT_INSECURE = 2
@@ -379,15 +380,27 @@ def _file_segments(ticks: np.ndarray, detectors: np.ndarray,
         start = cut
 
 
+def _read_side(path: str, side: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Read one side's tag file, refusing records no station can produce."""
+    recorded, ticks, dets = read_tag_file(path)
+    if recorded != side:
+        raise TagFileError(f"{path} records side '{recorded}', expected {side}")
+    bad = ~np.isin(dets, ALICE_DETECTORS if side == "alice" else BOB_DETECTORS)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TagFileError(f"{path}: record {i}: detector id {dets[i]} is not one of {side}'s")
+    bad = ticks >= np.uint64(MAX_TICK)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TagFileError(f"{path}: record {i}: tick {ticks[i]} is not below 2**62")
+    return ticks, dets
+
+
 def replay(alice_path: str, bob_path: str, cfg: ExperimentConfig,
            csv_path: Optional[str] = None, keys_dir: Optional[str] = None) -> int:
     """Run the pipeline from matching onward on recorded tag files."""
-    side_a, ticks_a, dets_a = read_tag_file(alice_path)
-    side_b, ticks_b, dets_b = read_tag_file(bob_path)
-    if side_a != "alice":
-        raise TagFileError(f"{alice_path} records side '{side_a}', expected alice")
-    if side_b != "bob":
-        raise TagFileError(f"{bob_path} records side '{side_b}', expected bob")
+    ticks_a, dets_a = _read_side(alice_path, "alice")
+    ticks_b, dets_b = _read_side(bob_path, "bob")
     alice_segments = _file_segments(ticks_a, dets_a, cfg.channel, cfg.segment_seconds)
     bob_segments = _file_segments(ticks_b, dets_b, cfg.channel, cfg.segment_seconds)
     return _execute(cfg, alice_segments, bob_segments, csv_path, keys_dir)

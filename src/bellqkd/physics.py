@@ -3,10 +3,12 @@
 Simulates a polarization-entangled pair source feeding two passive
 measurement stations.  Alice's station splits incoming photons over three
 analyzer settings (one reserved for key generation, two for a CHSH test),
-Bob's over two.  Pair emission is Poissonian; each photon is routed,
-measured, optionally lost, timestamped with jitter, and mixed with
-background events.  An optional intercept-resend eavesdropper acts on
-Bob's arm.
+Bob's over two, in the fixed station layout of ``ALICE_ANGLES``,
+``BOB_ANGLES``, ``ALICE_DETECTORS`` and ``BOB_DETECTORS``: a detector id
+names one setting and one outcome.  Pair emission is Poissonian; each
+photon is routed, measured, optionally lost, timestamped with jitter,
+and mixed with background events.  An optional intercept-resend
+eavesdropper acts on Bob's arm.
 
 All probabilities derive from the singlet-state correlation
 E(ta, tb) = -V * cos 2(ta - tb), degraded by a two-visibility model, or
@@ -52,61 +54,16 @@ CHSH_TERMS = (
 )
 CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
-
-@dataclass(frozen=True)
-class SettingGeometry:
-    """Analyzer angles and the detector-id / outcome-sign map.
-
-    Angles are the orientations of each setting's "+1" output in degrees.
-    ``alice_detectors[s]`` and ``bob_detectors[s]`` give the (plus, minus)
-    detector ids of setting ``s``.  The defaults place Alice's second Bell
-    setting's "+1" port at 157.5 deg so that an ideal singlet yields
-    S = -2*sqrt(2) exactly under the sign convention above.
-    """
-
-    alice_plus_angles: tuple = (0.0, 22.5, 157.5)
-    bob_plus_angles: tuple = (0.0, 45.0)
-    alice_detectors: tuple = ((1, 2), (3, 4), (5, 6))
-    bob_detectors: tuple = ((1, 2), (3, 4))
-
-    def __post_init__(self):
-        a_ids = [d for pair in self.alice_detectors for d in pair]
-        b_ids = [d for pair in self.bob_detectors for d in pair]
-        if sorted(a_ids) != [1, 2, 3, 4, 5, 6] or sorted(b_ids) != [1, 2, 3, 4]:
-            raise ValueError("detector ids must cover 1..6 (Alice) and 1..4 (Bob)")
-
-    def alice_outcome_sign(self, detector: int) -> int:
-        """+1/-1 outcome carried by an Alice detector id."""
-        for plus, minus in self.alice_detectors:
-            if detector == plus:
-                return 1
-            if detector == minus:
-                return -1
-        raise ValueError(f"unknown Alice detector {detector}")
-
-    def bob_outcome_sign(self, detector: int) -> int:
-        for plus, minus in self.bob_detectors:
-            if detector == plus:
-                return 1
-            if detector == minus:
-                return -1
-        raise ValueError(f"unknown Bob detector {detector}")
-
-    def alice_setting_of(self, detector: int) -> AliceSetting:
-        for s, (plus, minus) in enumerate(self.alice_detectors):
-            if detector in (plus, minus):
-                return AliceSetting(s)
-        raise ValueError(f"unknown Alice detector {detector}")
-
-    def bob_setting_of(self, detector: int) -> BobSetting:
-        for s, (plus, minus) in enumerate(self.bob_detectors):
-            if detector in (plus, minus):
-                return BobSetting(s)
-        raise ValueError(f"unknown Bob detector {detector}")
-
-
-def standard_geometry() -> SettingGeometry:
-    return SettingGeometry()
+# The station layout, indexed by setting.  Angles are the orientation of
+# each setting's "+1" output in degrees; detectors are each setting's
+# (plus, minus) ids.  Alice's second Bell setting has its "+1" port at
+# 157.5 deg, so an ideal singlet yields S = -2*sqrt(2) exactly under the
+# sign convention above.  Sifting and the protocol hard-code the same
+# ids; tests/test_sifting.py checks that they agree.
+ALICE_ANGLES = (0.0, 22.5, 157.5)
+BOB_ANGLES = (0.0, 45.0)
+ALICE_DETECTORS = ((1, 2), (3, 4), (5, 6))
+BOB_DETECTORS = ((1, 2), (3, 4))
 
 
 @dataclass(frozen=True)
@@ -209,7 +166,8 @@ class EventStreams:
     """Time-ordered detection records for both stations.
 
     Ticks are 125 ps units on a common absolute origin; detectors are the
-    physical ids of the geometry (Alice 1..6, Bob 1..4).
+    physical ids of ``ALICE_DETECTORS`` (1..6) and ``BOB_DETECTORS``
+    (1..4): each id names one setting and one outcome.
     """
 
     alice_ticks: np.ndarray
@@ -290,11 +248,10 @@ def _pair_correlation(
     attacked: np.ndarray,
     channel: ChannelConfig,
     attack: AttackConfig,
-    geometry: SettingGeometry,
 ) -> np.ndarray:
     """Per-pair correlation coefficient E for outcome sampling."""
-    a_ang = np.asarray(geometry.alice_plus_angles)[a_set]
-    b_ang = np.asarray(geometry.bob_plus_angles)[b_set]
+    a_ang = np.asarray(ALICE_ANGLES)[a_set]
+    b_ang = np.asarray(BOB_ANGLES)[b_set]
     base = -np.cos(_as_angle_rad2(a_ang - b_ang))
     hv = (a_set == AliceSetting.KEY) & (b_set == BobSetting.KEY)
     vis = np.where(hv, channel.visibility_hv, channel.visibility_diag)
@@ -307,18 +264,13 @@ def _pair_correlation(
     return e_pair
 
 
-def analytic_chsh(
-    channel: ChannelConfig,
-    attack: AttackConfig = AttackConfig(),
-    geometry: Optional[SettingGeometry] = None,
-) -> float:
+def analytic_chsh(channel: ChannelConfig, attack: AttackConfig = AttackConfig()) -> float:
     """Exact S for the configured model (no sampling noise)."""
-    geometry = geometry or standard_geometry()
     p = attack.intercept_fraction
     s = 0.0
     for (sa, sb), sign in zip(CHSH_TERMS, CHSH_SIGNS):
-        ta = geometry.alice_plus_angles[sa]
-        tb = geometry.bob_plus_angles[sb]
+        ta = ALICE_ANGLES[sa]
+        tb = BOB_ANGLES[sb]
         e = (1.0 - p) * singlet_correlation(ta, tb, channel.visibility_diag)
         e += p * intercept_resend_correlation(ta, tb, attack.attack_basis)
         s += sign * e
@@ -344,7 +296,6 @@ def _time_origin_ticks(channel: ChannelConfig) -> int:
 def _sample_pairs(
     channel: ChannelConfig,
     attack: AttackConfig,
-    geometry: SettingGeometry,
     rng: np.random.Generator,
     t0: float,
     t1: float,
@@ -360,7 +311,7 @@ def _sample_pairs(
     a_set = route_detection("alice", rng, n)
     b_set = route_detection("bob", rng, n)
 
-    e_pair = _pair_correlation(a_set, b_set, attacked, channel, attack, geometry)
+    e_pair = _pair_correlation(a_set, b_set, attacked, channel, attack)
     a_out = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     b_out = np.where(rng.random(n) < (1.0 + a_out * e_pair) / 2.0, 1, -1).astype(np.int8)
 
@@ -416,7 +367,6 @@ def _to_ticks(times_s: np.ndarray, origin_tick: int) -> np.ndarray:
 def generate_event_streams(
     channel: ChannelConfig,
     attack: AttackConfig = AttackConfig(),
-    geometry: Optional[SettingGeometry] = None,
     ground_truth: bool = True,
     rng: Optional[np.random.Generator] = None,
     t_start: float = 0.0,
@@ -427,23 +377,22 @@ def generate_event_streams(
     Deterministic for a fixed config: the sampler is seeded from
     ``channel.rng_seed`` unless an explicit generator is passed.
     """
-    geometry = geometry or standard_geometry()
     rng = rng if rng is not None else np.random.default_rng(channel.rng_seed)
     t0 = t_start
     t1 = channel.duration if t_stop is None else t_stop
     origin = _time_origin_ticks(channel)
 
     (t_emit, attacked, a_set, b_set, a_out, b_out,
-     a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, geometry, rng, t0, t1)
+     a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
 
     a_pair_ticks = _to_ticks(t_a, origin)
     b_pair_ticks = _to_ticks(t_b, origin)
-    a_pair_det = _detector_ids(a_set, a_out, geometry.alice_detectors)
-    b_pair_det = _detector_ids(b_set, b_out, geometry.bob_detectors)
+    a_pair_det = _detector_ids(a_set, a_out, ALICE_DETECTORS)
+    b_pair_det = _detector_ids(b_set, b_out, BOB_DETECTORS)
 
-    bg_a_t, bg_a_d = _background(channel.background_rate, geometry.alice_detectors, rng, t0, t1, 0.0)
+    bg_a_t, bg_a_d = _background(channel.background_rate, ALICE_DETECTORS, rng, t0, t1, 0.0)
     bg_b_t, bg_b_d = _background(
-        channel.background_rate, geometry.bob_detectors, rng, t0, t1, channel.bob_delay * 1e-9
+        channel.background_rate, BOB_DETECTORS, rng, t0, t1, channel.bob_delay * 1e-9
     )
 
     a_ticks = np.concatenate([a_pair_ticks[a_flag], _to_ticks(bg_a_t, origin)])
@@ -492,7 +441,6 @@ class JointSegmentSource:
         self,
         channel: ChannelConfig,
         attack: AttackConfig = AttackConfig(),
-        geometry: Optional[SettingGeometry] = None,
         segment_seconds: float = 1.0,
     ):
         if segment_seconds <= 0:
@@ -502,7 +450,6 @@ class JointSegmentSource:
             raise ValueError("segment_seconds must exceed |bob_delay| plus jitter slack")
         self.channel = channel
         self.attack = attack
-        self.geometry = geometry or standard_geometry()
         self.segment_seconds = segment_seconds
         self.origin_tick = _time_origin_ticks(channel)
         self.n_segments = int(math.ceil(channel.duration / segment_seconds)) if channel.duration > 0 else 0
@@ -524,7 +471,7 @@ class JointSegmentSource:
         t0 = k * self.segment_seconds
         t1 = min((k + 1) * self.segment_seconds, self.channel.duration)
         return generate_event_streams(
-            self.channel, self.attack, self.geometry,
+            self.channel, self.attack,
             ground_truth=False, rng=rng, t_start=t0, t_stop=t1,
         )
 

@@ -64,7 +64,6 @@ from .cascade import (
     reconcile_bob,
     verify_keys,
 )
-from .physics import SettingGeometry, standard_geometry
 from .privamp import (
     SecurityEstimate,
     eve_information,
@@ -84,7 +83,8 @@ from .sifting import (
     classify,
     count_coincidences,
 )
-from .timetag import NoPeakError, WindowConfig, count_accidentals, find_delay, match_coincidences
+from .timetag import (MAX_TICK, NoPeakError, WindowConfig, count_accidentals, find_delay,
+                      match_coincidences)
 
 FRAME_MAGIC = b"QKDP"
 FRAME_VERSION = 1
@@ -525,7 +525,6 @@ class SocketTransport(QueueTransport):
 class SessionConfig:
     window: WindowConfig = WindowConfig()
     cascade: CascadeParams = CascadeParams()
-    geometry: SettingGeometry = field(default_factory=standard_geometry)
     block_min_key_bits: int = 10000
     finite_deduction: int = 0
     rate_multiplier: float = 1.0
@@ -583,6 +582,12 @@ def _basis_to_detector(basis: np.ndarray) -> np.ndarray:
     # Representative detector of the announced basis, for classification:
     # the key basis behaves like detector 1, the rotated basis like 3.
     return np.where(basis == 0, 1, 3).astype(np.uint8)
+
+
+def _detector_to_basis(dets) -> np.ndarray:
+    # The basis code Bob announces for each of his tags: 0 for the key
+    # analyzer's detectors 1-2, 1 for the rotated analyzer's 3-4.
+    return (np.asarray(dets) >= 3).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -660,11 +665,10 @@ class _Block:
         self.insecure = False
         self.tag_due = False
 
-    def bell_test(self, alice_dets: np.ndarray, bob_dets: np.ndarray,
-                  geometry: SettingGeometry) -> bool:
+    def bell_test(self, alice_dets: np.ndarray, bob_dets: np.ndarray) -> bool:
         """Estimate S from the revealed Bell branch; True if |S| > 2."""
         try:
-            self.bell = chsh_value(count_coincidences(alice_dets, bob_dets), geometry)
+            self.bell = chsh_value(count_coincidences(alice_dets, bob_dets))
         except InvalidDetectorError:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "revealed detector out of range")
         except EmptyTermError:
@@ -771,10 +775,6 @@ class _Endpoint:
 # ---------------------------------------------------------------------------
 # Alice: reactive endpoint
 
-# Largest tick a batch may carry: delay recovery works in signed 64-bit
-# arithmetic, so larger ticks could wrap.  2**62 ticks is about 18 years.
-_MAX_TICK = 1 << 62
-
 # While a final block waits for Bob's confirm tag, only that tag is legal.
 _TAG_DUE = "confirm tag due"
 
@@ -833,7 +833,7 @@ class AliceSession(_Endpoint):
         if len(b_ticks):
             if int(b_codes.max()) > 1:
                 raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "basis code out of range")
-            if b_ticks[-1] >= _MAX_TICK or np.any(b_ticks[1:] < b_ticks[:-1]):
+            if b_ticks[-1] >= MAX_TICK or np.any(b_ticks[1:] < b_ticks[:-1]):
                 raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
                                    "tag times unsorted or out of range")
         # an empty batch, or no data of her own, ends the session
@@ -905,7 +905,7 @@ class AliceSession(_Endpoint):
         bell_a = np.concatenate(blk.bell_dets)
         if len(bell_b) != len(bell_a):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
-        secure = blk.bell_test(bell_a, bell_b, self.cfg.geometry)
+        secure = blk.bell_test(bell_a, bell_b)
         self.phase = Phase.RECONCILE
         if not secure:
             # the peer refuses the block next; log its row as the peer does
@@ -1047,10 +1047,8 @@ class BobSession(_Endpoint):
 
         while True:
             ticks, dets = next(self.segments, _NO_SEGMENT)
-            basis = (np.asarray(dets) >= 3).astype(np.uint8)
-            self.transport.send_frame(
-                Frame(FrameType.TIMETAG_BATCH, encode_timetag_batch(ticks, basis))
-            )
+            self.transport.send_frame(Frame(
+                FrameType.TIMETAG_BATCH, encode_timetag_batch(ticks, _detector_to_basis(dets))))
             ma = MatchAnnounce.decode(self._expect(FrameType.MATCH_ANNOUNCE).payload)
             if len(ticks) == 0:
                 # an empty batch reads as end-of-data on the far side
@@ -1087,7 +1085,7 @@ class BobSession(_Endpoint):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
         self.phase = Phase.BELL
         self.transport.send_frame(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(bell_mine)))
-        if not blk.bell_test(bell_theirs, bell_mine, cfg.geometry):
+        if not blk.bell_test(bell_theirs, bell_mine):
             self.stats.append(blk.stats(qber=float("nan")))
             bell = blk.bell
             raise _AbortSignal(AbortReason.INSECURE_REGIME,

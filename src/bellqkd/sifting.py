@@ -1,9 +1,11 @@
 """Coincidence sifting: branch classification, correlation estimates,
 the CHSH statistic, and raw-key extraction.
 
-Works on the detector-id pairs of identified coincidences.  Detectors
-1-2 on either side belong to the key (H/V) analyzers; Alice's 3-6 and
-Bob's 3-4 belong to the rotated Bell analyzers.
+Works on the detector-id pairs of identified coincidences, in the
+layout of ``physics.ALICE_DETECTORS``/``BOB_DETECTORS``: detectors 1-2
+on either side belong to the key (H/V) analyzers; Alice's 3-6 and Bob's
+3-4 belong to the rotated Bell analyzers.  The branch and key-bit maps
+compare ids directly; a test checks them against the layout.
 """
 
 from __future__ import annotations
@@ -15,17 +17,17 @@ from enum import IntEnum
 import numpy as np
 
 from .physics import (
+    ALICE_DETECTORS,
+    BOB_DETECTORS,
     CHSH_SIGNS,
     CHSH_TERMS,
     AliceSetting,
     BobSetting,
-    SettingGeometry,
-    standard_geometry,
 )
 
 
 class InvalidDetectorError(Exception):
-    """Detector id outside the geometry's range."""
+    """Detector id outside the station layout's range."""
 
 
 class EmptyTermError(Exception):
@@ -65,9 +67,9 @@ def count_coincidences(alice_detectors, bob_detectors) -> np.ndarray:
     return np.bincount(flat, minlength=24).reshape(6, 4).astype(np.int64)
 
 
-def _term_quadruple(geometry: SettingGeometry, alice_setting, bob_setting):
-    a_plus, a_minus = geometry.alice_detectors[alice_setting]
-    b_plus, b_minus = geometry.bob_detectors[bob_setting]
+def _term_quadruple(alice_setting, bob_setting):
+    a_plus, a_minus = ALICE_DETECTORS[alice_setting]
+    b_plus, b_minus = BOB_DETECTORS[bob_setting]
     return a_plus, a_minus, b_plus, b_minus
 
 
@@ -75,7 +77,6 @@ def correlation_coefficient(
     counts: np.ndarray,
     alice_setting: AliceSetting,
     bob_setting: BobSetting,
-    geometry: SettingGeometry | None = None,
 ) -> float:
     """E for one analyzer pairing from the coincidence-count matrix.
 
@@ -83,8 +84,7 @@ def correlation_coefficient(
     the first subscript is the sign of Alice's detector and the second
     Bob's.
     """
-    geometry = geometry or standard_geometry()
-    ap, am, bp, bm = _term_quadruple(geometry, alice_setting, bob_setting)
+    ap, am, bp, bm = _term_quadruple(alice_setting, bob_setting)
     n = np.asarray(counts, dtype=float)
     same = n[ap - 1, bp - 1] + n[am - 1, bm - 1]
     diff = n[ap - 1, bm - 1] + n[am - 1, bp - 1]
@@ -102,21 +102,20 @@ class BellEstimate:
     term_totals: tuple  # coincidences entering each term
 
 
-def chsh_value(counts: np.ndarray, geometry: SettingGeometry | None = None) -> BellEstimate:
+def chsh_value(counts: np.ndarray) -> BellEstimate:
     """S = E(B1,K) + E(B1,D) + E(B2,K) - E(B2,D) with binomial errors.
 
     Each term's variance is (1 - E^2)/N; the four are propagated in
     quadrature.
     """
-    geometry = geometry or standard_geometry()
     n = np.asarray(counts, dtype=float)
     terms = []
     totals = []
     var = 0.0
     s = 0.0
     for (sa, sb), sign in zip(CHSH_TERMS, CHSH_SIGNS):
-        e = correlation_coefficient(n, sa, sb, geometry)
-        ap, am, bp, bm = _term_quadruple(geometry, sa, sb)
+        e = correlation_coefficient(n, sa, sb)
+        ap, am, bp, bm = _term_quadruple(sa, sb)
         total = n[ap - 1, bp - 1] + n[am - 1, bm - 1] + n[ap - 1, bm - 1] + n[am - 1, bp - 1]
         terms.append(e)
         totals.append(total)

@@ -22,6 +22,10 @@ FILE_MAGIC = b"QKDT"
 FILE_VERSION = 1
 _RECORD = struct.Struct("<QB")  # tick, detector
 
+# Largest tick a stream may carry: delay recovery works in signed 64-bit
+# arithmetic, so larger ticks could wrap.  2**62 ticks is about 18 years.
+MAX_TICK = 1 << 62
+
 
 class NoPeakError(Exception):
     """No coincidence peak found in the cross-correlation histogram."""

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellqkd.cli import (
     CSV_COLUMNS,
@@ -263,6 +265,56 @@ def test_replay_truncated_file(config_file, tmp_path, capsys):
                  "--config", str(config_file)])
     assert code == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def recording(tmp_path_factory):
+    """Config and tag files of one 1.5 s run, shared by the replay-input tests."""
+    root = tmp_path_factory.mktemp("recording")
+    conf = root / "exp.conf"
+    conf.write_text(_FAST_CONFIG.replace("duration = 2", "duration = 1.5"))
+    assert main(["run", "--config", str(conf), "--csv", str(root / "live.csv"),
+                 "--dump-tags", str(root)]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("side, column, index, value, first", [
+    ("alice", "det", slice(None, None, 7), 9, 0),
+    ("alice", "det", slice(None, None, 7), 0, 0),
+    ("bob", "det", 5, 0, 5),
+    ("bob", "det", 5, 200, 5),
+    ("alice", "tick", -1, 2**63, -1),
+    ("bob", "tick", -1, 2**63, -1),
+], ids=["alice-det-9", "alice-det-0", "bob-det-0", "bob-det-200", "alice-tick", "bob-tick"])
+def test_replay_refuses_impossible_records(recording, tmp_path, capsys,
+                                           side, column, index, value, first):
+    _, ticks, dets = read_tag_file(recording / f"{side}.tags")
+    (ticks if column == "tick" else dets)[index] = value
+    tampered = tmp_path / f"{side}.tags"
+    write_tag_file(tampered, side, ticks, dets)
+    files = {"alice": recording / "alice.tags", "bob": recording / "bob.tags", side: tampered}
+    code = main(["replay", "--alice", str(files["alice"]), "--bob", str(files["bob"]),
+                 "--config", str(recording / "exp.conf")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    label = "tick" if column == "tick" else "detector id"
+    assert f"error: {tampered}: record {first % len(ticks)}: {label} {value} " in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.sampled_from(["alice", "bob"]),
+       edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+                      min_size=1, max_size=8))
+def test_replay_survives_mutated_tag_files(recording, side, edits):
+    data = bytearray((recording / f"{side}.tags").read_bytes())
+    for where, byte in edits:
+        data[int(where * len(data))] = byte
+    mutated = recording / f"mutated_{side}.tags"
+    mutated.write_bytes(bytes(data))
+    files = {"alice": recording / "alice.tags", "bob": recording / "bob.tags", side: mutated}
+    code = main(["replay", "--alice", str(files["alice"]), "--bob", str(files["bob"]),
+                 "--config", str(recording / "exp.conf"), "--csv", str(recording / "out.csv")])
+    assert code in (0, 2, 3, 4, 5)
 
 
 def test_full_intercept_attack_exits_insecure(tmp_path, capsys):

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from bellqkd.physics import (
+    ALICE_ANGLES,
+    ALICE_DETECTORS,
     ALICE_ROUTING,
+    BOB_ANGLES,
+    BOB_DETECTORS,
     BOB_ROUTING,
     AliceSetting,
     AttackConfig,
@@ -19,7 +23,6 @@ from bellqkd.physics import (
     CHSH_TERMS,
     ChannelConfig,
     JointSegmentSource,
-    SettingGeometry,
     analytic_chsh,
     analytic_qber,
     generate_event_streams,
@@ -28,7 +31,6 @@ from bellqkd.physics import (
     joint_probability,
     route_detection,
     singlet_correlation,
-    standard_geometry,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -115,27 +117,13 @@ def test_visibility_validated():
 
 
 # ---------------------------------------------------------------------------
-# Geometry and analytic pipeline-level quantities
+# Station layout and analytic pipeline-level quantities
 
 def test_standard_geometry_layout():
-    g = standard_geometry()
-    assert g.alice_plus_angles == (0.0, 22.5, 157.5)
-    assert g.bob_plus_angles == (0.0, 45.0)
-    assert g.alice_detectors == ((1, 2), (3, 4), (5, 6))
-    assert g.bob_detectors == ((1, 2), (3, 4))
-    assert g.alice_outcome_sign(3) == 1 and g.alice_outcome_sign(6) == -1
-    assert g.bob_outcome_sign(1) == 1 and g.bob_outcome_sign(4) == -1
-    assert g.alice_setting_of(5) == AliceSetting.BELL_2
-    assert g.bob_setting_of(3) == BobSetting.DIAG
-    with pytest.raises(ValueError):
-        g.alice_outcome_sign(7)
-    with pytest.raises(ValueError):
-        g.bob_setting_of(5)
-
-
-def test_geometry_requires_full_detector_cover():
-    with pytest.raises(ValueError):
-        SettingGeometry(alice_detectors=((1, 2), (3, 4), (5, 5)))
+    assert ALICE_ANGLES == (0.0, 22.5, 157.5)
+    assert BOB_ANGLES == (0.0, 45.0)
+    assert ALICE_DETECTORS == ((1, 2), (3, 4), (5, 6))
+    assert BOB_DETECTORS == ((1, 2), (3, 4))
 
 
 def test_ideal_chsh_hits_quantum_bound():
@@ -247,11 +235,10 @@ def test_stream_contents_equal_ground_truth_when_no_background():
     t = s.ground_truth
     assert len(s.alice_ticks) == int(t.alice_detected.sum())
     assert len(s.bob_ticks) == int(t.bob_detected.sum())
-    # detector ids reconstruct from setting + outcome via the geometry map
-    g = standard_geometry()
+    # detector ids reconstruct from setting + outcome via the station layout
     det = np.where(t.alice_outcome > 0,
-                   np.array([p for p, _ in g.alice_detectors])[t.alice_setting],
-                   np.array([m for _, m in g.alice_detectors])[t.alice_setting])
+                   np.array([p for p, _ in ALICE_DETECTORS])[t.alice_setting],
+                   np.array([m for _, m in ALICE_DETECTORS])[t.alice_setting])
     mine = sorted(zip(t.alice_tick[t.alice_detected].tolist(),
                       det[t.alice_detected].tolist()))
     theirs = sorted(zip(s.alice_ticks.tolist(), s.alice_detectors.tolist()))
@@ -269,12 +256,11 @@ def test_key_branch_exactly_anticorrelated_at_full_visibility():
 def test_bell_branch_statistics_follow_tables():
     ch = _small_channel(duration=2.0)
     t = generate_event_streams(ch, ground_truth=True).ground_truth
-    g = standard_geometry()
     for (sa, sb), sign in zip(CHSH_TERMS, CHSH_SIGNS):
         m = (t.alice_setting == sa) & (t.bob_setting == sb)
         n = int(m.sum())
         e_hat = float(np.mean(t.alice_outcome[m] * t.bob_outcome[m]))
-        e_true = singlet_correlation(g.alice_plus_angles[sa], g.bob_plus_angles[sb], 1.0)
+        e_true = singlet_correlation(ALICE_ANGLES[sa], BOB_ANGLES[sb], 1.0)
         assert abs(e_hat - e_true) < 5 * math.sqrt((1 - e_true**2) / n) + 1e-9
 
 

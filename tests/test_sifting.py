@@ -1,5 +1,6 @@
 """Branch classification, correlation/CHSH estimation, raw-key maps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellqkd.physics import AliceSetting, BobSetting, standard_geometry
+from bellqkd.physics import (
+    ALICE_ANGLES,
+    ALICE_DETECTORS,
+    BOB_ANGLES,
+    BOB_DETECTORS,
+    AliceSetting,
+    BobSetting,
+)
+from bellqkd.protocol import _basis_to_detector, _detector_to_basis
 from bellqkd.sifting import (
     BellEstimate,
     CoincidenceClass,
@@ -35,6 +44,30 @@ def test_classify_exhaustive():
                 assert got == CoincidenceClass.KEY
             else:
                 assert got == CoincidenceClass.DISCARD
+
+
+def test_station_layout_consistency():
+    # Sifting and Bob's basis code compare detector ids directly; they
+    # must agree with the layout the source generates tags from.
+    for sa, a_pair in enumerate(ALICE_DETECTORS):
+        for sb, b_pair in enumerate(BOB_DETECTORS):
+            for a, b in itertools.product(a_pair, b_pair):
+                if sa != AliceSetting.KEY:
+                    want = CoincidenceClass.BELL
+                elif sb == BobSetting.KEY:
+                    want = CoincidenceClass.KEY
+                else:
+                    want = CoincidenceClass.DISCARD
+                assert classify(a, b) == want, (a, b)
+    # anticorrelated key outcomes: Alice's plus with Bob's minus and back
+    (a_plus, a_minus), (b_plus, b_minus) = ALICE_DETECTORS[0], BOB_DETECTORS[0]
+    a_bits = alice_key_bits([a_plus, a_minus])
+    np.testing.assert_array_equal(a_bits, bob_key_bits([b_minus, b_plus]))
+    assert a_bits[0] != a_bits[1]
+    # the basis code Bob announces is his setting, and maps back into it
+    for sb, b_pair in enumerate(BOB_DETECTORS):
+        np.testing.assert_array_equal(_detector_to_basis(b_pair), [sb, sb])
+        assert _basis_to_detector(np.array([sb]))[0] in b_pair
 
 
 def test_classify_arrays_match_scalars():
@@ -133,20 +166,19 @@ def test_chsh_ignores_key_and_discard_branches():
 def test_chsh_from_sampled_ideal_statistics():
     # draw outcome pairs from the exact singlet tables and recover -2*sqrt(2)
     rng = np.random.default_rng(9)
-    geom = standard_geometry()
     counts = np.zeros((6, 4), dtype=np.int64)
     n_per_term = 50_000
     for a_set, b_set in [(AliceSetting.BELL_1, BobSetting.KEY),
                          (AliceSetting.BELL_1, BobSetting.DIAG),
                          (AliceSetting.BELL_2, BobSetting.KEY),
                          (AliceSetting.BELL_2, BobSetting.DIAG)]:
-        ta = geom.alice_plus_angles[a_set]
-        tb = geom.bob_plus_angles[b_set]
+        ta = ALICE_ANGLES[a_set]
+        tb = BOB_ANGLES[b_set]
         e = -math.cos(math.radians(2 * (ta - tb)))
         probs = [(1 + e) / 4, (1 - e) / 4, (1 - e) / 4, (1 + e) / 4]  # ++, +-, -+, --
         draws = rng.choice(4, size=n_per_term, p=probs)
-        ap, am = geom.alice_detectors[a_set]
-        bp, bm = geom.bob_detectors[b_set]
+        ap, am = ALICE_DETECTORS[a_set]
+        bp, bm = BOB_DETECTORS[b_set]
         cells = [(ap, bp), (ap, bm), (am, bp), (am, bm)]
         for k, (i, j) in enumerate(cells):
             counts[i - 1, j - 1] += int(np.sum(draws == k))
