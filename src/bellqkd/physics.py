@@ -421,6 +421,24 @@ def generate_event_streams(
     return EventStreams(a_ticks, a_dets, b_ticks, b_dets, channel, truth)
 
 
+def _merge_sorted(t1, d1, t2, d2):
+    """Stable sort of ``concatenate([t1, t2])`` for two sorted tick runs.
+
+    Returns the merged ticks and the detector ids carried along.  Only
+    the stretch where the runs overlap is sorted: ``t1`` up to ``t2[0]``
+    comes first and ``t2`` past ``t1[-1]`` comes last, ties going to
+    ``t1`` as in the stable sort.
+    """
+    if len(t1) == 0 or len(t2) == 0:
+        return np.concatenate([t1, t2]), np.concatenate([d1, d2])
+    i = int(np.searchsorted(t1, t2[0], side="right"))
+    j = int(np.searchsorted(t2, t1[-1], side="right"))
+    mid = np.concatenate([t1[i:], t2[:j]])
+    order = np.argsort(mid, kind="stable")
+    return (np.concatenate([t1[:i], mid[order], t2[j:]]),
+            np.concatenate([d1[:i], np.concatenate([d1[i:], d2[:j]])[order], d2[j:]]))
+
+
 class JointSegmentSource:
     """Lazily generates one acquisition in fixed time segments.
 
@@ -433,8 +451,10 @@ class JointSegmentSource:
     Per raw segment the work is the pair sampling and one stable sort
     per side, which merges the pair tags (in emission order up to
     jitter) with the per-detector background runs (each drawn sorted).
-    Each emitted segment then costs a stable re-sort of the carried-over
-    tags plus the new raw segment.
+    The carried-over tags stay sorted, and each raw segment is appended
+    by ``_merge_sorted``, which sorts only the few tags where the two
+    runs overlap: those that jitter and the Bob delay carry across a
+    boundary.
     """
 
     def __init__(
@@ -489,15 +509,12 @@ class JointSegmentSource:
                 ("alice", raw.alice_ticks, raw.alice_detectors),
                 ("bob", raw.bob_ticks, raw.bob_detectors),
             ):
-                ct, cd = self._carry[side]
-                self._carry[side] = (np.concatenate([ct, ticks]), np.concatenate([cd, dets]))
+                self._carry[side] = _merge_sorted(*self._carry[side], ticks, dets)
             self._raw_index += 1
         last = k + 1 >= self.n_segments
-        boundary = self._boundary_tick(k + 1)
+        boundary = np.uint64(self._boundary_tick(k + 1))
         for side in ("alice", "bob"):
             ticks, dets = self._carry[side]
-            order = np.argsort(ticks, kind="stable")
-            ticks, dets = ticks[order], dets[order]
             # The final segment flushes everything so no tail tag is lost.
             cut = len(ticks) if last else int(np.searchsorted(ticks, boundary, side="left"))
             self._ready[side].append((ticks[:cut], dets[:cut]))

@@ -97,6 +97,8 @@ class DelayEstimate:
 # Tags per histogram chunk, and the granularity of the ``max_diffs`` stop.
 _HIST_CHUNK = 2_000
 _HIST_STOP_CHUNK = 20_000
+# Alice tags binned by the coarse delay scan.
+_COARSE_TAGS = 32_000
 
 
 def _difference_histogram(a, b, span, binw, max_diffs=60_000_000):
@@ -152,10 +154,13 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     """Recover Bob's constant delay relative to Alice.
 
     Coarse stage: difference histogram at ``correlation_bin`` resolution
-    over +-``search_span``.  Fine stage: single-tick histogram around the
-    coarse peak; the returned delay is the baseline-subtracted centroid.
-    Raises NoPeakError when the peak/background ratio stays below
-    ``peak_threshold``.
+    over +-``search_span``, from the first 32k Alice tags
+    (``_COARSE_TAGS``) and the Bob tags within reach of them.  The
+    expected peak/background ratio does not depend on how many tags go
+    in, only its noise does.  Fine stage: single-tick histogram around
+    the coarse peak from all tags; the returned delay is the
+    baseline-subtracted centroid.  Raises NoPeakError when the coarse
+    peak/background ratio (``confidence``) stays below ``peak_threshold``.
     """
     if len(alice_ticks) == 0 or len(bob_ticks) == 0:
         raise NoPeakError("empty tag stream")
@@ -166,8 +171,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     binw = cfg.bin_ticks
     center = span // binw
 
-    # A slice of the streams carries enough statistics for the coarse scan.
-    a_use = a[:200_000]
+    a_use = a[:_COARSE_TAGS]
     b_lo = np.searchsorted(b, a_use[0] - span)
     b_hi = np.searchsorted(b, a_use[-1] + span)
     b_use = b[b_lo:b_hi]

@@ -1,13 +1,22 @@
 """Independent reference implementations used to freeze expected values.
 
-Nothing in here imports the package under test.  Each function derives
-its answer from first principles (state vectors, explicit matrices,
-plain loops) so the unit tests compare two genuinely different routes to
-the same number.
+Nothing in here imports the package under test, except the former
+``find_delay``, which shares the current histogram helpers.  Each other
+function derives its answer from first principles (state vectors,
+explicit matrices, plain loops) so the unit tests compare two genuinely
+different routes to the same number.
 """
 
 import mpmath as mp
 import numpy as np
+
+from bellqkd.timetag import (
+    DelayEstimate,
+    NoPeakError,
+    WindowConfig,
+    _difference_histogram,
+    _peak_and_background,
+)
 
 mp.mp.dps = 50
 
@@ -269,3 +278,68 @@ def difference_histogram_full_chunks(a, b, span, nbins, to_bin, max_diffs=60_000
         if total > max_diffs:
             break
     return hist, total
+
+
+# ---------------------------------------------------------------------------
+# The former delay search, kept unchanged as the reference: its coarse
+# scan binned the first 200k Alice tags.  The histogram and peak helpers
+# are the package's own; ``_difference_histogram`` has its reference above.
+
+def find_delay_200k_tags(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig) -> DelayEstimate:
+    """Recover Bob's constant delay relative to Alice.
+
+    Coarse stage: difference histogram at ``correlation_bin`` resolution
+    over +-``search_span``.  Fine stage: single-tick histogram around the
+    coarse peak; the returned delay is the baseline-subtracted centroid.
+    Raises NoPeakError when the peak/background ratio stays below
+    ``peak_threshold``.
+    """
+    if len(alice_ticks) == 0 or len(bob_ticks) == 0:
+        raise NoPeakError("empty tag stream")
+    a = np.asarray(alice_ticks).astype(np.int64)
+    b = np.asarray(bob_ticks).astype(np.int64)
+
+    span = cfg.span_ticks
+    binw = cfg.bin_ticks
+    center = span // binw
+
+    # A slice of the streams carries enough statistics for the coarse scan.
+    a_use = a[:200_000]
+    b_lo = np.searchsorted(b, a_use[0] - span)
+    b_hi = np.searchsorted(b, a_use[-1] + span)
+    b_use = b[b_lo:b_hi]
+    if len(b_use) == 0:
+        raise NoPeakError("streams do not overlap within the search span")
+
+    hist, total = _difference_histogram(a_use, b_use, span, binw)
+    if total == 0:
+        raise NoPeakError("no tag differences inside the search span")
+    peak_bin, peak, background = _peak_and_background(hist, exclude_halfwidth=4)
+    confidence = peak / background if background > 0 else float("inf") if peak > 0 else 0.0
+    if confidence < cfg.peak_threshold:
+        raise NoPeakError(f"peak/background {confidence:.2f} below threshold {cfg.peak_threshold}")
+    coarse_delay = (peak_bin - center) * binw
+
+    # Fine stage at single-tick resolution around the coarse peak, all tags.
+    fine_span = 2 * binw
+    fine_bins = 2 * fine_span + 1
+    b_shifted = b - coarse_delay
+
+    fine_hist, fine_total = _difference_histogram(a, b_shifted, fine_span, 1)
+    if fine_total == 0:
+        return DelayEstimate(int(coarse_delay), confidence)
+
+    argmax = int(np.argmax(fine_hist))
+    mask = np.ones(fine_bins, dtype=bool)
+    mask[max(0, argmax - 32) : argmax + 33] = False
+    baseline = float(fine_hist[mask].mean()) if mask.any() else 0.0
+    lo = max(0, argmax - 24)
+    hi = min(fine_bins, argmax + 25)
+    weights = np.clip(fine_hist[lo:hi].astype(float) - baseline, 0.0, None)
+    positions = np.arange(lo, hi) - fine_span + coarse_delay
+    if weights.sum() <= 0:
+        delay = coarse_delay
+    else:
+        delay = float((weights * positions).sum() / weights.sum())
+    return DelayEstimate(int(round(delay)), confidence)
+

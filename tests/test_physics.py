@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -31,6 +31,7 @@ from bellqkd.physics import (
     joint_probability,
     route_detection,
     singlet_correlation,
+    _merge_sorted,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -342,6 +343,85 @@ def test_both_sides_can_interleave():
     for (a, b), ra, rb in zip(seq, ref_a, ref_b):
         np.testing.assert_array_equal(a[0], ra[0])
         np.testing.assert_array_equal(b[0], rb[0])
+
+
+def _tag_run(draw, ticks):
+    ticks = sorted(ticks)
+    dets = draw(st.lists(st.integers(1, 6), min_size=len(ticks), max_size=len(ticks)))
+    return np.array(ticks, dtype=np.uint64), np.array(dets, dtype=np.uint8)
+
+
+@st.composite
+def _two_sorted_runs(draw):
+    """Two sorted tick runs: independent, identical, disjoint or nested."""
+    t1 = draw(st.lists(st.integers(0, 60), max_size=40))
+    kind = draw(st.sampled_from(["independent", "identical", "disjoint", "inside"]))
+    if kind == "identical":
+        t2 = list(t1)
+    elif kind == "disjoint":
+        t2 = [t + max(t1, default=0) + draw(st.integers(0, 1)) for t in t1]
+    elif kind == "inside":
+        t2 = sorted(t1)[len(t1) // 3 : 2 * len(t1) // 3]
+    else:
+        t2 = draw(st.lists(st.integers(0, 60), max_size=40))
+    return _tag_run(draw, t1) + _tag_run(draw, t2)
+
+
+def _ids(*pairs):
+    return (np.array([t for t, _ in pairs], np.uint64), np.array([d for _, d in pairs], np.uint8))
+
+
+@given(runs=_two_sorted_runs())
+@settings(max_examples=300, deadline=None)
+@example(runs=_ids((1, 1), (5, 2), (5, 3)) + _ids((5, 4), (5, 5), (9, 6)))  # ties across runs
+@example(runs=_ids() + _ids((3, 1)))
+@example(runs=_ids((3, 1)) + _ids())
+@example(runs=_ids() + _ids())
+@example(runs=_ids((1, 1), (2, 2)) + _ids((3, 3), (4, 4)))  # disjoint
+@example(runs=_ids((3, 3), (4, 4)) + _ids((1, 1), (2, 2)))  # disjoint, reversed
+@example(runs=_ids((1, 1), (9, 2)) + _ids((4, 3), (5, 4)))  # one inside the other
+def test_merge_sorted_equals_stable_sort(runs):
+    t1, d1, t2, d2 = runs
+    ticks, dets = _merge_sorted(t1, d1, t2, d2)
+    all_t = np.concatenate([t1, t2])
+    order = np.argsort(all_t, kind="stable")
+    assert ticks.dtype == np.uint64 and dets.dtype == np.uint8
+    np.testing.assert_array_equal(ticks, all_t[order])
+    np.testing.assert_array_equal(dets, np.concatenate([d1, d2])[order])
+
+
+def test_segment_source_equals_sorted_raw_streams():
+    # (channel overrides, attack, segment seconds); 1.1 s and 2.5 s are
+    # not whole numbers of segments
+    sweep = [
+        (dict(bob_delay=-3000.0, background_rate=2000.0, duration=1.1), AttackConfig(), 0.25),
+        (dict(pair_rate=200000.0, jitter_sigma=4000.0, bob_delay=-3000.0,
+              background_rate=2000.0, duration=1.1, rng_seed=3), AttackConfig(), 0.25),
+        (dict(pair_rate=0.0, background_rate=5000.0, duration=2.5), AttackConfig(), 1.0),
+        (dict(background_rate=0.0, bob_delay=800.0), AttackConfig(), 1.0),
+        (dict(background_rate=1000.0, duration=1.5),
+         AttackConfig(intercept_fraction=0.5), 0.5),
+        (dict(pair_rate=0.0, background_rate=0.0, duration=1.0), AttackConfig(), 0.5),
+    ]
+    overlapped = False
+    for kw, attack, seg_s in sweep:
+        src = JointSegmentSource(_small_channel(**kw), attack, segment_seconds=seg_s)
+        raws = [src._generate_raw(k) for k in range(src.n_segments)]
+        for side in ("alice", "bob"):
+            segs = list(src.segments(side))
+            assert len(segs) == src.n_segments
+            raw_t = np.concatenate([getattr(r, f"{side}_ticks") for r in raws])
+            raw_d = np.concatenate([getattr(r, f"{side}_detectors") for r in raws])
+            order = np.argsort(raw_t, kind="stable")
+            overlapped |= bool((order != np.arange(len(order))).any())
+            np.testing.assert_array_equal(np.concatenate([t for t, _ in segs]), raw_t[order])
+            np.testing.assert_array_equal(np.concatenate([d for _, d in segs]), raw_d[order])
+            for k, (ticks, _) in enumerate(segs[:-1]):
+                if len(ticks):
+                    assert int(ticks[-1]) < src._boundary_tick(k + 1)
+                    assert k == 0 or int(ticks[0]) >= src._boundary_tick(k)
+    # jitter or the delay must have carried some tags across a boundary
+    assert overlapped
 
 
 def test_segment_source_validation():

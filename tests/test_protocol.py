@@ -60,6 +60,7 @@ from bellqkd.protocol import (
     run_inproc_pair,
     run_session,
     run_transport_pair,
+    _CLOSED,
     _derived_seed,
 )
 
@@ -802,3 +803,68 @@ def test_alice_advance_never_raises(alice_in_each_phase, data):
     if alice.phase in (Phase.DONE, Phase.ABORTED):
         with pytest.raises(ProtocolViolationError):
             alice.advance(real)
+
+
+@pytest.fixture(scope="module")
+def alice_transcript():
+    """Alice's frames of one short session, and Bob's segments for a replay."""
+    ch = _channel(duration=1.5)
+    a_out = []
+    _run(ch, recorders=(a_out.append, None), block_min_key_bits=2000)
+    segments = list(JointSegmentSource(ch).segments("bob"))
+    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed, timeout=5.0)
+    return list(iter_frames(b"".join(a_out))), segments, cfg
+
+
+def _bob_replay(frames, segments, cfg):
+    """Run Bob against a pre-filled inbox; returns his result and his frames."""
+    rx, tx = queue.Queue(), queue.Queue()
+    for data in frames:
+        rx.put(data)
+    rx.put(_CLOSED)
+    result = BobSession(QueueTransport(rx=rx, tx=tx, timeout=cfg.timeout),
+                        iter(segments), cfg).run()
+    sent = []
+    while (data := tx.get_nowait()) is not _CLOSED:
+        sent.append(decode_frame(data))
+    return result, sent
+
+
+def test_bob_replays_alice_transcript(alice_transcript):
+    frames, segments, cfg = alice_transcript
+    result, _ = _bob_replay([encode_frame(f.type, f.payload) for f in frames], segments, cfg)
+    assert result.done and len(result.stats) >= 1
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bob_run_never_raises(alice_transcript, data):
+    frames, segments, cfg = alice_transcript
+    encoded = [encode_frame(f.type, f.payload) for f in frames]
+    # each frame type is as likely as any other, however often it occurs
+    ftype = data.draw(st.sampled_from(sorted({f.type for f in frames})))
+    same_type = [k for k, f in enumerate(frames) if f.type == ftype]
+    i = data.draw(st.sampled_from(same_type))
+    kind = data.draw(st.sampled_from(["mutate", "drop", "repeat", "swap", "cut", "garbage"]))
+    if kind == "mutate":
+        new_type = data.draw(st.one_of(st.just(ftype), st.sampled_from(list(FrameType))))
+        encoded[i] = encode_frame(new_type, _mutated_payload(data, frames[i].payload))
+    elif kind == "drop":
+        del encoded[i]
+    elif kind == "repeat":
+        encoded.insert(i, encoded[i])
+    elif kind == "swap":  # a well-formed frame of the same type from elsewhere
+        encoded[i] = encoded[data.draw(st.sampled_from(same_type))]
+    elif kind == "cut":
+        del encoded[i:]
+    else:  # bytes that need not decode as a frame at all
+        encoded[i] = data.draw(st.binary(max_size=32))
+
+    result, sent = _bob_replay(encoded, segments, cfg)
+
+    assert result.phase in (Phase.DONE, Phase.ABORTED)
+    aborts = [f for f in sent if f.type == FrameType.ABORT]
+    if aborts:
+        assert sent[-1:] == aborts[:1] and result.phase == Phase.ABORTED
+        decode_abort(aborts[0].payload)

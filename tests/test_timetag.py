@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bellqkd.physics import ChannelConfig, JointSegmentSource
 from bellqkd.timetag import (
     DelayEstimate,
     NoPeakError,
@@ -66,6 +67,20 @@ def test_find_delay_recovers_injected_offset(delay):
     assert isinstance(est, DelayEstimate)
     assert abs(est.delay_ticks - delay) <= 2
     assert est.confidence >= WindowConfig().peak_threshold
+
+
+# Delays within 0.2 ns of a 32 ns coarse-bin edge, where a noisier coarse
+# scan could pick the neighbouring bin, and the +-950 us of criterion 6.
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("bob_delay", [9984.0, 10016.0, 9600.05, 9599.9, 950_000.0, -950_000.0])
+def test_find_delay_equals_200k_tag_scan(bob_delay, seed):
+    src = JointSegmentSource(ChannelConfig(duration=2.0, bob_delay=bob_delay, rng_seed=seed))
+    a, _ = next(src.segments("alice"))
+    b, _ = next(src.segments("bob"))
+    assert len(a) > 100_000  # well past the 32k-tag coarse budget
+    est = find_delay(a, b, WindowConfig())
+    assert est.delay_ticks == oracles.find_delay_200k_tags(a, b, WindowConfig()).delay_ticks
+    assert abs(est.delay_ticks - bob_delay * 8) <= 2
 
 
 def test_find_delay_rejects_empty_and_disjoint():
