@@ -22,7 +22,7 @@ import io
 import math
 import socket
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
@@ -79,30 +79,25 @@ class RangeError(ValueError):
 class ExperimentConfig:
     channel: ChannelConfig
     attack: AttackConfig
-    block_min_key_bits: int = 10000
-    segment_seconds: float = 1.0
-    finite_deduction: int = 0
-    rate_multiplier: float = 1.0
+    block_min_key_bits: int = SessionConfig.block_min_key_bits
+    segment_seconds: float = SessionConfig.segment_seconds
+    finite_deduction: int = SessionConfig.finite_deduction
+    rate_multiplier: float = SessionConfig.rate_multiplier
     transport: str = "inproc"
     csv: Optional[str] = None
     keys: Optional[str] = None
 
 
-_CHANNEL_FLOAT = (
-    "pair_rate", "loss_db_bob", "detector_efficiency", "visibility_hv",
-    "visibility_diag", "background_rate", "jitter_sigma", "bob_delay",
-    "duration",
-)
-_CHANNEL_INT = ("rng_seed",)
-_ATTACK_FLOAT = ("intercept_fraction", "attack_basis")
-_TOP_INT = ("block_min_key_bits", "finite_deduction")
-_TOP_FLOAT = ("segment_seconds", "rate_multiplier")
-_TOP_STR = ("transport", "csv", "keys")
-
-_ALL_KEYS = (
-    set(_CHANNEL_FLOAT) | set(_CHANNEL_INT) | set(_ATTACK_FLOAT)
-    | set(_TOP_INT) | set(_TOP_FLOAT) | set(_TOP_STR)
-)
+# Numeric key -> the config class that declares it.  The class holds
+# its default, whose type is the key's type, and its range check.
+_NUMBER_KEYS = {
+    **{f.name: ChannelConfig for f in fields(ChannelConfig)},
+    **{f.name: AttackConfig for f in fields(AttackConfig)},
+    **{key: SessionConfig for key in (
+        "block_min_key_bits", "segment_seconds", "finite_deduction", "rate_multiplier")},
+}
+_TEXT_KEYS = ("transport", "csv", "keys")
+_ALL_KEYS = set(_NUMBER_KEYS) | set(_TEXT_KEYS)
 
 
 def _cast(key: str, value: str, lineno: int, kind):
@@ -110,6 +105,14 @@ def _cast(key: str, value: str, lineno: int, kind):
         return kind(value)
     except ValueError:
         raise ParseError(lineno, f"bad {kind.__name__} for {key}: '{value}'")
+
+
+def _probe(cls, key: str, value) -> None:
+    """Range-check one field by building ``cls`` with it alone."""
+    try:
+        cls(**{key: value})
+    except ValueError as exc:
+        raise RangeError(key, str(exc))
 
 
 def _validate_transport(value: str) -> str:
@@ -158,51 +161,24 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(lineno, f"duplicate key '{key}'")
         entries[key] = (value, lineno)
 
-    channel_kwargs: dict = {}
-    attack_kwargs: dict = {}
-    top_kwargs: dict = {}
+    kwargs: dict = {ChannelConfig: {}, AttackConfig: {}, SessionConfig: {}}
+    options: dict = {}
     for key, (value, lineno) in entries.items():
-        if key in _CHANNEL_FLOAT:
-            channel_kwargs[key] = _cast(key, value, lineno, float)
-        elif key in _CHANNEL_INT:
-            channel_kwargs[key] = _cast(key, value, lineno, int)
-        elif key in _ATTACK_FLOAT:
-            attack_kwargs[key] = _cast(key, value, lineno, float)
-        elif key in _TOP_INT:
-            top_kwargs[key] = _cast(key, value, lineno, int)
-        elif key in _TOP_FLOAT:
-            top_kwargs[key] = _cast(key, value, lineno, float)
+        if key in _TEXT_KEYS:
+            options[key] = value
         else:
-            top_kwargs[key] = value
+            cls = _NUMBER_KEYS[key]
+            kwargs[cls][key] = _cast(key, value, lineno, type(getattr(cls, key)))
+    # Probe each number on its own so range failures name the field.
+    for cls, values in kwargs.items():
+        for key, value in values.items():
+            _probe(cls, key, value)
+    if "transport" in options:
+        options["transport"] = _validate_transport(options["transport"])
 
-    # Probe each field on its own so range failures name the field.
-    for key, value in channel_kwargs.items():
-        try:
-            ChannelConfig(**{key: value})
-        except ValueError as exc:
-            raise RangeError(key, str(exc))
-    for key, value in attack_kwargs.items():
-        try:
-            AttackConfig(**{key: value})
-        except ValueError as exc:
-            raise RangeError(key, str(exc))
-    channel = ChannelConfig(**channel_kwargs)
-    attack = AttackConfig(**attack_kwargs)
-    if channel.rng_seed < 0:
-        raise RangeError("rng_seed", "rng_seed must be >= 0")
-
-    if top_kwargs.get("block_min_key_bits", 10000) < 1:
-        raise RangeError("block_min_key_bits", "block_min_key_bits must be >= 1")
-    if top_kwargs.get("segment_seconds", 1.0) <= 0:
-        raise RangeError("segment_seconds", "segment_seconds must be > 0")
-    if top_kwargs.get("finite_deduction", 0) < 0:
-        raise RangeError("finite_deduction", "finite_deduction must be >= 0")
-    if not 0.0 < top_kwargs.get("rate_multiplier", 1.0) <= 1.0:
-        raise RangeError("rate_multiplier", "rate_multiplier must be in (0, 1]")
-    if "transport" in top_kwargs:
-        top_kwargs["transport"] = _validate_transport(top_kwargs["transport"])
-
-    return ExperimentConfig(channel=channel, attack=attack, **top_kwargs)
+    return ExperimentConfig(channel=ChannelConfig(**kwargs[ChannelConfig]),
+                            attack=AttackConfig(**kwargs[AttackConfig]),
+                            **kwargs[SessionConfig], **options)
 
 
 def _session_config(cfg: ExperimentConfig) -> SessionConfig:
@@ -427,8 +403,7 @@ def _load_config(path: str) -> ExperimentConfig:
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise RangeError("rng_seed", "seed must be >= 0")
+        _probe(ChannelConfig, "rng_seed", args.seed)
         cfg = replace(cfg, channel=replace(cfg.channel, rng_seed=args.seed))
     if getattr(args, "transport", None):
         cfg = replace(cfg, transport=_validate_transport(" ".join(args.transport)))

@@ -111,6 +111,8 @@ class ChannelConfig:
             raise ValueError("jitter_sigma must be >= 0")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
     @property
     def bob_transmission(self) -> float:

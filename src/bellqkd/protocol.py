@@ -12,6 +12,11 @@ bound, reconcile the key branch by interactive parities, compress by a
 public Toeplitz seed, confirm the final block with a short tag and
 cross-check BlockStats before the next block starts.
 
+Alice scans the batches so far for the clock offset.  She retries a
+failed scan on the next batch only while she holds fewer than
+``timetag.COARSE_TAGS`` tags; past that, or when the data ends first,
+she aborts NO_PEAK with the last scan's message.
+
 The strict batch/announce lockstep makes the transcript a pure function
 of the inputs, so recorded runs replay byte-identically per direction.
 Alice is the reactive endpoint (``advance`` maps one incoming frame to
@@ -44,7 +49,7 @@ import queue
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -83,8 +88,8 @@ from .sifting import (
     classify,
     count_coincidences,
 )
-from .timetag import (MAX_TICK, NoPeakError, WindowConfig, count_accidentals, find_delay,
-                      match_coincidences)
+from .timetag import (COARSE_TAGS, MAX_TICK, TAG_RECORD, NoPeakError, WindowConfig,
+                      count_accidentals, find_delay, match_coincidences)
 
 FRAME_MAGIC = b"QKDP"
 FRAME_VERSION = 1
@@ -98,7 +103,6 @@ _CASCADE_SEED_TAG = 0x5EED
 _PA_SEED_TAG = 0x70E9
 _CONFIRM_SEED_TAG = 0xC0F1
 
-_TAG_RECORD = np.dtype([("tick", "<u8"), ("det", "u1")])
 _MATCH_RECORD = np.dtype([("a", "<u4"), ("b", "<u4"), ("cls", "u1")])
 
 
@@ -225,16 +229,16 @@ def decode_hello(payload: bytes) -> int:
 
 
 def encode_timetag_batch(ticks: np.ndarray, codes: np.ndarray) -> bytes:
-    rec = np.zeros(len(ticks), dtype=_TAG_RECORD)
+    rec = np.zeros(len(ticks), dtype=TAG_RECORD)
     rec["tick"] = ticks
     rec["det"] = codes
     return rec.tobytes()
 
 
 def decode_timetag_batch(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    if len(payload) % _TAG_RECORD.itemsize != 0:
+    if len(payload) % TAG_RECORD.itemsize != 0:
         raise MalformedFrameError("truncated tag batch")
-    rec = np.frombuffer(payload, dtype=_TAG_RECORD)
+    rec = np.frombuffer(payload, dtype=TAG_RECORD)
     return rec["tick"].astype(np.uint64), rec["det"].astype(np.uint8)
 
 
@@ -521,24 +525,45 @@ class SocketTransport(QueueTransport):
 # ---------------------------------------------------------------------------
 # Session configuration and results
 
+# The coincidence window and delay search are fixed by the experiment.
+_WINDOW = WindowConfig()
+
+
 @dataclass(frozen=True)
 class SessionConfig:
-    window: WindowConfig = WindowConfig()
-    cascade: CascadeParams = CascadeParams()
+    """What a run sets; both endpoints must be given equal values.
+
+    block_min_key_bits   key-branch coincidences that close a block, >= 1
+    finite_deduction     bits taken off each final block, >= 0
+    rate_multiplier      scale on the secret fraction, in (0, 1]
+    seed                 public per-block seeds: Cascade shuffle, Toeplitz, confirm tag
+    segment_seconds      acquisition time per TIMETAG_BATCH, > 0
+    timeout              seconds to wait for a frame before a TIMEOUT abort
+
+    The coincidence window is ``WindowConfig()`` and reconciliation runs
+    ``CascadeParams()``; neither is a per-run choice.
+    """
+
     block_min_key_bits: int = 10000
     finite_deduction: int = 0
     rate_multiplier: float = 1.0
     seed: int = 1
     segment_seconds: float = 1.0
     timeout: float = 60.0
-    # give up on clock-offset recovery after this many accumulated segments
-    peak_search_segments: int = 3
 
     def __post_init__(self):
         if self.block_min_key_bits < 1:
             raise ValueError("block_min_key_bits must be >= 1")
-        if self.peak_search_segments < 1:
-            raise ValueError("peak_search_segments must be >= 1")
+        if self.finite_deduction < 0:
+            raise ValueError("finite_deduction must be >= 0")
+        if not 0.0 < self.rate_multiplier <= 1.0:
+            raise ValueError("rate_multiplier must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.segment_seconds <= 0:
+            raise ValueError("segment_seconds must be > 0")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
 
 
 @dataclass
@@ -569,13 +594,6 @@ def _derived_seed(seed: int, block_index: int, tag: int) -> int:
 
 def _confirm_tag(final_bits: np.ndarray, seed: int, block_index: int) -> bytes:
     return verify_keys(final_bits, CONFIRM_TAG_BITS, _derived_seed(seed, block_index, _CONFIRM_SEED_TAG))
-
-
-def _block_qber(recon: ReconciliationResult) -> float:
-    total = recon.n + recon.sample_size
-    if total == 0:
-        return 0.0
-    return (recon.sample_mismatches + recon.errors_corrected) / total
 
 
 def _basis_to_detector(basis: np.ndarray) -> np.ndarray:
@@ -792,6 +810,7 @@ class AliceSession(_Endpoint):
         super().__init__(transport, segments, config)
         self._warm_a: list = []
         self._warm_b: list = []
+        self._no_peak = ""  # why the last delay scan failed
 
     def _drive(self) -> None:
         self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
@@ -839,6 +858,8 @@ class AliceSession(_Endpoint):
         # an empty batch, or no data of her own, ends the session
         own = next(self.segments, None) if len(b_ticks) else None
         if own is None:
+            if self._no_peak:  # the data ended before a delay was found
+                raise _AbortSignal(AbortReason.NO_PEAK, self._no_peak)
             self.phase = Phase.DONE
             return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_END).encode())]
         a_ticks, a_dets = own
@@ -850,10 +871,11 @@ class AliceSession(_Endpoint):
             a_ticks, a_dets = (np.concatenate(c) for c in zip(*self._warm_a))
             b_ticks, b_codes = (np.concatenate(c) for c in zip(*self._warm_b))
             try:
-                est = find_delay(a_ticks, b_ticks, self.cfg.window)
+                est = find_delay(a_ticks, b_ticks, _WINDOW)
             except NoPeakError as exc:
-                if len(self._warm_a) >= self.cfg.peak_search_segments:
+                if len(a_ticks) >= COARSE_TAGS:  # more data cannot change the scan
                     raise _AbortSignal(AbortReason.NO_PEAK, str(exc))
+                self._no_peak = str(exc)
                 return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_CONTINUE).encode())]
             self.delay = est.delay_ticks
             self._warm_a.clear()
@@ -867,7 +889,7 @@ class AliceSession(_Endpoint):
 
     def _process_segment(self, a_ticks, a_dets, b_ticks, b_codes) -> None:
         blk = self._block
-        ia, ib = match_coincidences(a_ticks, b_ticks, self.delay, self.cfg.window)
+        ia, ib = match_coincidences(a_ticks, b_ticks, self.delay, _WINDOW)
         cls = np.asarray(classify(a_dets[ia], _basis_to_detector(b_codes[ib])), dtype=np.uint8)
         blk.a_idx.append((blk.a_base + ia).astype(np.uint32))
         blk.b_idx.append((blk.b_base + ib).astype(np.uint32))
@@ -878,7 +900,7 @@ class AliceSession(_Endpoint):
         blk.bell_dets.append(a_dets[ia[bell]])
         blk.key_count += int(key.sum())
         blk.coincidences += len(ia)
-        blk.accidentals += count_accidentals(a_ticks, b_ticks, self.delay, self.cfg.window)
+        blk.accidentals += count_accidentals(a_ticks, b_ticks, self.delay, _WINDOW)
         blk.a_base += len(a_ticks)
         blk.b_base += len(b_ticks)
 
@@ -912,7 +934,7 @@ class AliceSession(_Endpoint):
             blk.insecure = True
             self.stats.append(blk.stats(qber=float("nan")))
             return []
-        blk.responder = AliceReconciler(np.concatenate(blk.key_bits), self.cfg.cascade)
+        blk.responder = AliceReconciler(np.concatenate(blk.key_bits))
         return []
 
     def _on_cascade(self, frame: Frame) -> List[Frame]:
@@ -1093,8 +1115,7 @@ class BobSession(_Endpoint):
 
         # Reconcile (this side drives; the peer serves parities).
         self.phase = Phase.RECONCILE
-        params = replace(cfg.cascade,
-                         shuffle_seed=_derived_seed(cfg.seed, blk.index, _CASCADE_SEED_TAG))
+        params = CascadeParams(shuffle_seed=_derived_seed(cfg.seed, blk.index, _CASCADE_SEED_TAG))
         try:
             blk.recon = reconcile_bob(my_key, _FrameCascadeChannel(self), params)
         except VerificationFailedError as exc:
@@ -1124,7 +1145,7 @@ class BobSession(_Endpoint):
                                        "final key tag mismatch", notify=False)
         self.phase = Phase.CONFIRM
 
-        stats = blk.stats(_block_qber(blk.recon))
+        stats = blk.stats(blk.recon.measured_qber)
         payload = stats.encode()
         self.transport.send_frame(Frame(FrameType.BLOCK_STATS, payload))
         if self._expect(FrameType.BLOCK_STATS).payload != payload:

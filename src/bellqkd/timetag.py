@@ -10,7 +10,6 @@ around that delay.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,8 @@ TICKS_PER_NS = 8  # 1 ns / 125 ps
 
 FILE_MAGIC = b"QKDT"
 FILE_VERSION = 1
-_RECORD = struct.Struct("<QB")  # tick, detector
+# One tag as stored in a tag file and sent in a TIMETAG_BATCH frame.
+TAG_RECORD = np.dtype([("tick", "<u8"), ("det", "u1")])
 
 # Largest tick a stream may carry: delay recovery works in signed 64-bit
 # arithmetic, so larger ticks could wrap.  2**62 ticks is about 18 years.
@@ -98,7 +98,7 @@ class DelayEstimate:
 _HIST_CHUNK = 2_000
 _HIST_STOP_CHUNK = 20_000
 # Alice tags binned by the coarse delay scan.
-_COARSE_TAGS = 32_000
+COARSE_TAGS = 32_000
 
 
 def _difference_histogram(a, b, span, binw, max_diffs=60_000_000):
@@ -155,12 +155,13 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
 
     Coarse stage: difference histogram at ``correlation_bin`` resolution
     over +-``search_span``, from the first 32k Alice tags
-    (``_COARSE_TAGS``) and the Bob tags within reach of them.  The
+    (``COARSE_TAGS``) and the Bob tags within reach of them.  The
     expected peak/background ratio does not depend on how many tags go
     in, only its noise does.  Fine stage: single-tick histogram around
     the coarse peak from all tags; the returned delay is the
     baseline-subtracted centroid.  Raises NoPeakError when the coarse
     peak/background ratio (``confidence``) stays below ``peak_threshold``.
+    Once Alice has ``COARSE_TAGS`` tags, more data leaves that ratio as is.
     """
     if len(alice_ticks) == 0 or len(bob_ticks) == 0:
         raise NoPeakError("empty tag stream")
@@ -171,7 +172,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     binw = cfg.bin_ticks
     center = span // binw
 
-    a_use = a[:_COARSE_TAGS]
+    a_use = a[:COARSE_TAGS]
     b_lo = np.searchsorted(b, a_use[0] - span)
     b_hi = np.searchsorted(b, a_use[-1] + span)
     b_use = b[b_lo:b_hi]
@@ -322,7 +323,7 @@ def write_tag_file(path, side: str, ticks: np.ndarray, detectors: np.ndarray) ->
         raise ValueError("side must be 'alice' or 'bob'")
     if len(ticks) != len(detectors):
         raise ValueError("ticks and detectors must have equal length")
-    rec = np.zeros(len(ticks), dtype=np.dtype([("tick", "<u8"), ("det", "u1")]))
+    rec = np.zeros(len(ticks), dtype=TAG_RECORD)
     rec["tick"] = ticks
     rec["det"] = detectors
     with open(path, "wb") as f:
@@ -343,7 +344,7 @@ def read_tag_file(path):
         if side_code not in (0, 1):
             raise TagFileError(f"{path}: invalid side byte {side_code}")
         body = f.read()
-    if len(body) % _RECORD.size != 0:
+    if len(body) % TAG_RECORD.itemsize != 0:
         raise TagFileError(f"{path}: truncated record data")
-    rec = np.frombuffer(body, dtype=np.dtype([("tick", "<u8"), ("det", "u1")]))
+    rec = np.frombuffer(body, dtype=TAG_RECORD)
     return ("alice" if side_code == 0 else "bob", rec["tick"].copy(), rec["det"].copy())

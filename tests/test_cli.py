@@ -341,6 +341,20 @@ def test_insecure_run_prints_abort_lines(tmp_path, capsys):
         assert re.search(rf"^{side}: INSECURE_REGIME: \|S\| = \d\.\d{{4}} <= 2$", err, re.M)
 
 
+@pytest.mark.parametrize("duration", ["1", "2"])
+def test_run_without_delay_peak_exits_no_peak(tmp_path, capsys, duration):
+    # Pair-free streams have no correlation peak.  With 1 s the data ends
+    # after the first failed scan; with 2 s the second scan holds enough
+    # Alice tags to be the last.
+    path = tmp_path / "nopeak.conf"
+    path.write_text(f"pair_rate = 0\nbackground_rate = 3000\nduration = {duration}\n")
+    assert main(["run", "--config", str(path)]) == EXIT_TRANSPORT
+    out, err = capsys.readouterr()
+    assert out.strip() == ",".join(CSV_COLUMNS)
+    for side in ("alice", "bob"):
+        assert re.search(rf"^{side}: NO_PEAK: peak/background \d+\.\d\d below threshold", err, re.M)
+
+
 def test_bad_config_file_exits_config_error(tmp_path, capsys):
     path = tmp_path / "bad.conf"
     path.write_text("pair_rate = -5\n")

@@ -1,6 +1,7 @@
 """Framing, transports, session state machine, end-to-end sessions."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import queue
@@ -20,6 +21,7 @@ from bellqkd.cascade import (
     ShuffleSeedMsg,
     VerifyTagMsg,
 )
+from bellqkd import protocol
 from bellqkd.physics import AttackConfig, ChannelConfig, JointSegmentSource
 from bellqkd.protocol import (
     ANNOUNCE_BLOCK,
@@ -445,15 +447,33 @@ def test_full_attack_aborts_insecure():
     assert np.isnan(rb.stats[0].qber)
 
 
+def _uncorrelated_batches(channel) -> int:
+    """Run Alice and Bob on streams from unrelated sources; both must end
+    NO_PEAK with the scan's message.  Returns Bob's TIMETAG_BATCH count."""
+    b2a = []
+    src_a = JointSegmentSource(channel(rng_seed=1))
+    src_b = JointSegmentSource(channel(rng_seed=2))
+    ra, rb = run_inproc_pair(src_a.segments("alice"), src_b.segments("bob"),
+                             SessionConfig(block_min_key_bits=1000), recorders=(None, b2a.append))
+    assert ra.abort_reason == rb.abort_reason == AbortReason.NO_PEAK
+    assert ra.abort_message == rb.abort_message
+    assert ra.abort_message.startswith("peak/background")
+    return [f.type for f in iter_frames(b"".join(b2a))].count(FrameType.TIMETAG_BATCH)
+
+
 def test_uncorrelated_streams_abort_no_peak():
-    cfg = SessionConfig(block_min_key_bits=1000, peak_search_segments=2)
-    ch_a = _channel(rng_seed=1, duration=3.0, background_rate=30000.0)
-    ch_b = _channel(rng_seed=2, duration=3.0, background_rate=30000.0)
-    src_a = JointSegmentSource(ch_a)
-    src_b = JointSegmentSource(ch_b)
-    ra, rb = run_inproc_pair(src_a.segments("alice"), src_b.segments("bob"), cfg)
-    assert ra.abort_reason == AbortReason.NO_PEAK
-    assert rb.abort_reason == AbortReason.NO_PEAK
+    # the first segment holds over COARSE_TAGS Alice tags: one scan decides
+    channel = functools.partial(_channel, duration=3.0, background_rate=30000.0)
+    assert _uncorrelated_batches(channel) == 1
+
+
+@pytest.mark.parametrize("channel, batches", [
+    (functools.partial(ChannelConfig, duration=5.0), 1),
+    # ~26k Alice tags a segment: the second scan is the last
+    (functools.partial(_channel, duration=3.0), 2),
+], ids=["defaults", "sparse"])
+def test_uncorrelated_streams_stop_scanning_at_coarse_tags(channel, batches):
+    assert _uncorrelated_batches(channel) == batches
 
 
 def test_zero_duration_completes_with_no_blocks():
@@ -463,11 +483,12 @@ def test_zero_duration_completes_with_no_blocks():
     assert ra.key_bytes() == rb.key_bytes() == b""
 
 
-def test_failed_reconciliation_drops_block_and_continues():
+def test_failed_reconciliation_drops_block_and_continues(monkeypatch):
     # one pass cannot fix a 2% error rate; blocks close with zero final
     # bits but the session itself stays healthy
+    monkeypatch.setattr(protocol, "CascadeParams", functools.partial(CascadeParams, passes=1))
     ch = _channel(duration=1.5, visibility_hv=0.95)
-    ra, rb = _run(ch, cascade=CascadeParams(passes=1), block_min_key_bits=2000)
+    ra, rb = _run(ch, block_min_key_bits=2000)
     assert ra.done and rb.done
     assert len(rb.stats) >= 1
     assert all(s.final_bits == 0 for s in rb.stats)
@@ -753,8 +774,11 @@ def test_run_session_validates_role():
 
 
 def test_session_config_validation():
-    with pytest.raises(ValueError):
-        SessionConfig(block_min_key_bits=0)
+    for kw in (dict(block_min_key_bits=0), dict(finite_deduction=-1), dict(rate_multiplier=0.0),
+               dict(rate_multiplier=1.2), dict(seed=-1), dict(segment_seconds=0.0),
+               dict(timeout=0.0)):
+        with pytest.raises(ValueError):
+            SessionConfig(**kw)
 
 
 @pytest.fixture(scope="module")
