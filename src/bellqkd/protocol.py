@@ -858,7 +858,7 @@ class AliceSession(_Endpoint):
         # an empty batch, or no data of her own, ends the session
         own = next(self.segments, None) if len(b_ticks) else None
         if own is None:
-            if self._no_peak:  # the data ended before a delay was found
+            if self.delay is None and self._no_peak:  # the data ended before a delay was found
                 raise _AbortSignal(AbortReason.NO_PEAK, self._no_peak)
             self.phase = Phase.DONE
             return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_END).encode())]

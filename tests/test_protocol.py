@@ -476,6 +476,22 @@ def test_uncorrelated_streams_stop_scanning_at_coarse_tags(channel, batches):
     assert _uncorrelated_batches(channel) == batches
 
 
+def test_failed_scan_then_found_delay_ends_done():
+    # Alice's first segment is empty, so her first scan fails below
+    # COARSE_TAGS; the second finds the delay and the session runs on
+    ch = _channel(duration=2.0)
+    src = JointSegmentSource(ch, segment_seconds=0.5)
+    seg_a = src.segments("alice")
+    first = next(seg_a)
+    seg_a = itertools.chain([tuple(x[:0] for x in first)], seg_a)
+    cfg = SessionConfig(block_min_key_bits=1000, seed=ch.rng_seed)
+    ra, rb = run_inproc_pair(seg_a, src.segments("bob"), cfg)
+    assert ra.done and rb.done
+    assert ra.abort_reason is None and rb.abort_reason is None
+    assert len(ra.stats) == len(rb.stats) >= 1
+    assert ra.key_bytes() == rb.key_bytes() != b""
+
+
 def test_zero_duration_completes_with_no_blocks():
     ra, rb = _run(_channel(duration=0.0))
     assert ra.done and rb.done
