@@ -94,6 +94,11 @@ from .timetag import (COARSE_TAGS, MAX_TICK, TAG_RECORD, NoPeakError, WindowConf
 FRAME_MAGIC = b"QKDP"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBBI")
+# Largest payload a frame may carry, far above the largest legal one: at
+# the ChannelConfig defaults a 1 s TIMETAG_BATCH is ~1.2 MB and a 100k-bit
+# block's MATCH_ANNOUNCE ~2 MB.  A stream reader refuses a larger header
+# before it reads the payload.
+MAX_FRAME_PAYLOAD = 1 << 26
 
 CONFIRM_TAG_BITS = 64
 
@@ -196,6 +201,9 @@ def decode_frame(data: bytes) -> Frame:
         ftype = FrameType(ftype)
     except ValueError:
         raise MalformedFrameError(f"unknown frame type {ftype}") from None
+    if length > MAX_FRAME_PAYLOAD:
+        raise MalformedFrameError(f"frame payload of {length} bytes over the "
+                                  f"{MAX_FRAME_PAYLOAD}-byte limit")
     if len(data) != _HEADER.size + length:
         raise MalformedFrameError("frame length mismatch")
     return Frame(ftype, data[_HEADER.size :])
@@ -500,6 +508,9 @@ class SocketTransport(QueueTransport):
                 if header is None:
                     break
                 _, _, _, length = _HEADER.unpack(header)
+                if length > MAX_FRAME_PAYLOAD:
+                    self._rx.put(header)  # decode_frame refuses it
+                    break
                 payload = self._read_exact(length)
                 if payload is None:
                     break

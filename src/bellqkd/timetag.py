@@ -10,6 +10,7 @@ around that delay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,10 @@ _HIST_CHUNK = 2_000
 _HIST_STOP_CHUNK = 20_000
 # Alice tags binned by the coarse delay scan.
 COARSE_TAGS = 32_000
+# Largest expected number of coarse bins, out of all of them, that would
+# reach the peak's count by chance at the background mean.  Sparse
+# streams pass the peak/background ratio on chance alone.
+PEAK_FALSE_ALARM = 1e-6
 
 
 def _difference_histogram(a, b, span, binw, max_diffs=60_000_000):
@@ -150,6 +155,21 @@ def _peak_and_background(hist, exclude_halfwidth):
     return peak_bin, peak, background
 
 
+def _poisson_tail(k: float, mean: float) -> float:
+    """Upper bound on P(X >= k) for X ~ Poisson(mean).
+
+    Bounds the tail by a geometric series from P(X = k), so it exceeds
+    the exact value by at most the factor (k + 1) / (k + 1 - mean);
+    1.0 when k <= mean.
+    """
+    if k <= mean:
+        return 1.0
+    if mean <= 0:
+        return 0.0
+    log_pmf = k * math.log(mean) - mean - math.lgamma(k + 1)
+    return math.exp(log_pmf) * (k + 1) / (k + 1 - mean)
+
+
 def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig) -> DelayEstimate:
     """Recover Bob's constant delay relative to Alice.
 
@@ -160,8 +180,11 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     in, only its noise does.  Fine stage: single-tick histogram around
     the coarse peak from all tags; the returned delay is the
     baseline-subtracted centroid.  Raises NoPeakError when the coarse
-    peak/background ratio (``confidence``) stays below ``peak_threshold``.
-    Once Alice has ``COARSE_TAGS`` tags, more data leaves that ratio as is.
+    peak/background ratio (``confidence``) stays below ``peak_threshold``,
+    or when the peak bin is no Poisson outlier: when the number of bins
+    times P(count >= peak) at the background mean reaches
+    ``PEAK_FALSE_ALARM``.  Once Alice has ``COARSE_TAGS`` tags, more data
+    leaves the ratio as is.
     """
     if len(alice_ticks) == 0 or len(bob_ticks) == 0:
         raise NoPeakError("empty tag stream")
@@ -186,6 +209,10 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     confidence = peak / background if background > 0 else float("inf") if peak > 0 else 0.0
     if confidence < cfg.peak_threshold:
         raise NoPeakError(f"peak/background {confidence:.2f} below threshold {cfg.peak_threshold}")
+    chance = len(hist) * _poisson_tail(peak, background)
+    if chance >= PEAK_FALSE_ALARM:
+        raise NoPeakError(f"peak/background {confidence:.2f} not significant: {peak:.0f} in one "
+                          f"of {len(hist)} bins at mean {background:.3g} has chance {chance:.2g}")
     coarse_delay = (peak_bin - center) * binw
 
     # Fine stage at single-tick resolution around the coarse peak, all tags.
@@ -227,53 +254,15 @@ def _nearest_candidates(a, b):
     return cand, dist
 
 
-def _has_partner(x, y, pos, half):
-    """For each x[i]: whether y[pos[i] - 1] or y[pos[i]] is within +-half.
+def _mutual_rounds(a, b, half):
+    """Iterated mutual-nearest pairing of two sorted int64 arrays.
 
-    ``pos[i]`` is where x[i] falls in y, so those are its two neighbours;
-    a sentinel beyond reach of every x stands in for a missing one.
+    Each round matches every (a, b) pair that are each other's nearest
+    in-window partner, removes them, and repeats until no pair is left.
+    Returns positions into a and b, in the order they were matched.
     """
-    if len(x) == 0:
-        return np.zeros(0, dtype=bool)
-    y = np.concatenate(([x[0] - half - 1], y, [x[-1] + half + 1]))
-    return (x - y[pos] <= half) | (y[pos + 1] - x <= half)
-
-
-def match_coincidences(
-    alice_ticks: np.ndarray,
-    bob_ticks: np.ndarray,
-    delay_ticks: int,
-    cfg: WindowConfig,
-):
-    """Pair up tags with |(bob - delay) - alice| <= window/2.
-
-    Mutual-nearest pairing, iterated to closure: each round matches every
-    (a, b) pair that are each other's nearest in-window partner, removes
-    them, and repeats.  Deterministic, uses each tag at most once, and is
-    symmetric under swapping the streams (with negated delay).
-
-    The rounds run only on the tags that have some partner within the
-    window, found by one merge of the two streams.  That gives the same
-    pairs as running them on every tag: a tag's nearest in-window partner
-    is always such a tag, and a tag without one is never the nearest
-    in-window partner of anything.
-
-    Returns (alice_indices, bob_indices) into the input arrays, ordered by
-    Alice's tag time.
-    """
-    a = np.asarray(alice_ticks).astype(np.int64)
-    b = np.asarray(bob_ticks).astype(np.int64)
-    b -= int(delay_ticks)
-    half = cfg.half_window_ticks
-
-    # A stable sort of two sorted runs is a linear merge.  Ties put a
-    # first, so each a lands after the b strictly below it and each b
-    # after the a at or below it.
-    from_a = np.argsort(np.concatenate([a, b]), kind="stable") < len(a)
-    pos_a = np.flatnonzero(from_a) - np.arange(len(a))
-    pos_b = np.flatnonzero(~from_a) - np.arange(len(b))
-    alive_a = np.flatnonzero(_has_partner(a, b, pos_a, half))
-    alive_b = np.flatnonzero(_has_partner(b, a, pos_b, half))
+    alive_a = np.arange(len(a))
+    alive_b = np.arange(len(b))
     out_a = []
     out_b = []
     while len(alive_a) and len(alive_b):
@@ -290,12 +279,97 @@ def match_coincidences(
         keep_b = np.ones(len(alive_b), dtype=bool)
         keep_b[cand_b[mutual]] = False
         alive_b = alive_b[keep_b]
+    empty = np.empty(0, dtype=np.int64)
+    return np.concatenate([empty, *out_a]), np.concatenate([empty, *out_b])
 
-    if not out_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    ia = np.concatenate(out_a)
-    ib = np.concatenate(out_b)
+
+def _indices_of(ticks, values):
+    """Index in sorted ``ticks`` of each of the sorted ``values``.
+
+    Every copy of a repeated tick must be among ``values``; the k-th copy
+    in ``values`` maps to the k-th copy in ``ticks``.
+    """
+    first = np.searchsorted(ticks, values.astype(ticks.dtype))
+    return first + (np.arange(len(values)) - np.searchsorted(values, values))
+
+
+def match_coincidences(
+    alice_ticks: np.ndarray,
+    bob_ticks: np.ndarray,
+    delay_ticks: int,
+    cfg: WindowConfig,
+):
+    """Pair up tags with |(bob - delay) - alice| <= window/2.
+
+    Mutual-nearest pairing, iterated to closure: each round matches every
+    (a, b) pair that are each other's nearest in-window partner, removes
+    them, and repeats.  Deterministic, uses each tag at most once, and is
+    symmetric under swapping the streams (with negated delay).
+
+    Both streams must be sorted.  Each tag becomes one int64 key,
+    ``tick << 1`` for Alice and ``(tick - delay) << 1 | 1`` for Bob, and
+    one stable sort merges the two runs, ties putting Alice first.  So
+    every tick, every Bob tick minus the delay, and the delay itself must
+    lie below ``MAX_TICK`` in magnitude, or the keys could wrap; a
+    ValueError says so.  The stream ends and the delay are checked, not
+    each tag.
+
+    Tags whose merged neighbour is within the window fall into clusters,
+    separated by gaps wider than the window, and no pair crosses a gap.
+    A cluster of one Alice and one Bob tag is one mutual-nearest pair
+    already; only the tags of larger clusters go through the rounds.
+    That gives the same pairs as running the rounds on every tag: a
+    tag's nearest in-window partner always shares its cluster.
+
+    Returns (alice_indices, bob_indices) into the input arrays, ordered by
+    Alice's tag time.
+    """
+    a = np.asarray(alice_ticks)
+    b = np.asarray(bob_ticks)
+    delay = int(delay_ticks)
+    half = cfg.half_window_ticks
+    ends = [int(t) for t in (*a[:1], *a[-1:], *b[:1], *b[-1:])]
+    shifted = [int(t) - delay for t in (*b[:1], *b[-1:])]
+    if any(abs(t) >= MAX_TICK for t in (delay, *ends, *shifted)):
+        raise ValueError(f"ticks, shifted ticks and delay must lie within +-{MAX_TICK}")
+
+    keys = np.empty(len(a) + len(b), dtype=np.int64)
+    np.left_shift(a, 1, out=keys[: len(a)], casting="unsafe")
+    keys_b = keys[len(a) :]
+    np.left_shift(b, 1, out=keys_b, casting="unsafe")
+    keys_b -= 2 * delay - 1
+    keys.sort(kind="stable")  # a merge of two sorted runs
+
+    # Merged neighbours i, i + 1 within the window.  The key gap of an
+    # in-window pair is at most 2 * half + 1 (Alice first) or
+    # 2 * half - 1 (Bob first), so this keeps every one of them.
+    links = np.flatnonzero(np.diff(keys) <= 2 * half + 1)
+    # A link with no link on either side is a cluster of two tags.
+    steps = np.diff(links)
+    lone = np.ones(len(links), dtype=bool)
+    lone[1:] = steps != 1
+    lone[:-1] &= steps != 1
+    left = keys[links[lone]]
+    right = keys[links[lone] + 1]
+    pair = (((left ^ right) & 1) == 1) & ((right >> 1) - (left >> 1) <= half)
+    left, right = left[pair], right[pair]
+    from_a = (left & 1) == 0
+    pair_a = np.where(from_a, left, right) >> 1
+    pair_b = np.where(from_a, right, left) >> 1
+
+    crowd = links[~lone]
+    crowd = keys[np.union1d(crowd, crowd + 1)]
+    crowd_a = crowd[(crowd & 1) == 0] >> 1
+    crowd_b = crowd[(crowd & 1) == 1] >> 1
+    ra, rb = _mutual_rounds(crowd_a, crowd_b, half)
+
+    # Copies of one tick are linked, so they share a cluster: a lone
+    # pair's ticks occur once in their streams, and every copy of a crowd
+    # tick is in the crowd, as _indices_of needs.
+    ia = np.concatenate([np.searchsorted(a, pair_a.astype(a.dtype)),
+                         _indices_of(a, crowd_a)[ra]])
+    ib = np.concatenate([np.searchsorted(b, (pair_b + delay).astype(b.dtype)),
+                         _indices_of(b, crowd_b + delay)[rb]])
     order = np.argsort(ia, kind="stable")
     return ia[order], ib[order]
 
@@ -310,8 +384,8 @@ def count_accidentals(
 
     Estimates the uncorrelated (accidental) rate inside the real window;
     expected value is r_alice * r_bob * window * duration for independent
-    streams.  It runs the exact matcher at the offset delay, so only the
-    few tags with a partner inside the offset window enter its rounds.
+    streams.  It runs the exact matcher at the offset delay, where few
+    tags have a partner, so its cost is mostly the one merge.
     """
     ia, _ = match_coincidences(alice_ticks, bob_ticks, delay_ticks + cfg.offset_ticks, cfg)
     return int(len(ia))

@@ -249,6 +249,84 @@ def match_coincidences_full_rounds(
     return ia[order], ib[order]
 
 
+# ---------------------------------------------------------------------------
+# The former matcher, kept unchanged as the reference: its rounds ran on
+# the tags with an in-window partner, found from a stable argsort of the
+# two streams' concatenation.
+
+def _has_partner(x, y, pos, half):
+    """For each x[i]: whether y[pos[i] - 1] or y[pos[i]] is within +-half.
+
+    ``pos[i]`` is where x[i] falls in y, so those are its two neighbours;
+    a sentinel beyond reach of every x stands in for a missing one.
+    """
+    if len(x) == 0:
+        return np.zeros(0, dtype=bool)
+    y = np.concatenate(([x[0] - half - 1], y, [x[-1] + half + 1]))
+    return (x - y[pos] <= half) | (y[pos + 1] - x <= half)
+
+
+def match_coincidences_partner_merge(
+    alice_ticks: np.ndarray,
+    bob_ticks: np.ndarray,
+    delay_ticks: int,
+    cfg: WindowConfig,
+):
+    """Pair up tags with |(bob - delay) - alice| <= window/2.
+
+    Mutual-nearest pairing, iterated to closure: each round matches every
+    (a, b) pair that are each other's nearest in-window partner, removes
+    them, and repeats.  Deterministic, uses each tag at most once, and is
+    symmetric under swapping the streams (with negated delay).
+
+    The rounds run only on the tags that have some partner within the
+    window, found by one merge of the two streams.  That gives the same
+    pairs as running them on every tag: a tag's nearest in-window partner
+    is always such a tag, and a tag without one is never the nearest
+    in-window partner of anything.
+
+    Returns (alice_indices, bob_indices) into the input arrays, ordered by
+    Alice's tag time.
+    """
+    a = np.asarray(alice_ticks).astype(np.int64)
+    b = np.asarray(bob_ticks).astype(np.int64)
+    b -= int(delay_ticks)
+    half = cfg.half_window_ticks
+
+    # A stable sort of two sorted runs is a linear merge.  Ties put a
+    # first, so each a lands after the b strictly below it and each b
+    # after the a at or below it.
+    from_a = np.argsort(np.concatenate([a, b]), kind="stable") < len(a)
+    pos_a = np.flatnonzero(from_a) - np.arange(len(a))
+    pos_b = np.flatnonzero(~from_a) - np.arange(len(b))
+    alive_a = np.flatnonzero(_has_partner(a, b, pos_a, half))
+    alive_b = np.flatnonzero(_has_partner(b, a, pos_b, half))
+    out_a = []
+    out_b = []
+    while len(alive_a) and len(alive_b):
+        av = a[alive_a]
+        bv = b[alive_b]
+        cand_b, dist_ab = _nearest_candidates(av, bv)
+        cand_a, _ = _nearest_candidates(bv, av)
+        mutual = (cand_a[cand_b] == np.arange(len(av))) & (dist_ab <= half)
+        if not mutual.any():
+            break
+        out_a.append(alive_a[mutual])
+        out_b.append(alive_b[cand_b[mutual]])
+        alive_a = alive_a[~mutual]
+        keep_b = np.ones(len(alive_b), dtype=bool)
+        keep_b[cand_b[mutual]] = False
+        alive_b = alive_b[keep_b]
+
+    if not out_a:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    ia = np.concatenate(out_a)
+    ib = np.concatenate(out_b)
+    order = np.argsort(ia, kind="stable")
+    return ia[order], ib[order]
+
+
 def difference_histogram_full_chunks(a, b, span, nbins, to_bin, max_diffs=60_000_000):
     """Histogram of (b - a) differences restricted to |diff| <= span.
 

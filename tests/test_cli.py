@@ -355,6 +355,18 @@ def test_run_without_delay_peak_exits_no_peak(tmp_path, capsys, duration):
         assert re.search(rf"^{side}: NO_PEAK: peak/background \d+\.\d\d below threshold", err, re.M)
 
 
+def test_sparse_pair_free_run_exits_no_peak(tmp_path, capsys):
+    # At 1000/s per detector the coarse scan's peak/background ratio
+    # passes on chance alone; the peak is no Poisson outlier.
+    path = tmp_path / "sparse.conf"
+    path.write_text("pair_rate = 0\nbackground_rate = 1000\nduration = 3\n")
+    assert main(["run", "--config", str(path)]) == EXIT_TRANSPORT
+    out, err = capsys.readouterr()
+    assert out.strip() == ",".join(CSV_COLUMNS)
+    for side in ("alice", "bob"):
+        assert re.search(rf"^{side}: NO_PEAK: peak/background \d+\.\d\d not significant", err, re.M)
+
+
 def test_bad_config_file_exits_config_error(tmp_path, capsys):
     path = tmp_path / "bad.conf"
     path.write_text("pair_rate = -5\n")

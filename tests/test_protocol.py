@@ -309,6 +309,30 @@ def test_socket_transport_peer_closes_mid_payload():
     t2.close()
 
 
+def test_socket_frame_over_the_cap_aborts_before_its_payload():
+    # The header claims one byte more than MAX_FRAME_PAYLOAD and no payload
+    # follows.  A reader that waited for it would end in TIMEOUT.
+    s1, s2 = socket.socketpair()
+    s1.settimeout(10.0)
+    alice = AliceSession(SocketTransport(s2, timeout=10.0), segments=iter([]))
+    s1.sendall(protocol._HEADER.pack(protocol.FRAME_MAGIC, protocol.FRAME_VERSION,
+                                     FrameType.TIMETAG_BATCH, protocol.MAX_FRAME_PAYLOAD + 1))
+    result = alice.run()
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert "limit" in result.abort_message
+    received = b""
+    while chunk := s1.recv(1 << 16):
+        received += chunk
+    s1.close()
+    frames = list(iter_frames(received))
+    assert [f.type for f in frames] == [FrameType.HELLO, FrameType.ABORT]
+    assert decode_abort(frames[1].payload)[0] == AbortReason.PROTOCOL_VIOLATION
+    with pytest.raises(MalformedFrameError, match="limit"):
+        decode_frame(protocol._HEADER.pack(
+            protocol.FRAME_MAGIC, protocol.FRAME_VERSION, FrameType.HELLO,
+            protocol.MAX_FRAME_PAYLOAD + 1))
+
+
 def test_socket_transport_disconnect():
     from bellqkd.protocol import PeerDisconnectedError
     s1, s2 = socket.socketpair()

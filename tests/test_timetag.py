@@ -5,14 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mpmath as mp
 import oracles
 from bellqkd.physics import ChannelConfig, JointSegmentSource
 from bellqkd.timetag import (
+    MAX_TICK,
     DelayEstimate,
     NoPeakError,
     TagFileError,
     WindowConfig,
     _difference_histogram,
+    _poisson_tail,
     count_accidentals,
     find_delay,
     match_coincidences,
@@ -107,6 +110,34 @@ def test_find_delay_rejects_uncorrelated_streams():
     b = np.sort(rng.integers(0, 1_000_000_000, 50_000)).astype(np.uint64)
     with pytest.raises(NoPeakError):
         find_delay(a, b, WindowConfig())
+
+
+@pytest.mark.parametrize("rate", [100.0, 1000.0])
+def test_find_delay_rejects_sparse_pair_free_streams(rate):
+    # Few tags leave most coarse bins empty, so a bin with a few chance
+    # differences passes the peak/background ratio; it is no Poisson outlier.
+    for seed in range(1, 11):
+        src = JointSegmentSource(ChannelConfig(pair_rate=0.0, background_rate=rate,
+                                               duration=1.0, rng_seed=seed))
+        a, _ = next(src.segments("alice"))
+        b, _ = next(src.segments("bob"))
+        with pytest.raises(NoPeakError, match="not significant"):
+            find_delay(a, b, WindowConfig())
+
+
+@given(st.integers(0, 80), st.floats(0.0, 60.0))
+@example(1, 0.0)
+@example(0, 0.0)
+@settings(max_examples=200, deadline=None)
+def test_poisson_tail_bounds_the_exact_tail(k, mean):
+    got = _poisson_tail(k, mean)
+    if k <= mean:
+        assert got == 1.0
+        return
+    m = mp.mpf(mean)
+    exact = mp.gammainc(k, 0, m, regularized=True)  # P(X >= k), k >= 1
+    # 1e-300 allows for a float that underflows
+    assert exact * (1 - 1e-9) - 1e-300 <= got <= exact * (k + 1) / (k + 1 - mean) * (1 + 1e-9)
 
 
 def test_match_pairs_known_layout():
@@ -253,6 +284,84 @@ def test_match_and_accidentals_equal_full_rounds(streams, delay, window, offset)
     assert ia.dtype == ib.dtype == np.int64
     ra, _ = oracles.match_coincidences_full_rounds(a, b, delay + cfg.offset_ticks, cfg)
     assert count_accidentals(a, b, delay, cfg) == len(ra)
+
+
+_TOP = MAX_TICK - 1
+
+
+@st.composite
+def clustered_streams(draw):
+    """Two streams bunched around shared centres from tick 0 to MAX_TICK - 1.
+
+    A centre can hold tags of one stream or both, repeated ticks within a
+    stream and equal ticks across them; near tick 0 a positive delay puts
+    Bob's shifted ticks below zero.
+    """
+    centres = draw(st.lists(st.sampled_from([0, 40, 2**40, _TOP - 40, _TOP])
+                            | st.integers(0, _TOP), max_size=5))
+
+    def side():
+        return sorted(min(max(c + d, 0), _TOP) for c in centres
+                      for d in draw(st.lists(st.integers(-45, 45), max_size=6)))
+    return side(), side()
+
+
+def _keys_fit(a, b, delay):
+    """The matcher's documented range: no key can wrap."""
+    return all(abs(t) < MAX_TICK for t in (*a, *b, delay, *(t - delay for t in b)))
+
+
+@given(clustered_streams(), st.integers(-90, 90),
+       st.sampled_from([0.125, 1.0, 3.75, 10.0]),
+       st.sampled_from([-20.0, 0.0, 2.5, 20.0]))
+@example(([100, 100, 105], [100, 103, 103]), 0, 3.75, 20.0)  # repeats in and across streams
+@example(([0, 2], [0, 1, 3]), 20, 3.75, 20.0)  # every shifted Bob tick below 0
+@example(([_TOP - 1, _TOP], [_TOP]), 0, 1.0, 0.0)
+@example(([_TOP], [_TOP]), -1, 1.0, 0.0)  # Bob's shifted tick reaches MAX_TICK
+@example(([], []), 0, 3.75, 20.0)
+@example(([5], []), 0, 3.75, 20.0)
+@example(([], [5]), 0, 3.75, 20.0)
+@example(([5], [6]), 0, 0.125, 0.0)  # one tick apart with a zero half window
+@settings(max_examples=400, deadline=None)
+def test_match_and_accidentals_equal_partner_merge(streams, delay, window, offset):
+    cfg = WindowConfig(coincidence_window=window, accidental_offset=offset)
+    a = np.array(streams[0], dtype=np.uint64)
+    b = np.array(streams[1], dtype=np.uint64)
+    if _keys_fit(streams[0], streams[1], delay):
+        ia, ib = match_coincidences(a, b, delay, cfg)
+        ra, rb = oracles.match_coincidences_partner_merge(a, b, delay, cfg)
+        np.testing.assert_array_equal(ia, ra)
+        np.testing.assert_array_equal(ib, rb)
+        assert ia.dtype == ib.dtype == np.int64
+    else:
+        with pytest.raises(ValueError):
+            match_coincidences(a, b, delay, cfg)
+    shifted = delay + cfg.offset_ticks
+    if _keys_fit(streams[0], streams[1], shifted):
+        ra, _ = oracles.match_coincidences_partner_merge(a, b, shifted, cfg)
+        assert count_accidentals(a, b, delay, cfg) == len(ra)
+    else:
+        with pytest.raises(ValueError):
+            count_accidentals(a, b, delay, cfg)
+
+
+def test_match_refuses_ticks_whose_keys_could_wrap():
+    cfg = WindowConfig()
+    zero = np.array([0], np.uint64)
+    top = np.array([_TOP], np.uint64)
+    ia, ib = match_coincidences(top, top, 0, cfg)  # the largest legal tick
+    assert ia.tolist() == ib.tolist() == [0]
+    ia, ib = match_coincidences(zero, top, _TOP, cfg)  # the largest legal delay
+    assert ia.tolist() == ib.tolist() == [0]
+    for a, b, delay in [
+        (np.array([MAX_TICK], np.uint64), zero, 0),
+        (zero, np.array([0, 2**64 - 1], np.uint64), 0),
+        (zero, zero, MAX_TICK),
+        (zero, zero, -MAX_TICK),
+        (zero, top, -1),  # Bob's shifted tick reaches MAX_TICK
+    ]:
+        with pytest.raises(ValueError, match="within"):
+            match_coincidences(a, b, delay, cfg)
 
 
 def _full_chunks_histogram(a, b, span, binw, max_diffs):
