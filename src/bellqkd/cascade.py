@@ -20,11 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .privamp import generate_toeplitz_seed, toeplitz_hash
+from .privamp import generate_toeplitz_seed, pack_key_bits, toeplitz_hash
 
 _PASS_TAG = 0xCA5C
 _SAMPLE_TAG = 0x5A3B
 _VERIFY_TAG = 0x7A61
+
+SAMPLE_FRACTION = 0.02  # key share disclosed, then discarded, when no prior is given
+TAG_BITS = 64  # every key tag: the one closing reconciliation and the confirm tag
 
 
 class ChannelClosedError(Exception):
@@ -42,12 +45,37 @@ class VerificationFailedError(Exception):
 # ---------------------------------------------------------------------------
 # Messages
 
-def _decode_counted_bits(payload: bytes):
-    """(count, packed bits) from a u32 bit count and exactly its bytes."""
-    (count,) = struct.unpack("<I", payload[:4])
-    if len(payload) != 4 + (count + 7) // 8:
-        raise ValueError(f"{count} bits need {(count + 7) // 8} bytes, got {len(payload) - 4}")
-    return count, payload[4:]
+@dataclass(frozen=True)
+class CountedBits:
+    """A u32 bit count, then exactly that many bits packed MSB first."""
+
+    count: int
+    bits: bytes
+
+    @classmethod
+    def of(cls, bits: np.ndarray):
+        return cls(len(bits), pack_key_bits(bits))
+
+    def unpack(self) -> np.ndarray:
+        return np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), count=self.count)
+
+    def encode(self) -> bytes:
+        return struct.pack("<I", self.count) + self.bits
+
+    @classmethod
+    def decode(cls, payload: bytes):
+        (count,) = struct.unpack("<I", payload[:4])
+        if len(payload) != 4 + (count + 7) // 8:
+            raise ValueError(f"{count} bits need {(count + 7) // 8} bytes, got {len(payload) - 4}")
+        return cls(count, payload[4:])
+
+
+class QberSampleMsg(CountedBits):
+    """The disclose-and-discard sample bits."""
+
+
+class ParityResponseMsg(CountedBits):
+    """One parity per requested range."""
 
 
 @dataclass(frozen=True)
@@ -61,19 +89,6 @@ class ShuffleSeedMsg:
     def decode(payload: bytes) -> "ShuffleSeedMsg":
         (seed,) = struct.unpack("<Q", payload)
         return ShuffleSeedMsg(seed)
-
-
-@dataclass(frozen=True)
-class QberSampleMsg:
-    count: int
-    bits: bytes  # packed sample bits, MSB first
-
-    def encode(self) -> bytes:
-        return struct.pack("<I", self.count) + self.bits
-
-    @staticmethod
-    def decode(payload: bytes) -> "QberSampleMsg":
-        return QberSampleMsg(*_decode_counted_bits(payload))
 
 
 @dataclass(frozen=True)
@@ -95,21 +110,8 @@ class ParityRequestMsg:
 
 
 @dataclass(frozen=True)
-class ParityResponseMsg:
-    count: int
-    bits: bytes  # packed parities
-
-    def encode(self) -> bytes:
-        return struct.pack("<I", self.count) + self.bits
-
-    @staticmethod
-    def decode(payload: bytes) -> "ParityResponseMsg":
-        return ParityResponseMsg(*_decode_counted_bits(payload))
-
-
-@dataclass(frozen=True)
 class VerifyTagMsg:
-    """Either a key tag (8 bytes, from the driver) or a 1-byte status."""
+    """A TAG_BITS key tag, or a status byte 0/1; no other payload decodes."""
 
     tag: Optional[bytes] = None
     status: Optional[int] = None
@@ -121,17 +123,11 @@ class VerifyTagMsg:
 
     @staticmethod
     def decode(payload: bytes) -> "VerifyTagMsg":
-        if len(payload) == 1:
+        if len(payload) == TAG_BITS // 8:
+            return VerifyTagMsg(tag=payload)
+        if payload in (b"\x00", b"\x01"):
             return VerifyTagMsg(status=payload[0])
-        return VerifyTagMsg(tag=payload)
-
-
-def pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
-def unpack_bits(data: bytes, count: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
+        raise ValueError(f"{len(payload)} bytes are neither a status nor a {TAG_BITS}-bit tag")
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +144,15 @@ def classic_initial_block(qber: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class CascadeParams:
+    """Parity passes (>= 1, no more are served) and the public shuffle seed
+    (None draws one); the sample share and tag length are constants."""
+
     passes: int = 4
     shuffle_seed: Optional[int] = None
-    verification_tag_bits: int = 64
-    sample_fraction: float = 0.02
 
     def __post_init__(self):
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
-        if not 0.0 < self.sample_fraction <= 0.5:
-            raise ValueError("sample_fraction must be in (0, 0.5]")
-        if self.verification_tag_bits % 8 != 0 or self.verification_tag_bits <= 0:
-            raise ValueError("verification_tag_bits must be a positive multiple of 8")
 
 
 @dataclass
@@ -190,12 +183,22 @@ def _pass_permutation(n: int, pass_index: int, seed: int) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)
 
 
-def _sample_indices(n: int, fraction: float, seed: int) -> np.ndarray:
-    size = max(1, int(round(fraction * n)))
+def _split_sample(bits: np.ndarray, seed: int):
+    """(sample, rest): the seeded SAMPLE_FRACTION to disclose, and the key left."""
+    n = len(bits)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _SAMPLE_TAG]))
-    idx = rng.choice(n, size=size, replace=False)
+    idx = rng.choice(n, size=max(1, int(round(SAMPLE_FRACTION * n))), replace=False)
     idx.sort()
-    return idx
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return bits[idx], bits[keep]
+
+
+def _sample_prior(mine: np.ndarray, theirs: np.ndarray):
+    """(mismatches, QBER prior).  The prior counts at least one mismatch: a clean
+    sample must not zero it, or the first-pass blocks blow up and errors slip through."""
+    mismatches = int(np.sum(mine != theirs))
+    return mismatches, max(mismatches, 1) / len(mine)
 
 
 def verify_keys(bits: np.ndarray, tag_bits: int, seed: int) -> bytes:
@@ -257,22 +260,19 @@ class AliceReconciler:
     def _handle_sample(self, msg: QberSampleMsg) -> QberSampleMsg:
         if self.seed is None:
             raise ChannelClosedError("sample before shuffle seed")
-        idx = _sample_indices(len(self._bits), self.params.sample_fraction, self.seed)
-        if msg.count != len(idx):
+        mine, rest = _split_sample(self._bits, self.seed)
+        if msg.count != len(mine):
             raise ChannelClosedError("sample size mismatch")
-        mine = self._bits[idx]
-        theirs = unpack_bits(msg.bits, msg.count)
-        self.sample_size = len(idx)
-        self.sample_mismatches = int(np.sum(mine != theirs))
-        self.qber_prior = max(self.sample_mismatches, 1) / self.sample_size
-        keep = np.ones(len(self._bits), dtype=bool)
-        keep[idx] = False
-        self._bits = self._bits[keep]
+        self._bits = rest
         self._passes.clear()
-        return QberSampleMsg(len(mine), pack_bits(mine))
+        self.sample_size = len(mine)
+        self.sample_mismatches, self.qber_prior = _sample_prior(mine, msg.unpack())
+        return QberSampleMsg.of(mine)
 
     def _pass_state(self, p: int):
         if p not in self._passes:
+            if p >= self.params.passes:
+                raise ChannelClosedError(f"parity request for pass {p} of only {self.params.passes}")
             if self.seed is None:
                 raise ChannelClosedError("parity request before shuffle seed")
             perm = _pass_permutation(len(self._bits), p, self.seed)
@@ -291,17 +291,15 @@ class AliceReconciler:
                 raise ChannelClosedError("parity range out of bounds")
             parities[i] = prefix[start + length] ^ prefix[start]
         self.leaked_bits += len(msg.ranges)
-        return ParityResponseMsg(len(parities), pack_bits(parities))
+        return ParityResponseMsg.of(parities)
 
     def _handle_verify(self, msg: VerifyTagMsg) -> VerifyTagMsg:
         if msg.tag is None:
             raise ChannelClosedError("expected a key tag")
         if self.seed is None:
             raise ChannelClosedError("key tag before shuffle seed")
-        tag_bits = self.params.verification_tag_bits
-        mine = verify_keys(self._bits, tag_bits, self.seed)
-        equal = mine == msg.tag
-        self.leaked_bits += tag_bits
+        equal = verify_keys(self._bits, TAG_BITS, self.seed) == msg.tag
+        self.leaked_bits += TAG_BITS
         self.done = True
         self.result = ReconciliationResult(
             bits=self._bits,
@@ -337,11 +335,9 @@ class LocalChannel:
 # Bob: driver
 
 class _BobState:
-    def __init__(self, bits, channel, params, seed):
+    def __init__(self, bits, channel):
         self.bits = bits
         self.channel = channel
-        self.params = params
-        self.seed = seed
         self.leaked_bits = 0
         self.exchanged_messages = 0
         self.errors_corrected = 0
@@ -357,7 +353,7 @@ class _BobState:
             raise ChannelClosedError("bad parity response")
         self.exchanged_messages += 2
         self.leaked_bits += reply.count
-        return unpack_bits(reply.bits, reply.count)
+        return reply.unpack()
 
     def own_parity(self, pass_index, start, length) -> int:
         perm = self.perms[pass_index]
@@ -413,8 +409,7 @@ def reconcile_bob(
     ``.result`` attached) when the closing tags disagree.
     """
     work = np.array(bits, dtype=np.uint8).copy()
-    n0 = len(work)
-    if n0 == 0:
+    if len(work) == 0:
         raise ValueError("cannot reconcile an empty key")
 
     seed = params.shuffle_seed
@@ -422,27 +417,19 @@ def reconcile_bob(
         seed = int(np.random.default_rng().integers(0, 2**63))
     channel.send(ShuffleSeedMsg(seed))
 
-    state = _BobState(work, channel, params, seed)
+    state = _BobState(work, channel)
     state.exchanged_messages += 1
 
     sample_size = 0
     sample_mismatches = 0
     if qber_estimate is None:
-        idx = _sample_indices(n0, params.sample_fraction, seed)
-        mine = work[idx]
-        reply = channel.request(QberSampleMsg(len(mine), pack_bits(mine)))
+        mine, work = _split_sample(work, seed)
+        reply = channel.request(QberSampleMsg.of(mine))
         if not isinstance(reply, QberSampleMsg) or reply.count != len(mine):
             raise ChannelClosedError("bad sample response")
         state.exchanged_messages += 2
-        theirs = unpack_bits(reply.bits, reply.count)
-        sample_size = len(idx)
-        sample_mismatches = int(np.sum(mine != theirs))
-        # floor at one mismatch: a clean sample must not zero the prior,
-        # or the first-pass blocks blow up and real errors slip through
-        qber_estimate = max(sample_mismatches, 1) / sample_size
-        keep = np.ones(n0, dtype=bool)
-        keep[idx] = False
-        work = work[keep]
+        sample_size = len(mine)
+        sample_mismatches, qber_estimate = _sample_prior(mine, reply.unpack())
         state.bits = work
 
     n = len(work)
@@ -476,13 +463,11 @@ def reconcile_bob(
             for i in positions:
                 state.flip(i)
 
-    tag_bits = params.verification_tag_bits
-    tag = verify_keys(work, tag_bits, seed)
-    reply = channel.request(VerifyTagMsg(tag=tag))
+    reply = channel.request(VerifyTagMsg(tag=verify_keys(work, TAG_BITS, seed)))
     if not isinstance(reply, VerifyTagMsg) or reply.status is None:
         raise ChannelClosedError("bad verification response")
     state.exchanged_messages += 2
-    state.leaked_bits += tag_bits
+    state.leaked_bits += TAG_BITS
     verified = reply.status == 1
 
     result = ReconciliationResult(

@@ -59,11 +59,13 @@ from .cascade import (
     AliceReconciler,
     CascadeParams,
     ChannelClosedError,
+    CountedBits,
     ParityRequestMsg,
     ParityResponseMsg,
     QberSampleMsg,
     ReconciliationResult,
     ShuffleSeedMsg,
+    TAG_BITS,
     VerificationFailedError,
     VerifyTagMsg,
     reconcile_bob,
@@ -99,8 +101,6 @@ _HEADER = struct.Struct("<4sBBI")
 # block's MATCH_ANNOUNCE ~2 MB.  A stream reader refuses a larger header
 # before it reads the payload.
 MAX_FRAME_PAYLOAD = 1 << 26
-
-CONFIRM_TAG_BITS = 64
 
 # Seed-derivation tags so the per-block cascade shuffle, the Toeplitz
 # seed and the confirm tag all come from independent public streams.
@@ -272,6 +272,8 @@ class MatchAnnounce:
         if len(payload) < 17:
             raise MalformedFrameError("short match announce")
         flag, delay, acc, count = struct.unpack_from("<BqII", payload)
+        if flag not in (ANNOUNCE_END, ANNOUNCE_BLOCK, ANNOUNCE_CONTINUE):
+            raise MalformedFrameError(f"unknown match announce flag {flag}")
         body = payload[17:]
         if len(body) != count * _MATCH_RECORD.itemsize:
             raise MalformedFrameError("match announce record size mismatch")
@@ -323,17 +325,14 @@ class PaParams:
 
 
 def encode_pa_seed(seed_bits: np.ndarray) -> bytes:
-    return struct.pack("<I", len(seed_bits)) + np.packbits(seed_bits).tobytes()
+    return CountedBits.of(seed_bits).encode()
 
 
 def decode_pa_seed(payload: bytes) -> np.ndarray:
-    if len(payload) < 4:
-        raise MalformedFrameError("short PA seed")
-    (count,) = struct.unpack_from("<I", payload)
-    body = payload[4:]
-    if len(body) != (count + 7) // 8:
-        raise MalformedFrameError("PA seed length mismatch")
-    return np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=count)
+    try:
+        return CountedBits.decode(payload).unpack()
+    except (struct.error, ValueError) as exc:
+        raise MalformedFrameError(f"bad PA seed: {exc}") from exc
 
 
 @dataclass
@@ -477,12 +476,16 @@ class SocketTransport(QueueTransport):
 
     A reader thread drains the socket into a bounded receive queue so that
     large sends from both sides cannot deadlock on full kernel buffers.
+    Only ``timeout`` bounds a wait; the socket's own deadline is cleared.
+    A send to a peer that has left is dropped, so the frames it sent
+    first, an ABORT say, are still received before the disconnect.
     """
 
     def __init__(self, sock: socket.socket, timeout: float = 60.0,
                  recorder: Optional[Callable[[bytes], None]] = None):
         super().__init__(rx=queue.Queue(maxsize=32), tx=None, timeout=timeout, recorder=recorder)
         self._sock = sock
+        sock.settimeout(None)
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -522,8 +525,8 @@ class SocketTransport(QueueTransport):
     def _transmit(self, data: bytes) -> None:
         try:
             self._sock.sendall(data)
-        except OSError as exc:
-            raise PeerDisconnectedError(str(exc))
+        except OSError:
+            pass  # the reader reports the disconnect after the peer's last frame
 
     def close(self) -> None:
         try:
@@ -604,7 +607,7 @@ def _derived_seed(seed: int, block_index: int, tag: int) -> int:
 
 
 def _confirm_tag(final_bits: np.ndarray, seed: int, block_index: int) -> bytes:
-    return verify_keys(final_bits, CONFIRM_TAG_BITS, _derived_seed(seed, block_index, _CONFIRM_SEED_TAG))
+    return verify_keys(final_bits, TAG_BITS, _derived_seed(seed, block_index, _CONFIRM_SEED_TAG))
 
 
 def _basis_to_detector(basis: np.ndarray) -> np.ndarray:
@@ -760,11 +763,8 @@ class _Endpoint:
         try:
             self._drive()
         except _ABORT_ERRORS as exc:
-            try:
-                for frame in self._abort(exc):
-                    self.transport.send_frame(frame)
-            except PeerDisconnectedError:
-                pass  # nobody left to tell
+            for frame in self._abort(exc):
+                self.transport.send_frame(frame)
         finally:
             self.transport.close()
         return SessionResult(
@@ -945,7 +945,7 @@ class AliceSession(_Endpoint):
             blk.insecure = True
             self.stats.append(blk.stats(qber=float("nan")))
             return []
-        blk.responder = AliceReconciler(np.concatenate(blk.key_bits))
+        blk.responder = AliceReconciler(np.concatenate(blk.key_bits), CascadeParams())
         return []
 
     def _on_cascade(self, frame: Frame) -> List[Frame]:
@@ -1147,8 +1147,10 @@ class BobSession(_Endpoint):
                 self.phase = Phase.CONFIRM
                 tag = _confirm_tag(blk.final, cfg.seed, blk.index)
                 self.transport.send_frame(cascade_msg_to_frame(VerifyTagMsg(tag=tag)))
-                status = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG))
-                if status.status != 1:
+                status = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG)).status
+                if status is None:
+                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a tag status")
+                if status != 1:
                     blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
                     # qber NaN, as Alice logs it: she has no correction count
                     self.stats.append(blk.stats(qber=float("nan")))

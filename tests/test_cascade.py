@@ -12,6 +12,7 @@ from bellqkd.cascade import (
     ParityRequestMsg,
     QberSampleMsg,
     ShuffleSeedMsg,
+    TAG_BITS,
     VerifyTagMsg,
     VerificationFailedError,
     classic_initial_block,
@@ -131,6 +132,15 @@ def test_message_before_shuffle_seed_closes_channel(msg):
         alice.handle(msg)
 
 
+def test_parity_request_beyond_the_passes_closes_channel():
+    alice = AliceReconciler(np.zeros(100, dtype=np.uint8), CascadeParams(passes=2))
+    alice.handle(ShuffleSeedMsg(7))
+    assert alice.handle(ParityRequestMsg(1, ((0, 8),))).count == 1
+    for pass_index in (2, 255):
+        with pytest.raises(ChannelClosedError):
+            alice.handle(ParityRequestMsg(pass_index, ((0, 8),)))
+
+
 def test_single_pass_miss_fails_verification():
     # two errors in the same first-pass block and only one pass: the even
     # parity hides them, so the closing tags must disagree
@@ -180,14 +190,6 @@ def test_deterministic_for_fixed_seed():
 def test_params_validation():
     with pytest.raises(ValueError):
         CascadeParams(passes=0)
-    with pytest.raises(ValueError):
-        CascadeParams(sample_fraction=0.0)
-    with pytest.raises(ValueError):
-        CascadeParams(sample_fraction=0.6)
-    with pytest.raises(ValueError):
-        CascadeParams(verification_tag_bits=60)
-    with pytest.raises(ValueError):
-        CascadeParams(verification_tag_bits=0)
 
 
 def test_verify_keys_detects_any_single_flip():
@@ -223,5 +225,5 @@ def test_verified_implies_equal_keys(seed, n, q):
         return
     assert alice.verified and bob.verified
     np.testing.assert_array_equal(alice.bits, bob.bits)
-    assert alice.leaked_bits == bob.leaked_bits >= params.verification_tag_bits
+    assert alice.leaked_bits == bob.leaked_bits >= TAG_BITS
     assert bob.errors_corrected + bob.sample_mismatches == n_err

@@ -7,6 +7,7 @@ import itertools
 import queue
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +171,12 @@ def test_match_announce_rejects_bad_sizes():
         MatchAnnounce.decode(good[:-1])
 
 
+def test_match_announce_rejects_unknown_flag():
+    good = MatchAnnounce(ANNOUNCE_CONTINUE).encode()
+    with pytest.raises(MalformedFrameError, match="flag 7"):
+        MatchAnnounce.decode(bytes([7]) + good[1:])
+
+
 def test_bell_reveal_codec():
     dets = np.array([3, 4, 5, 6], dtype=np.uint8)
     np.testing.assert_array_equal(decode_bell_reveal(encode_bell_reveal(dets)), dets)
@@ -192,6 +199,26 @@ def test_pa_seed_codec():
         decode_pa_seed(b"\x09\x00\x00\x00\xff")  # 9 bits need 2 bytes, not 1
     with pytest.raises(MalformedFrameError):
         decode_pa_seed(b"\x08\x00\x00\x00\xff\xff")  # 8 bits need 1 byte, not 2
+
+
+def test_counted_bits_payloads_share_one_layout():
+    # QBER_SAMPLE, PARITY_RESPONSE and PA_SEED: a u32 bit count, then the
+    # bits packed MSB first; the two Cascade types still compare unequal
+    bits = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
+    sample, parities = QberSampleMsg.of(bits), ParityResponseMsg.of(bits)
+    assert (encode_pa_seed(bits) == sample.encode() == parities.encode()
+            == b"\x0b\x00\x00\x00\xb4\xe0")
+    assert sample != parities
+    for ftype in (FrameType.QBER_SAMPLE, FrameType.PARITY_RESPONSE):
+        msg = frame_to_cascade_msg(Frame(ftype, sample.encode()))
+        np.testing.assert_array_equal(msg.unpack(), bits)
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x02", b"\x00\x01\x02", b"\x00" * 7, b"\x00" * 9],
+                         ids=["empty", "status-2", "3-bytes", "7-bytes", "9-bytes"])
+def test_verify_tag_is_a_status_byte_or_a_full_tag(payload):
+    with pytest.raises(MalformedFrameError):
+        frame_to_cascade_msg(Frame(FrameType.VERIFY_TAG, payload))
 
 
 def test_block_stats_codec():
@@ -331,6 +358,38 @@ def test_socket_frame_over_the_cap_aborts_before_its_payload():
         decode_frame(protocol._HEADER.pack(
             protocol.FRAME_MAGIC, protocol.FRAME_VERSION, FrameType.HELLO,
             protocol.MAX_FRAME_PAYLOAD + 1))
+
+
+def test_socket_transport_waits_for_its_own_timeout():
+    # the socket's own 0.1 s deadline must not end the wait as a disconnect
+    from bellqkd.protocol import SessionTimeoutError
+    s1, s2 = socket.socketpair()
+    s2.settimeout(0.1)
+    t2 = SocketTransport(s2, timeout=1.0)
+    try:
+        start = time.monotonic()
+        with pytest.raises(SessionTimeoutError):
+            t2.recv_frame()
+        assert time.monotonic() - start >= 0.9
+    finally:
+        t2.close()
+        s1.close()
+
+
+def test_socket_send_to_departed_peer_keeps_its_abort():
+    from bellqkd.protocol import PeerDisconnectedError
+    s1, s2 = socket.socketpair()
+    abort = Frame(FrameType.ABORT, encode_abort(AbortReason.PROTOCOL_VIOLATION, "gone"))
+    s1.sendall(encode_frame(abort.type, abort.payload))
+    s1.close()
+    t2 = SocketTransport(s2, timeout=2.0)
+    try:
+        t2.send_frame(Frame(FrameType.PA_SEED, bytes(300_000)))  # must not raise
+        assert t2.recv_frame() == abort
+        with pytest.raises(PeerDisconnectedError):
+            t2.recv_frame()
+    finally:
+        t2.close()
 
 
 def test_socket_transport_disconnect():
@@ -717,6 +776,51 @@ def test_bob_aborts_on_block_without_key_bits():
     assert result.abort_message == "block without key bits"
 
 
+def test_bob_aborts_on_unknown_announce_flag():
+    t_alice, t_bob = inproc_pair(timeout=5.0)
+    t_alice.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
+    good = MatchAnnounce(ANNOUNCE_CONTINUE).encode()
+    t_alice.send_frame(Frame(FrameType.MATCH_ANNOUNCE, bytes([7]) + good[1:]))
+    src = JointSegmentSource(_channel(duration=1.0))
+    result = run_session("bob", t_bob, src.segments("bob"), SessionConfig())
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    frames = []
+    while True:
+        try:
+            frames.append(t_alice.recv_frame())
+        except Exception:
+            break
+    assert [f.type for f in frames] == [FrameType.HELLO, FrameType.TIMETAG_BATCH,
+                                        FrameType.ABORT]
+    assert decode_abort(frames[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+
+
+def test_alice_refuses_parity_request_beyond_the_passes(bob_transcript):
+    frames, fresh_alice = bob_transcript
+    alice = fresh_alice()
+    for frame in frames:
+        if frame.type == FrameType.PARITY_REQUEST:
+            break
+        alice.advance(frame)
+    ranges = frame_to_cascade_msg(frame).ranges
+    out = alice.advance(cascade_msg_to_frame(ParityRequestMsg(CascadeParams().passes, ranges)))
+    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert [f.type for f in out] == [FrameType.ABORT]
+
+
+@pytest.mark.parametrize("tag", [b"", b"\x00\x01\x02"], ids=["0-bytes", "3-bytes"])
+def test_short_confirm_tag_is_a_protocol_violation(bob_transcript, tag):
+    frames, fresh_alice = bob_transcript
+    at = [f.type for f in frames].index(FrameType.PA_SEED) + 1
+    assert frames[at].type == FrameType.VERIFY_TAG  # the confirm tag
+    alice = fresh_alice()
+    for frame in frames[:at]:
+        alice.advance(frame)
+    out = alice.advance(Frame(FrameType.VERIFY_TAG, tag))
+    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert [f.type for f in out] == [FrameType.ABORT]
+
+
 def test_abort_message_kept_on_both_sides():
     ch = _channel(visibility_hv=1.0, visibility_diag=1.0, background_rate=0.0)
     ra, rb = _run(ch, attack=AttackConfig(intercept_fraction=1.0), block_min_key_bits=1500)
@@ -898,6 +1002,17 @@ def test_bob_replays_alice_transcript(alice_transcript):
     frames, segments, cfg = alice_transcript
     result, _ = _bob_replay([encode_frame(f.type, f.payload) for f in frames], segments, cfg)
     assert result.done and len(result.stats) >= 1
+
+
+def test_bob_refuses_a_tag_in_place_of_the_confirm_status(alice_transcript):
+    frames, segments, cfg = alice_transcript
+    at = [k for k, f in enumerate(frames) if f.type == FrameType.VERIFY_TAG][1]
+    encoded = [encode_frame(f.type, f.payload) for f in frames]
+    encoded[at] = encode_frame(FrameType.VERIFY_TAG, b"\x01" * 8)
+    result, sent = _bob_replay(encoded, segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == "expected a tag status"
+    assert sent[-1].type == FrameType.ABORT
 
 
 @given(data=st.data())
