@@ -28,6 +28,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .cascade import TAG_BITS
 from .physics import (ALICE_DETECTORS, BOB_DETECTORS, AttackConfig, ChannelConfig,
                       JointSegmentSource, _time_origin_ticks)
 from .privamp import InsecureRegimeError, SecurityEstimate, binary_entropy, secret_fraction
@@ -40,7 +41,8 @@ from .protocol import (
     inproc_pair,
     run_transport_pair,
 )
-from .timetag import MAX_TICK, TagFileError, read_tag_file, seconds_to_ticks, write_tag_file
+from .timetag import (MAX_TICK, TagFileError, pack_tag_records, read_tag_file, seconds_to_ticks,
+                      write_tag_file)
 
 EXIT_OK = 0
 EXIT_INSECURE = 2
@@ -56,7 +58,8 @@ CSV_COLUMNS = [
 
 # rough reconciliation overhead assumed by the standalone estimator
 KEYRATE_EC_EFFICIENCY = 1.2
-KEYRATE_TAG_BITS = 64
+
+_CHUNK_RECORDS = 1 << 17  # tag-file records per replay read
 
 
 class ParseError(ValueError):
@@ -285,20 +288,11 @@ def _execute(cfg: ExperimentConfig, alice_segments, bob_segments,
     return code
 
 
-def _tee_segments(segments, store: list):
-    for seg in segments:
-        store.append(seg)
-        yield seg
-
-
-def _dump_tag_store(store: list, path: Path, side: str) -> None:
-    if store:
-        ticks = np.concatenate([t for t, _ in store])
-        dets = np.concatenate([d for _, d in store])
-    else:
-        ticks = np.empty(0, dtype=np.uint64)
-        dets = np.empty(0, dtype=np.uint8)
-    write_tag_file(path, side, ticks, dets)
+def _append_records(segments, path: Path):
+    for ticks, dets in segments:
+        with open(path, "ab") as f:
+            f.write(pack_tag_records(ticks, dets))
+        yield ticks, dets
 
 
 def run_experiment(cfg: ExperimentConfig, csv_path: Optional[str] = None,
@@ -310,91 +304,98 @@ def run_experiment(cfg: ExperimentConfig, csv_path: Optional[str] = None,
                                     segment_seconds=cfg.segment_seconds)
     except ValueError as exc:
         raise RangeError("segment_seconds", str(exc))
-    alice_segments = source.segments("alice")
-    bob_segments = source.segments("bob")
-    stores: dict = {}
+    segments = {side: source.segments(side) for side in ("alice", "bob")}
     if dump_tags_dir:
-        stores = {"alice": [], "bob": []}
-        alice_segments = _tee_segments(alice_segments, stores["alice"])
-        bob_segments = _tee_segments(bob_segments, stores["bob"])
-    code = _execute(cfg, alice_segments, bob_segments, csv_path, keys_dir)
-    if dump_tags_dir:
-        directory = Path(dump_tags_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        _dump_tag_store(stores["alice"], directory / "alice.tags", "alice")
-        _dump_tag_store(stores["bob"], directory / "bob.tags", "bob")
-    return code
+        # Each tag file gets its header now and a segment's records as it passes.
+        Path(dump_tags_dir).mkdir(parents=True, exist_ok=True)
+        for side in segments:
+            path = Path(dump_tags_dir) / f"{side}.tags"
+            write_tag_file(path, side, np.empty(0, np.uint64), np.empty(0, np.uint8))
+            segments[side] = _append_records(segments[side], path)
+    return _execute(cfg, segments["alice"], segments["bob"], csv_path, keys_dir)
 
 
-def _file_segments(ticks: np.ndarray, detectors: np.ndarray,
-                   channel: ChannelConfig, segment_seconds: float) -> Iterator:
+def _file_segments(chunks: Iterator, cfg: ExperimentConfig) -> Iterator:
     """Re-cut a recorded stream on the boundaries a live run would use.
 
     Anchored to the file's own first tag, so a recorded run replays into
     byte-identical batches while a stream recorded at a far-away time
     still produces data-bearing segments (whose mismatch then surfaces as
-    a missing correlation peak, not as silent emptiness).
+    a missing correlation peak, not as silent emptiness).  A chunk is
+    read only while the carried tags end before the next boundary.
     """
+    channel, segment_seconds = cfg.channel, cfg.segment_seconds
     n_segments = (int(math.ceil(channel.duration / segment_seconds))
                   if channel.duration > 0 else 0)
-    if n_segments == 0 or len(ticks) == 0:
+    ticks, dets = next(chunks, (None, None))
+    if n_segments == 0 or ticks is None:
         return
-    order = np.argsort(ticks, kind="stable")
-    ticks = ticks[order]
-    detectors = detectors[order]
     origin = _time_origin_ticks(channel)
     approx_seg = max(1, seconds_to_ticks(segment_seconds))
     k0 = max(0, (int(ticks[0]) - origin) // approx_seg)
-    start = 0
     for k in range(k0, k0 + n_segments):
-        if k == k0 + n_segments - 1:
-            cut = len(ticks)
-        else:
-            boundary = origin + seconds_to_ticks((k + 1) * segment_seconds)
-            cut = int(np.searchsorted(ticks, np.uint64(boundary), side="left"))
-        yield ticks[start:cut], detectors[start:cut]
-        start = cut
+        last = k == k0 + n_segments - 1  # the last segment takes the rest
+        boundary = np.uint64(origin + seconds_to_ticks((k + 1) * segment_seconds))
+        while (last or not len(ticks) or ticks[-1] < boundary) and (chunk := next(chunks, None)):
+            ticks, dets = np.concatenate([ticks, chunk[0]]), np.concatenate([dets, chunk[1]])
+        cut = len(ticks) if last else int(np.searchsorted(ticks, boundary, side="left"))
+        yield ticks[:cut], dets[:cut]
+        ticks, dets = ticks[cut:], dets[cut:]
 
 
-def _read_side(path: str, side: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Read one side's tag file, refusing records no station can produce."""
-    recorded, ticks, dets = read_tag_file(path)
-    if recorded != side:
-        raise TagFileError(f"{path} records side '{recorded}', expected {side}")
-    bad = ~np.isin(dets, ALICE_DETECTORS if side == "alice" else BOB_DETECTORS)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise TagFileError(f"{path}: record {i}: detector id {dets[i]} is not one of {side}'s")
-    bad = ticks >= np.uint64(MAX_TICK)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise TagFileError(f"{path}: record {i}: tick {ticks[i]} is not below 2**62")
-    return ticks, dets
+def _read_chunks(path: str, side: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Read one side's tag file in chunks, refusing records no station
+    can produce and ticks that run backwards."""
+    start, last = 0, np.uint64(0)
+    while True:
+        recorded, ticks, dets = read_tag_file(path, start, _CHUNK_RECORDS)
+        if recorded != side:
+            raise TagFileError(f"{path} records side '{recorded}', expected {side}")
+        if len(ticks) == 0:
+            return
+        bad = ~np.isin(dets, ALICE_DETECTORS if side == "alice" else BOB_DETECTORS)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TagFileError(f"{path}: record {start + i}: detector id {dets[i]} "
+                               f"is not one of {side}'s")
+        before = np.append(last, ticks[:-1])
+        bad = (ticks >= np.uint64(MAX_TICK)) | (ticks < before)
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = ("not below 2**62" if ticks[i] >= MAX_TICK
+                   else f"below the one before, {before[i]}")
+            raise TagFileError(f"{path}: record {start + i}: tick {ticks[i]} is {why}")
+        yield ticks, dets
+        start, last = start + len(ticks), ticks[-1]
 
 
 def replay(alice_path: str, bob_path: str, cfg: ExperimentConfig,
            csv_path: Optional[str] = None, keys_dir: Optional[str] = None) -> int:
     """Run the pipeline from matching onward on recorded tag files."""
-    ticks_a, dets_a = _read_side(alice_path, "alice")
-    ticks_b, dets_b = _read_side(bob_path, "bob")
-    alice_segments = _file_segments(ticks_a, dets_a, cfg.channel, cfg.segment_seconds)
-    bob_segments = _file_segments(ticks_b, dets_b, cfg.channel, cfg.segment_seconds)
-    return _execute(cfg, alice_segments, bob_segments, csv_path, keys_dir)
+    for side, path in (("alice", alice_path), ("bob", bob_path)):
+        for _ in _read_chunks(path, side):  # refuse bad input before any session starts
+            pass
+    return _execute(cfg, _file_segments(_read_chunks(alice_path, "alice"), cfg),
+                    _file_segments(_read_chunks(bob_path, "bob"), cfg), csv_path, keys_dir)
 
 
 def keyrate_estimate(s_value: float, qber: float, n: int) -> SecurityEstimate:
     """Security estimate for a hypothetical block.
 
-    The reconciliation leak is modeled as 1.2 n h(qber) plus a 64-bit
-    verification tag, matching the interactive reconciler's target.
+    The reconciliation leak is modeled as 1.2 n h(qber) plus one
+    ``TAG_BITS`` verification tag, matching the interactive reconciler's
+    target.
     """
     if n < 1:
         raise RangeError("n", "n must be >= 1")
     if not 0.0 <= qber <= 0.5:
         raise RangeError("qber", "qber must be in [0, 0.5]")
     leak = int(math.ceil(KEYRATE_EC_EFFICIENCY * n * float(binary_entropy(qber))))
-    leak += KEYRATE_TAG_BITS
-    return secret_fraction(n, leak, s_value)
+    leak += TAG_BITS
+    try:
+        return secret_fraction(n, leak, s_value)
+    except ValueError as exc:
+        raise RangeError("s", str(exc))
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--keys", help="directory for alice.key / bob.key")
     p_run.add_argument("--seed", type=int, help="override the config rng_seed")
     p_run.add_argument("--dump-tags", dest="dump_tags", metavar="DIR",
-                       help="also record both raw tag streams (short runs only)")
+                       help="also record both raw tag streams")
 
     p_rep = sub.add_parser("replay", help="re-run matching onward from recorded tag files")
     p_rep.add_argument("--alice", required=True, help="Alice-side tag file")

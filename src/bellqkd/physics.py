@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -66,6 +66,14 @@ ALICE_DETECTORS = ((1, 2), (3, 4), (5, 6))
 BOB_DETECTORS = ((1, 2), (3, 4))
 
 
+def require_finite(config) -> None:
+    """Refuse a NaN or infinite float field of a config dataclass, by name."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Source, link and detection parameters.
@@ -95,6 +103,7 @@ class ChannelConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
+        require_finite(self)
         if self.pair_rate < 0:
             raise ValueError("pair_rate must be >= 0")
         if self.loss_db_bob < 0:
@@ -132,6 +141,7 @@ class AttackConfig:
     attack_basis: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.intercept_fraction <= 1.0:
             raise ValueError("intercept_fraction must be in [0, 1]")
 
@@ -445,7 +455,7 @@ class JointSegmentSource:
     """Lazily generates one acquisition in fixed time segments.
 
     Both sides' segments come from the same pair process, generated once
-    per segment from spawned child seeds and re-cut on exact tick
+    per segment from that segment's child seed and re-cut on exact tick
     boundaries so that the concatenation of a side's segments equals the
     time-sorted full stream.  Memory stays bounded by a couple of
     segments regardless of run length.
@@ -475,7 +485,6 @@ class JointSegmentSource:
         self.segment_seconds = segment_seconds
         self.origin_tick = _time_origin_ticks(channel)
         self.n_segments = int(math.ceil(channel.duration / segment_seconds)) if channel.duration > 0 else 0
-        self._seeds = np.random.SeedSequence(channel.rng_seed).spawn(max(self.n_segments, 1))
         self._raw_index = 0
         self._carry = {
             "alice": (np.empty(0, np.uint64), np.empty(0, np.uint8)),
@@ -489,7 +498,8 @@ class JointSegmentSource:
         return self.origin_tick + seconds_to_ticks(k * self.segment_seconds)
 
     def _generate_raw(self, k: int) -> EventStreams:
-        rng = np.random.default_rng(self._seeds[k])
+        # Raw segment k's seed is child k of SeedSequence(rng_seed), as spawn() makes it.
+        rng = np.random.default_rng(np.random.SeedSequence(self.channel.rng_seed, spawn_key=(k,)))
         t0 = k * self.segment_seconds
         t1 = min((k + 1) * self.segment_seconds, self.channel.duration)
         return generate_event_streams(

@@ -31,7 +31,7 @@ class InsecureRegimeError(Exception):
 def binary_entropy(x):
     """Shannon entropy h(x) = -x log2 x - (1-x) log2 (1-x); h(0)=h(1)=0."""
     arr = np.asarray(x, dtype=float)
-    if arr.size and ((arr < 0.0) | (arr > 1.0)).any():
+    if arr.size and not ((arr >= 0.0) & (arr <= 1.0)).all():  # also refuses NaN
         raise ValueError("binary_entropy domain is [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(arr > 0, arr * np.log2(np.where(arr > 0, arr, 1)), 0.0)
@@ -44,10 +44,13 @@ def eve_information(s_value: float) -> float:
     """Per-bit information bound for an eavesdropper, from the CHSH S.
 
     Uses |S|, clamped to the quantum maximum 2*sqrt(2) against numeric
-    overshoot.  Raises InsecureRegimeError for |S| < 2; returns exactly
-    1.0 at |S| = 2 and exactly 0.0 at |S| = 2*sqrt(2).
+    overshoot.  Raises InsecureRegimeError for |S| < 2 and ValueError for
+    a NaN or infinite S; returns exactly 1.0 at |S| = 2 and exactly 0.0 at
+    |S| = 2*sqrt(2).
     """
     s_abs = abs(float(s_value))
+    if not math.isfinite(s_abs):
+        raise ValueError(f"S must be finite, got {s_value}")
     if s_abs < 2.0:
         raise InsecureRegimeError(f"|S| = {s_abs:.4f} <= 2: no Bell violation")
     s_abs = min(s_abs, S_MAX)

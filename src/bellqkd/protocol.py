@@ -71,6 +71,7 @@ from .cascade import (
     reconcile_bob,
     verify_keys,
 )
+from .physics import require_finite
 from .privamp import (
     SecurityEstimate,
     eve_information,
@@ -91,7 +92,7 @@ from .sifting import (
     count_coincidences,
 )
 from .timetag import (COARSE_TAGS, MAX_TICK, TAG_RECORD, NoPeakError, WindowConfig,
-                      count_accidentals, find_delay, match_coincidences)
+                      count_accidentals, find_delay, match_coincidences, pack_tag_records)
 
 FRAME_MAGIC = b"QKDP"
 FRAME_VERSION = 1
@@ -237,10 +238,7 @@ def decode_hello(payload: bytes) -> int:
 
 
 def encode_timetag_batch(ticks: np.ndarray, codes: np.ndarray) -> bytes:
-    rec = np.zeros(len(ticks), dtype=TAG_RECORD)
-    rec["tick"] = ticks
-    rec["det"] = codes
-    return rec.tobytes()
+    return pack_tag_records(ticks, codes)
 
 
 def decode_timetag_batch(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
@@ -566,6 +564,7 @@ class SessionConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.block_min_key_bits < 1:
             raise ValueError("block_min_key_bits must be >= 1")
         if self.finite_deduction < 0:

@@ -11,6 +11,8 @@ around that delay.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,14 +162,16 @@ def _poisson_tail(k: float, mean: float) -> float:
 
     Bounds the tail by a geometric series from P(X = k), so it exceeds
     the exact value by at most the factor (k + 1) / (k + 1 - mean);
-    1.0 when k <= mean.
+    1.0 when k <= mean.  A bound below the smallest normal float
+    underflows to 0.0, as a subnormal one keeps too few bits to hold.
     """
     if k <= mean:
         return 1.0
     if mean <= 0:
         return 0.0
     log_pmf = k * math.log(mean) - mean - math.lgamma(k + 1)
-    return math.exp(log_pmf) * (k + 1) / (k + 1 - mean)
+    tail = math.exp(log_pmf) * (k + 1) / (k + 1 - mean)
+    return tail if tail >= sys.float_info.min else 0.0
 
 
 def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig) -> DelayEstimate:
@@ -391,23 +395,30 @@ def count_accidentals(
     return int(len(ia))
 
 
-def write_tag_file(path, side: str, ticks: np.ndarray, detectors: np.ndarray) -> None:
-    """Write a binary tag stream: 'QKDT', version, side, 9-byte records."""
-    if side not in ("alice", "bob"):
-        raise ValueError("side must be 'alice' or 'bob'")
+def pack_tag_records(ticks: np.ndarray, detectors: np.ndarray) -> bytes:
+    """The 9-byte records of a tag file or a TIMETAG_BATCH payload."""
     if len(ticks) != len(detectors):
         raise ValueError("ticks and detectors must have equal length")
     rec = np.zeros(len(ticks), dtype=TAG_RECORD)
     rec["tick"] = ticks
     rec["det"] = detectors
+    return rec.tobytes()
+
+
+def write_tag_file(path, side: str, ticks: np.ndarray, detectors: np.ndarray) -> None:
+    """Write a binary tag stream: 'QKDT', version, side, 9-byte records."""
+    if side not in ("alice", "bob"):
+        raise ValueError("side must be 'alice' or 'bob'")
+    records = pack_tag_records(ticks, detectors)
     with open(path, "wb") as f:
         f.write(FILE_MAGIC)
         f.write(bytes([FILE_VERSION, 0 if side == "alice" else 1]))
-        f.write(rec.tobytes())
+        f.write(records)
 
 
-def read_tag_file(path):
-    """Read a binary tag stream; returns (side, ticks, detectors)."""
+def read_tag_file(path, start: int = 0, count: int = -1):
+    """Read records ``start`` to ``start + count`` (-1: to the end) of a
+    binary tag stream; returns (side, ticks, detectors)."""
     with open(path, "rb") as f:
         header = f.read(6)
         if len(header) < 6 or header[:4] != FILE_MAGIC:
@@ -417,8 +428,8 @@ def read_tag_file(path):
             raise TagFileError(f"{path}: unsupported version {version}")
         if side_code not in (0, 1):
             raise TagFileError(f"{path}: invalid side byte {side_code}")
-        body = f.read()
-    if len(body) % TAG_RECORD.itemsize != 0:
-        raise TagFileError(f"{path}: truncated record data")
-    rec = np.frombuffer(body, dtype=TAG_RECORD)
+        if (os.fstat(f.fileno()).st_size - len(header)) % TAG_RECORD.itemsize != 0:
+            raise TagFileError(f"{path}: truncated record data")
+        f.seek(len(header) + start * TAG_RECORD.itemsize)
+        rec = np.fromfile(f, dtype=TAG_RECORD, count=count)
     return ("alice" if side_code == 0 else "bob", rec["tick"].copy(), rec["det"].copy())

@@ -1,7 +1,13 @@
 """Config parsing, CSV output, and command-line entry points."""
 
+import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +27,9 @@ from bellqkd.cli import (
     main,
     parse_config,
 )
-from bellqkd.protocol import BlockStats
+import bellqkd.cli
+from bellqkd.physics import AttackConfig, ChannelConfig
+from bellqkd.protocol import BlockStats, SessionConfig
 from bellqkd.timetag import read_tag_file, write_tag_file
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,19 @@ def test_range_errors_name_the_field(text, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_name_the_field(value):
+    for cls in (ChannelConfig, AttackConfig, SessionConfig):
+        for f in fields(cls):
+            if isinstance(f.default, float):
+                with pytest.raises(ValueError, match=f"^{f.name} must be finite, got {value}$"):
+                    cls(**{f.name: float(value)})
+                if f.name != "timeout":  # the one float that is no config key
+                    with pytest.raises(RangeError) as exc:
+                        parse_config(f"{f.name} = {value}")
+                    assert exc.value.field == f.name
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -143,6 +164,17 @@ def test_keyrate_command(capsys):
 def test_keyrate_command_insecure(capsys):
     assert main(["keyrate", "--s", "1.9", "--qber", "0.02", "--n", "10000"]) == EXIT_INSECURE
     assert "insecure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_value", ["nan", "inf", "-inf"])
+def test_keyrate_refuses_non_finite_s(capsys, s_value):
+    # Before, an infinite S clamped to 2*sqrt(2) and NaN gave i_eve = -0.0.
+    with pytest.raises(RangeError) as exc:
+        keyrate_estimate(float(s_value), 0.03, 10000)
+    assert exc.value.field == "s"
+    assert main(["keyrate", f"--s={s_value}", "--qber", "0.03", "--n", "10000"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: S must be finite, got {s_value}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +310,19 @@ def recording(tmp_path_factory):
     return root
 
 
+# SHA-256 of the two files ``recording`` writes.  Any change to what
+# --dump-tags records, or to its order, shows here.
+_PINNED_RECORDING_SHA256 = {
+    "alice": "370e0f780687d9599822165cb6c5af1116485f870222d9af1cc483417155b90d",
+    "bob": "c3dbe554c44d948473e5371a21df608bff9e53db490c16a20d7d49e035bc9235",
+}
+
+
+def test_dump_tags_bytes_pinned(recording):
+    for side, digest in _PINNED_RECORDING_SHA256.items():
+        assert hashlib.sha256((recording / f"{side}.tags").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("side, column, index, value, first", [
     ("alice", "det", slice(None, None, 7), 9, 0),
     ("alice", "det", slice(None, None, 7), 0, 0),
@@ -285,11 +330,18 @@ def recording(tmp_path_factory):
     ("bob", "det", 5, 200, 5),
     ("alice", "tick", -1, 2**63, -1),
     ("bob", "tick", -1, 2**63, -1),
-], ids=["alice-det-9", "alice-det-0", "bob-det-0", "bob-det-200", "alice-tick", "bob-tick"])
+    ("bob", "tick", slice(5, 7), "swap", 6),
+], ids=["alice-det-9", "alice-det-0", "bob-det-0", "bob-det-200", "alice-tick", "bob-tick",
+        "bob-unsorted"])
 def test_replay_refuses_impossible_records(recording, tmp_path, capsys,
                                            side, column, index, value, first):
     _, ticks, dets = read_tag_file(recording / f"{side}.tags")
-    (ticks if column == "tick" else dets)[index] = value
+    if value == "swap":  # two adjacent ticks trade places
+        assert ticks[index][0] < ticks[index][1]
+        ticks[index] = ticks[index][::-1].copy()
+        value = ticks[first]
+    else:
+        (ticks if column == "tick" else dets)[index] = value
     tampered = tmp_path / f"{side}.tags"
     write_tag_file(tampered, side, ticks, dets)
     files = {"alice": recording / "alice.tags", "bob": recording / "bob.tags", side: tampered}
@@ -299,6 +351,57 @@ def test_replay_refuses_impossible_records(recording, tmp_path, capsys,
     err = capsys.readouterr().err
     label = "tick" if column == "tick" else "detector id"
     assert f"error: {tampered}: record {first % len(ticks)}: {label} {value} " in err
+
+
+def test_replay_in_small_chunks(recording, tmp_path, capsys, monkeypatch):
+    # Many chunks per segment: the carry must still cut the recorded
+    # segments, and the tick order is checked across chunk boundaries.
+    monkeypatch.setattr(bellqkd.cli, "_CHUNK_RECORDS", 1000)
+    files = {side: recording / f"{side}.tags" for side in ("alice", "bob")}
+    code = main(["replay", "--alice", str(files["alice"]), "--bob", str(files["bob"]),
+                 "--config", str(recording / "exp.conf"), "--csv", str(tmp_path / "replay.csv")])
+    assert code == EXIT_OK
+    assert (tmp_path / "replay.csv").read_bytes() == (recording / "live.csv").read_bytes()
+
+    _, ticks, dets = read_tag_file(files["alice"])
+    ticks[999:1001] = ticks[999:1001][::-1].copy()
+    files["alice"] = tmp_path / "alice.tags"
+    write_tag_file(files["alice"], "alice", ticks, dets)
+    code = main(["replay", "--alice", str(files["alice"]), "--bob", str(files["bob"]),
+                 "--config", str(recording / "exp.conf")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {files['alice']}: record 1000: tick {ticks[1000]} is below " in err
+
+
+def _peak_rss_mib(*args) -> float:
+    """Run ``bellqkd <args>`` as a child process; its peak RSS in MiB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bellqkd.cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", "import sys; from bellqkd.cli import main; "
+                             "sys.exit(main())", *map(str, args)], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == EXIT_OK, args
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux's")
+def test_record_and_replay_memory_does_not_grow_with_duration(tmp_path):
+    peak = {}
+    for seconds in (10, 40):
+        conf = tmp_path / f"{seconds}.conf"
+        conf.write_text(f"duration = {seconds}\n")
+        tags = tmp_path / f"tags{seconds}"
+        live, replayed = tmp_path / "live.csv", tmp_path / "replay.csv"
+        peak["run", seconds] = _peak_rss_mib("run", "--config", conf, "--csv", live,
+                                             "--dump-tags", tags)
+        peak["replay", seconds] = _peak_rss_mib("replay", "--alice", tags / "alice.tags",
+                                                "--bob", tags / "bob.tags", "--config", conf,
+                                                "--csv", replayed)
+        assert replayed.read_bytes() == live.read_bytes()
+    for command in ("run", "replay"):
+        assert peak[command, 40] - peak[command, 10] < 10, peak
 
 
 @settings(max_examples=30, deadline=None)

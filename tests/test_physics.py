@@ -442,6 +442,15 @@ def test_segment_source_validation():
 _PINNED_SOURCE_SHA256 = "10c5b813ea15862ddc294b8f01dc57d25b27dd31ced665bd0585019b1ab24990"
 
 
+@pytest.mark.parametrize("seed", [1, 7, 123456789])
+def test_segment_seeds_equal_spawned_children(seed):
+    # The source seeds raw segment k with spawn_key=(k,) when it needs it,
+    # which is child k of SeedSequence(seed).spawn(...).
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(50)):
+        direct = np.random.SeedSequence(seed, spawn_key=(k,))
+        np.testing.assert_array_equal(direct.generate_state(8), child.generate_state(8))
+
+
 def test_segment_source_bytes_pinned():
     src = JointSegmentSource(ChannelConfig(duration=4.0, rng_seed=7), segment_seconds=1.0)
     h = hashlib.sha256()

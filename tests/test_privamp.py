@@ -37,6 +37,10 @@ def test_entropy_domain_checked():
         binary_entropy(-0.001)
     with pytest.raises(ValueError):
         binary_entropy(1.001)
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.5, float("nan")]))
 
 
 def test_entropy_vectorized():
@@ -70,6 +74,13 @@ def test_eve_information_sign_and_clamp():
     # values above the quantum bound clamp instead of going complex
     assert eve_information(3.0) == 0.0
     assert eve_information(S_MAX + 1e-9) == 0.0
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_eve_information_refuses_non_finite(s):
+    # an infinite S would clamp to 2*sqrt(2) and leave Eve no information
+    with pytest.raises(ValueError, match="finite"):
+        eve_information(s)
 
 
 def test_eve_information_insecure_below_classical_bound():
