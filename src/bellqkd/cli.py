@@ -30,7 +30,8 @@ import numpy as np
 
 from .cascade import TAG_BITS
 from .physics import (ALICE_DETECTORS, BOB_DETECTORS, AttackConfig, ChannelConfig,
-                      JointSegmentSource, _time_origin_ticks)
+                      JointSegmentSource, RangeError, _time_origin_ticks, boundary_slack_s,
+                      check_run_bounds, segment_count)
 from .privamp import InsecureRegimeError, SecurityEstimate, binary_entropy, secret_fraction
 from .protocol import (
     AbortReason,
@@ -68,14 +69,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class RangeError(ValueError):
-    """A config field value is outside its allowed range."""
-
-    def __init__(self, field: str, message: str = ""):
-        super().__init__(message or f"{field} out of range")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -299,11 +292,7 @@ def run_experiment(cfg: ExperimentConfig, csv_path: Optional[str] = None,
                    keys_dir: Optional[str] = None,
                    dump_tags_dir: Optional[str] = None) -> int:
     """Simulate, run both endpoints, write outputs; returns the exit code."""
-    try:
-        source = JointSegmentSource(cfg.channel, cfg.attack,
-                                    segment_seconds=cfg.segment_seconds)
-    except ValueError as exc:
-        raise RangeError("segment_seconds", str(exc))
+    source = JointSegmentSource(cfg.channel, cfg.attack, segment_seconds=cfg.segment_seconds)
     segments = {side: source.segments(side) for side in ("alice", "bob")}
     if dump_tags_dir:
         # Each tag file gets its header now and a segment's records as it passes.
@@ -321,12 +310,13 @@ def _file_segments(chunks: Iterator, cfg: ExperimentConfig) -> Iterator:
     Anchored to the file's own first tag, so a recorded run replays into
     byte-identical batches while a stream recorded at a far-away time
     still produces data-bearing segments (whose mismatch then surfaces as
-    a missing correlation peak, not as silent emptiness).  A chunk is
-    read only while the carried tags end before the next boundary.
+    a missing correlation peak, not as silent emptiness).  The last
+    segment ends at the final boundary plus the boundary slack, where a
+    live run's last tags end; a longer recording's rest is never read.  A
+    chunk is read only while the carried tags end before the next cut.
     """
     channel, segment_seconds = cfg.channel, cfg.segment_seconds
-    n_segments = (int(math.ceil(channel.duration / segment_seconds))
-                  if channel.duration > 0 else 0)
+    n_segments = segment_count(channel.duration, segment_seconds)
     ticks, dets = next(chunks, (None, None))
     if n_segments == 0 or ticks is None:
         return
@@ -334,11 +324,13 @@ def _file_segments(chunks: Iterator, cfg: ExperimentConfig) -> Iterator:
     approx_seg = max(1, seconds_to_ticks(segment_seconds))
     k0 = max(0, (int(ticks[0]) - origin) // approx_seg)
     for k in range(k0, k0 + n_segments):
-        last = k == k0 + n_segments - 1  # the last segment takes the rest
-        boundary = np.uint64(origin + seconds_to_ticks((k + 1) * segment_seconds))
-        while (last or not len(ticks) or ticks[-1] < boundary) and (chunk := next(chunks, None)):
+        cut_s = (k + 1) * segment_seconds
+        if k == k0 + n_segments - 1:
+            cut_s += boundary_slack_s(channel)
+        boundary = np.uint64(origin + seconds_to_ticks(cut_s))
+        while (not len(ticks) or ticks[-1] < boundary) and (chunk := next(chunks, None)):
             ticks, dets = np.concatenate([ticks, chunk[0]]), np.concatenate([dets, chunk[1]])
-        cut = len(ticks) if last else int(np.searchsorted(ticks, boundary, side="left"))
+        cut = int(np.searchsorted(ticks, boundary, side="left"))
         yield ticks[:cut], dets[:cut]
         ticks, dets = ticks[cut:], dets[cut:]
 
@@ -372,6 +364,7 @@ def _read_chunks(path: str, side: str) -> Iterator[Tuple[np.ndarray, np.ndarray]
 def replay(alice_path: str, bob_path: str, cfg: ExperimentConfig,
            csv_path: Optional[str] = None, keys_dir: Optional[str] = None) -> int:
     """Run the pipeline from matching onward on recorded tag files."""
+    check_run_bounds(cfg.channel, cfg.segment_seconds)
     for side, path in (("alice", alice_path), ("bob", bob_path)):
         for _ in _read_chunks(path, side):  # refuse bad input before any session starts
             pass

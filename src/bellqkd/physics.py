@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .timetag import TICK_SECONDS, seconds_to_ticks
+from .timetag import MAX_TICK, TICK_SECONDS, seconds_to_ticks
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +64,14 @@ ALICE_ANGLES = (0.0, 22.5, 157.5)
 BOB_ANGLES = (0.0, 45.0)
 ALICE_DETECTORS = ((1, 2), (3, 4), (5, 6))
 BOB_DETECTORS = ((1, 2), (3, 4))
+
+
+class RangeError(ValueError):
+    """A config field value is outside its allowed range."""
+
+    def __init__(self, field: str, message: str = ""):
+        super().__init__(message or f"{field} out of range")
+        self.field = field
 
 
 def require_finite(config) -> None:
@@ -305,6 +313,45 @@ def _time_origin_ticks(channel: ChannelConfig) -> int:
     return seconds_to_ticks(origin_s)
 
 
+# Expected Alice tags in one segment, at most: ~30x the ~138k of the
+# ChannelConfig defaults.  The README states a run's peak RSS at the cap.
+MAX_SEGMENT_TAGS = 1 << 22
+
+
+def boundary_slack_s(channel: ChannelConfig) -> float:
+    """How far past a segment boundary the Bob delay and jitter can carry a tag, s."""
+    return abs(channel.bob_delay) * 1e-9 + 10.0 * channel.jitter_sigma * 1e-9 + 1e-6
+
+
+def segment_count(duration: float, segment_seconds: float) -> int:
+    # Past 2**62 segments of over 1 us each the run is refused anyway; the
+    # clamp keeps an overflowing quotient from raising.
+    return math.ceil(min(duration / segment_seconds, MAX_TICK))
+
+
+def check_run_bounds(channel: ChannelConfig, segment_seconds: float) -> None:
+    """Refuse, naming its key, a run whose segments would not fit in bounded
+    memory or whose ticks would pass ``timetag.MAX_TICK``."""
+    if segment_seconds <= 0:
+        raise RangeError("segment_seconds", "segment_seconds must be > 0")
+    slack_s = boundary_slack_s(channel)
+    if slack_s >= segment_seconds:
+        raise RangeError("segment_seconds", "segment_seconds must exceed the boundary slack, "
+                                            "|bob_delay| + 10 * jitter_sigma + 1 us")
+    # background on each of Alice's six detectors
+    tags = (channel.pair_rate + 6 * channel.background_rate) * min(segment_seconds,
+                                                                   channel.duration)
+    if tags >= MAX_SEGMENT_TAGS:
+        key = "pair_rate" if channel.pair_rate >= 6 * channel.background_rate else "background_rate"
+        raise RangeError(key, "expected Alice tags per segment, (pair_rate + 6 * background_rate)"
+                              f" * min(segment_seconds, duration) = {tags:.4g}, must be below 2**22")
+    limit_s = (MAX_TICK - _time_origin_ticks(channel)) * TICK_SECONDS
+    if segment_count(channel.duration, segment_seconds) * segment_seconds + slack_s >= limit_s:
+        key = "duration" if channel.duration >= segment_seconds else "segment_seconds"
+        raise RangeError(key, "the last tick, at ceil(duration / segment_seconds) * segment_seconds"
+                              f" plus the boundary slack, must stay below 2**62 ({limit_s:.4g} s)")
+
+
 def _sample_pairs(
     channel: ChannelConfig,
     attack: AttackConfig,
@@ -475,16 +522,12 @@ class JointSegmentSource:
         attack: AttackConfig = AttackConfig(),
         segment_seconds: float = 1.0,
     ):
-        if segment_seconds <= 0:
-            raise ValueError("segment_seconds must be > 0")
-        slack_s = abs(channel.bob_delay) * 1e-9 + 10.0 * channel.jitter_sigma * 1e-9 + 1e-6
-        if slack_s >= segment_seconds:
-            raise ValueError("segment_seconds must exceed |bob_delay| plus jitter slack")
+        check_run_bounds(channel, segment_seconds)
         self.channel = channel
         self.attack = attack
         self.segment_seconds = segment_seconds
         self.origin_tick = _time_origin_ticks(channel)
-        self.n_segments = int(math.ceil(channel.duration / segment_seconds)) if channel.duration > 0 else 0
+        self.n_segments = segment_count(channel.duration, segment_seconds)
         self._raw_index = 0
         self._carry = {
             "alice": (np.empty(0, np.uint64), np.empty(0, np.uint8)),

@@ -19,14 +19,12 @@ she aborts NO_PEAK with the last scan's message.
 
 The strict batch/announce lockstep makes the transcript a pure function
 of the inputs, so recorded runs replay byte-identically per direction.
-Alice is the reactive endpoint (``advance`` maps one incoming frame to
-outgoing frames); Bob drives.
 
 Error contract.  Every failure ends the session in one recorded abort,
 ``SessionResult.abort_reason`` plus ``abort_message``:
 
 - a failed check (|S| <= 2, a key tag, a parameter or BlockStats
-  mismatch, a frame illegal in the current phase) aborts with its own
+  mismatch, a frame that is not legal next) aborts with its own
   reason: INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK or
   PROTOCOL_VIOLATION;
 - ``MalformedFrameError`` (bytes that do not decode) and the
@@ -38,9 +36,7 @@ Every other abort sends the peer one ABORT frame carrying the reason
 and the message, except VERIFICATION_FAILED on the final key, which the
 tag exchange has already told both sides.  A received ABORT is never
 answered: its reason (INTERNAL if unknown, PROTOCOL_VIOLATION if the
-payload is empty) and its text become the local abort.  ``advance``
-does not raise, except ``ProtocolViolationError`` once the session is
-finished.
+payload is empty) and its text become the local abort.
 """
 
 from __future__ import annotations
@@ -163,10 +159,6 @@ class MalformedFrameError(Exception):
 
 class UnsupportedVersionError(MalformedFrameError):
     """Frame carries a version this implementation does not speak."""
-
-
-class ProtocolViolationError(Exception):
-    """Peer sent a frame that is illegal in the current phase."""
 
 
 class PeerDisconnectedError(Exception):
@@ -546,7 +538,7 @@ class SessionConfig:
     """What a run sets; both endpoints must be given equal values.
 
     block_min_key_bits   key-branch coincidences that close a block, >= 1
-    finite_deduction     bits taken off each final block, >= 0
+    finite_deduction     bits taken off each final block, in [0, 2**32): a u32 on the wire
     rate_multiplier      scale on the secret fraction, in (0, 1]
     seed                 public per-block seeds: Cascade shuffle, Toeplitz, confirm tag
     segment_seconds      acquisition time per TIMETAG_BATCH, > 0
@@ -567,8 +559,8 @@ class SessionConfig:
         require_finite(self)
         if self.block_min_key_bits < 1:
             raise ValueError("block_min_key_bits must be >= 1")
-        if self.finite_deduction < 0:
-            raise ValueError("finite_deduction must be >= 0")
+        if not 0 <= self.finite_deduction < 1 << 32:
+            raise ValueError("finite_deduction must be in [0, 2**32)")
         if not 0.0 < self.rate_multiplier <= 1.0:
             raise ValueError("rate_multiplier must be in (0, 1]")
         if self.seed < 0:
@@ -682,8 +674,7 @@ class _Block:
         self.recon: Optional[ReconciliationResult] = None
         self.estimate: Optional[SecurityEstimate] = None
         self.final = np.empty(0, dtype=np.uint8)
-        # Alice only: matches accumulated per segment, the responder, and
-        # whether the block waits for an ABORT or for the confirm tag
+        # Alice only: matches accumulated per segment
         self.a_base = 0
         self.b_base = 0
         self.a_idx: list = []
@@ -692,9 +683,6 @@ class _Block:
         self.key_bits: list = []
         self.bell_dets: list = []
         self.key_count = 0
-        self.responder: Optional[AliceReconciler] = None
-        self.insecure = False
-        self.tag_due = False
 
     def bell_test(self, alice_dets: np.ndarray, bob_dets: np.ndarray) -> bool:
         """Estimate S from the revealed Bell branch; True if |S| > 2."""
@@ -741,9 +729,14 @@ class _Block:
 
 
 class _Endpoint:
-    """What both endpoints share: results, the block record, the run loop."""
+    """What both endpoints share: results, the block record, the run loop.
+
+    Each side is a script: ``_run_block`` runs one block's exchange in
+    order, and ``_expect`` is the only code that reads a frame.
+    """
 
     role = ""
+    _hello, _peer = 0, ""  # this side's HELLO byte; what the peer must be
 
     def __init__(self, transport, segments: Iterable, config: SessionConfig = SessionConfig()):
         self.transport = transport
@@ -762,8 +755,13 @@ class _Endpoint:
         try:
             self._drive()
         except _ABORT_ERRORS as exc:
-            for frame in self._abort(exc):
-                self.transport.send_frame(frame)
+            sig = _abort_signal(exc)
+            self.phase = Phase.ABORTED
+            self.abort_reason = sig.reason
+            self.abort_message = sig.message
+            if sig.notify:
+                self.transport.send_frame(
+                    Frame(FrameType.ABORT, encode_abort(int(sig.reason), sig.message)))
         finally:
             self.transport.close()
         return SessionResult(
@@ -778,17 +776,26 @@ class _Endpoint:
             abort_message=self.abort_message,
         )
 
-    def _abort(self, exc: Exception) -> List[Frame]:
-        """Record the abort ``exc`` stands for; returns the ABORT frame to send."""
-        if self.phase == Phase.ABORTED:  # the first abort stands
-            return []
-        sig = _abort_signal(exc)
-        self.phase = Phase.ABORTED
-        self.abort_reason = sig.reason
-        self.abort_message = sig.message
-        if not sig.notify:
-            return []
-        return [Frame(FrameType.ABORT, encode_abort(int(sig.reason), sig.message))]
+    def _drive(self) -> None:
+        self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(self._hello)))
+        if decode_hello(self._expect(FrameType.HELLO).payload) != 1 - self._hello:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, f"peer is not {self._peer}")
+        while self._run_block():
+            pass
+        self.phase = Phase.DONE
+
+    def _expect(self, *types: FrameType) -> Frame:
+        """The next frame, if it is one of ``types``; a peer's ABORT ends the session."""
+        frame = self.transport.recv_frame()
+        if frame.type == FrameType.ABORT:
+            raise _peer_abort(frame)
+        if frame.type not in types:
+            raise _AbortSignal(
+                AbortReason.PROTOCOL_VIOLATION,
+                f"got {FrameType(frame.type).name}, expected "
+                + "/".join(t.name for t in types),
+            )
+        return frame
 
     def _close_block(self, stats: BlockStats) -> None:
         """Keep a finished block's row, size and key; open the next block."""
@@ -801,20 +808,13 @@ class _Endpoint:
 
 
 # ---------------------------------------------------------------------------
-# Alice: reactive endpoint
-
-# While a final block waits for Bob's confirm tag, only that tag is legal.
-_TAG_DUE = "confirm tag due"
-
+# Alice: matching endpoint
 
 class AliceSession(_Endpoint):
-    """The matching/responding endpoint.
-
-    Purely reactive after the opening HELLO: every incoming frame maps to
-    a deterministic list of outgoing frames via :meth:`advance`.
-    """
+    """Matches coincidences, serves parities, checks what Bob derives."""
 
     role = "alice"
+    _hello, _peer = 0, "the tag-sending side"
 
     def __init__(self, transport, segments: Iterable, config: SessionConfig = SessionConfig()):
         super().__init__(transport, segments, config)
@@ -822,42 +822,89 @@ class AliceSession(_Endpoint):
         self._warm_b: list = []
         self._no_peak = ""  # why the last delay scan failed
 
-    def _drive(self) -> None:
-        self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
-        while self.phase not in (Phase.DONE, Phase.ABORTED):
-            for out in self.advance(self.transport.recv_frame()):
-                self.transport.send_frame(out)
-
-    # -- frame handling ----------------------------------------------------
-
-    def advance(self, frame: Frame) -> List[Frame]:
-        """Process one incoming frame; returns the frames to send back."""
-        if self.phase in (Phase.DONE, Phase.ABORTED):
-            raise ProtocolViolationError("session is finished")
-        try:
-            if frame.type == FrameType.ABORT:
-                raise _peer_abort(frame)
-            state = _TAG_DUE if self._block.tag_due else self.phase
-            handler = self._HANDLERS.get(state, {}).get(frame.type)
-            if handler is None:
-                raise _AbortSignal(
-                    AbortReason.PROTOCOL_VIOLATION,
-                    f"{FrameType(frame.type).name} not legal in {self.phase.name}",
-                )
-            if self._block.insecure:
-                # After a subcritical S only an ABORT from the peer is acceptable.
-                raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected abort after |S| <= 2")
-            return handler(self, frame)
-        except _ABORT_ERRORS as exc:
-            return self._abort(exc)
-
-    def _on_hello(self, frame: Frame) -> List[Frame]:
-        if decode_hello(frame.payload) != 1:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "peer is not the tag-sending side")
+    def _run_block(self) -> bool:
+        """One block; returns False when the data ended (session done)."""
+        blk = self._block
         self.phase = Phase.SYNC
-        return []
+        flag = ANNOUNCE_CONTINUE
+        while flag == ANNOUNCE_CONTINUE:
+            flag = self._on_batch(self._expect(FrameType.TIMETAG_BATCH))
+            if flag != ANNOUNCE_BLOCK:
+                self.transport.send_frame(
+                    Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(flag).encode()))
+        if flag == ANNOUNCE_END:
+            return False
 
-    def _on_batch(self, frame: Frame) -> List[Frame]:
+        self.phase = Phase.BELL
+        self.transport.send_frame(Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(
+            ANNOUNCE_BLOCK,
+            delay_ticks=int(self.delay),
+            accidentals=blk.accidentals,
+            a_idx=np.concatenate(blk.a_idx),
+            b_idx=np.concatenate(blk.b_idx),
+            classes=np.concatenate(blk.classes),
+        ).encode()))  # not bound to a name: the block's arrays are freed once sent
+        bell_a = np.concatenate(blk.bell_dets)
+        self.transport.send_frame(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(bell_a)))
+        bell_b = decode_bell_reveal(self._expect(FrameType.BELL_REVEAL).payload)
+        if len(bell_b) != len(bell_a):
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
+        if not blk.bell_test(bell_a, bell_b):
+            # the peer refuses the block next; log its row as the peer does
+            self.stats.append(blk.stats(qber=float("nan")))
+            self._expect(FrameType.ABORT)  # raises: the peer's abort, or a violation
+
+        self.phase = Phase.RECONCILE
+        responder = AliceReconciler(np.concatenate(blk.key_bits), CascadeParams())
+        while not responder.done:
+            reply = responder.handle(frame_to_cascade_msg(self._expect(
+                FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE,
+                FrameType.PARITY_REQUEST, FrameType.VERIFY_TAG)))
+            if reply is not None:
+                self.transport.send_frame(cascade_msg_to_frame(reply))
+        blk.recon = responder.result
+
+        if blk.recon.verified:
+            self.phase = Phase.AMPLIFY
+            pa = PaParams.decode(self._expect(FrameType.PA_PARAMS).payload)
+            if pa != blk.pa_params(self.cfg):
+                raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
+                                   "privacy amplification parameter mismatch")
+            if pa.final_length > 0:
+                seed_bits = decode_pa_seed(self._expect(FrameType.PA_SEED).payload)
+                if len(seed_bits) != blk.recon.n + pa.final_length - 1:
+                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
+                                       "toeplitz seed length mismatch")
+                blk.final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
+
+                self.phase = Phase.CONFIRM
+                tag = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG)).tag
+                if tag is None:
+                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
+                confirmed = _confirm_tag(blk.final, self.cfg.seed, blk.index) == tag
+                self.transport.send_frame(cascade_msg_to_frame(VerifyTagMsg(status=int(confirmed))))
+                if not confirmed:
+                    blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
+                    self.stats.append(blk.stats(qber=float("nan")))
+                    raise _AbortSignal(AbortReason.VERIFICATION_FAILED,
+                                       "final key tag mismatch", notify=False)
+        self.phase = Phase.CONFIRM
+
+        payload = self._expect(FrameType.BLOCK_STATS).payload
+        theirs = BlockStats.decode(payload)
+        if not (np.isnan(theirs.qber) or 0.0 <= theirs.qber <= 1.0):
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "qber out of range")
+        # the qber includes the peer-side correction count
+        mine = blk.stats(qber=theirs.qber)
+        if mine.encode() != payload:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
+        self._close_block(mine)
+        self.transport.send_frame(Frame(FrameType.BLOCK_STATS, payload))
+        return True
+
+    def _on_batch(self, frame: Frame) -> int:
+        """Take one of Bob's batches with a segment of her own; returns the
+        MATCH_ANNOUNCE flag that answers it."""
         b_ticks, b_codes = decode_timetag_batch(frame.payload)
         if len(b_ticks):
             if int(b_codes.max()) > 1:
@@ -870,8 +917,7 @@ class AliceSession(_Endpoint):
         if own is None:
             if self.delay is None and self._no_peak:  # the data ended before a delay was found
                 raise _AbortSignal(AbortReason.NO_PEAK, self._no_peak)
-            self.phase = Phase.DONE
-            return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_END).encode())]
+            return ANNOUNCE_END
         a_ticks, a_dets = own
         self._block.seg_end += 1
 
@@ -886,16 +932,15 @@ class AliceSession(_Endpoint):
                 if len(a_ticks) >= COARSE_TAGS:  # more data cannot change the scan
                     raise _AbortSignal(AbortReason.NO_PEAK, str(exc))
                 self._no_peak = str(exc)
-                return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_CONTINUE).encode())]
+                return ANNOUNCE_CONTINUE
             self.delay = est.delay_ticks
             self._warm_a.clear()
             self._warm_b.clear()
 
         self._process_segment(a_ticks, a_dets, b_ticks, b_codes)
-
         if self._block.key_count >= self.cfg.block_min_key_bits:
-            return self._announce_block()
-        return [Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_CONTINUE).encode())]
+            return ANNOUNCE_BLOCK
+        return ANNOUNCE_CONTINUE
 
     def _process_segment(self, a_ticks, a_dets, b_ticks, b_codes) -> None:
         blk = self._block
@@ -913,115 +958,6 @@ class AliceSession(_Endpoint):
         blk.accidentals += count_accidentals(a_ticks, b_ticks, self.delay, _WINDOW)
         blk.a_base += len(a_ticks)
         blk.b_base += len(b_ticks)
-
-    def _announce_block(self) -> List[Frame]:
-        blk = self._block
-        announce = MatchAnnounce(
-            ANNOUNCE_BLOCK,
-            delay_ticks=int(self.delay),
-            accidentals=blk.accidentals,
-            a_idx=np.concatenate(blk.a_idx),
-            b_idx=np.concatenate(blk.b_idx),
-            classes=np.concatenate(blk.classes),
-        )
-        reveal = encode_bell_reveal(np.concatenate(blk.bell_dets))
-        self.phase = Phase.BELL
-        return [
-            Frame(FrameType.MATCH_ANNOUNCE, announce.encode()),
-            Frame(FrameType.BELL_REVEAL, reveal),
-        ]
-
-    def _on_bell(self, frame: Frame) -> List[Frame]:
-        blk = self._block
-        bell_b = decode_bell_reveal(frame.payload)
-        bell_a = np.concatenate(blk.bell_dets)
-        if len(bell_b) != len(bell_a):
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
-        secure = blk.bell_test(bell_a, bell_b)
-        self.phase = Phase.RECONCILE
-        if not secure:
-            # the peer refuses the block next; log its row as the peer does
-            blk.insecure = True
-            self.stats.append(blk.stats(qber=float("nan")))
-            return []
-        blk.responder = AliceReconciler(np.concatenate(blk.key_bits), CascadeParams())
-        return []
-
-    def _on_cascade(self, frame: Frame) -> List[Frame]:
-        blk = self._block
-        reply = blk.responder.handle(frame_to_cascade_msg(frame))
-        out = [] if reply is None else [cascade_msg_to_frame(reply)]
-        if blk.responder.done:
-            blk.recon = blk.responder.result
-            self.phase = Phase.AMPLIFY if blk.recon.verified else Phase.CONFIRM
-        return out
-
-    def _on_pa_params(self, frame: Frame) -> List[Frame]:
-        pa = PaParams.decode(frame.payload)
-        if pa != self._block.pa_params(self.cfg):
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
-                               "privacy amplification parameter mismatch")
-        if pa.final_length == 0:
-            self.phase = Phase.CONFIRM
-        return []
-
-    def _on_pa_seed(self, frame: Frame) -> List[Frame]:
-        blk = self._block
-        if blk.estimate is None:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "seed before parameters")
-        seed_bits = decode_pa_seed(frame.payload)
-        m = blk.estimate.final_length
-        if len(seed_bits) != blk.recon.n + m - 1:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "toeplitz seed length mismatch")
-        blk.final = toeplitz_hash(blk.recon.bits, seed_bits, m)
-        blk.tag_due = True
-        self.phase = Phase.CONFIRM
-        return []
-
-    def _on_confirm_tag(self, frame: Frame) -> List[Frame]:
-        blk = self._block
-        if not blk.tag_due:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "unexpected confirm tag")
-        msg = frame_to_cascade_msg(frame)
-        if msg.tag is None:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
-        blk.tag_due = False
-        if _confirm_tag(blk.final, self.cfg.seed, blk.index) != msg.tag:
-            blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
-            self.stats.append(blk.stats(qber=float("nan")))
-            self._abort(_AbortSignal(AbortReason.VERIFICATION_FAILED, "final key tag mismatch",
-                                     notify=False))
-            return [cascade_msg_to_frame(VerifyTagMsg(status=0))]
-        return [cascade_msg_to_frame(VerifyTagMsg(status=1))]
-
-    def _on_block_stats(self, frame: Frame) -> List[Frame]:
-        theirs = BlockStats.decode(frame.payload)
-        if not (np.isnan(theirs.qber) or 0.0 <= theirs.qber <= 1.0):
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "qber out of range")
-        # the qber includes the peer-side correction count
-        mine = self._block.stats(qber=theirs.qber)
-        if mine.encode() != frame.payload:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
-        self._close_block(mine)
-        self.phase = Phase.SYNC
-        return [Frame(FrameType.BLOCK_STATS, frame.payload)]
-
-    # The frames Alice accepts in each state, and their handlers.
-    _HANDLERS = {
-        Phase.HELLO: {FrameType.HELLO: _on_hello},
-        Phase.SYNC: {FrameType.TIMETAG_BATCH: _on_batch},
-        Phase.BELL: {FrameType.BELL_REVEAL: _on_bell},
-        Phase.RECONCILE: {
-            FrameType.SHUFFLE_SEED: _on_cascade,
-            FrameType.QBER_SAMPLE: _on_cascade,
-            FrameType.PARITY_REQUEST: _on_cascade,
-            FrameType.VERIFY_TAG: _on_cascade,
-        },
-        Phase.AMPLIFY: {FrameType.PA_PARAMS: _on_pa_params, FrameType.PA_SEED: _on_pa_seed},
-        Phase.CONFIRM: {FrameType.VERIFY_TAG: _on_confirm_tag,
-                        FrameType.BLOCK_STATS: _on_block_stats},
-        _TAG_DUE: {FrameType.VERIFY_TAG: _on_confirm_tag},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1049,26 +985,7 @@ class BobSession(_Endpoint):
     """Streams tags, drives reconciliation and amplification."""
 
     role = "bob"
-
-    def _expect(self, *types: FrameType) -> Frame:
-        frame = self.transport.recv_frame()
-        if frame.type == FrameType.ABORT:
-            raise _peer_abort(frame)
-        if frame.type not in types:
-            raise _AbortSignal(
-                AbortReason.PROTOCOL_VIOLATION,
-                f"got {FrameType(frame.type).name}, expected "
-                + "/".join(t.name for t in types),
-            )
-        return frame
-
-    def _drive(self) -> None:
-        self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(1)))
-        if decode_hello(self._expect(FrameType.HELLO).payload) != 0:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "peer is not the matching side")
-        while self._run_block():
-            pass
-        self.phase = Phase.DONE
+    _hello, _peer = 1, "the matching side"
 
     def _run_block(self) -> bool:
         """One block; returns False when the data ended (session done)."""

@@ -1,6 +1,7 @@
 """Config parsing, CSV output, and command-line entry points."""
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -28,9 +29,9 @@ from bellqkd.cli import (
     parse_config,
 )
 import bellqkd.cli
-from bellqkd.physics import AttackConfig, ChannelConfig
+from bellqkd.physics import AttackConfig, ChannelConfig, _time_origin_ticks, boundary_slack_s
 from bellqkd.protocol import BlockStats, SessionConfig
-from bellqkd.timetag import read_tag_file, write_tag_file
+from bellqkd.timetag import read_tag_file, seconds_to_ticks, write_tag_file
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -89,6 +90,7 @@ def test_parse_errors_carry_line_numbers(text, lineno, needle):
     ("block_min_key_bits = 0", "block_min_key_bits"),
     ("segment_seconds = 0", "segment_seconds"),
     ("finite_deduction = -3", "finite_deduction"),
+    ("finite_deduction = 4294967296", "finite_deduction"),  # PA_PARAMS carries a u32
     ("rate_multiplier = 0", "rate_multiplier"),
     ("rate_multiplier = 1.2", "rate_multiplier"),
     ("transport = pigeon", "transport"),
@@ -374,6 +376,30 @@ def test_replay_in_small_chunks(recording, tmp_path, capsys, monkeypatch):
     assert f"error: {files['alice']}: record 1000: tick {ticks[1000]} is below " in err
 
 
+def test_replay_of_a_shorter_duration_reads_no_further_than_its_last_cut(recording,
+                                                                         monkeypatch):
+    # The recording is 1.5 s long.  A 1 s replay is one segment, cut at the
+    # 1 s boundary plus the boundary slack, and reads only the chunks up
+    # to the one that holds the cut.
+    monkeypatch.setattr(bellqkd.cli, "_CHUNK_RECORDS", 1000)
+    cfg = parse_config(_FAST_CONFIG.replace("duration = 2", "duration = 1"))
+    _, ticks, dets = read_tag_file(recording / "bob.tags")
+    cut_s = 1.0 + boundary_slack_s(cfg.channel)
+    cut = int(np.searchsorted(ticks, _time_origin_ticks(cfg.channel) + seconds_to_ticks(cut_s)))
+    assert cut < len(ticks) - 1000
+    read = []
+
+    def chunks():
+        for chunk in bellqkd.cli._read_chunks(str(recording / "bob.tags"), "bob"):
+            read.append(len(chunk[0]))
+            yield chunk
+
+    [(seg_ticks, seg_dets)] = bellqkd.cli._file_segments(chunks(), cfg)
+    np.testing.assert_array_equal(seg_ticks, ticks[:cut])
+    np.testing.assert_array_equal(seg_dets, dets[:cut])
+    assert sum(read) == (cut // 1000 + 1) * 1000
+
+
 def _peak_rss_mib(*args) -> float:
     """Run ``bellqkd <args>`` as a child process; its peak RSS in MiB."""
     env = dict(os.environ, PYTHONPATH=str(Path(bellqkd.cli.__file__).resolve().parents[1]))
@@ -402,6 +428,46 @@ def test_record_and_replay_memory_does_not_grow_with_duration(tmp_path):
         assert replayed.read_bytes() == live.read_bytes()
     for command in ("run", "replay"):
         assert peak[command, 40] - peak[command, 10] < 10, peak
+
+
+# Runs each (key, value) of argv[2] as `bellqkd run` on a config of
+# ``duration = 0.1`` plus that key, under a 2 GiB address-space limit, and
+# prints one JSON line per case: key, value, exit code (None if main
+# raised) and stderr.
+_SWEEP_CHILD = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from bellqkd.cli import main
+path, cases = sys.argv[1], json.loads(sys.argv[2])
+for key, value in cases:
+    with open(path, "w") as f:
+        f.write("\\n".join(f"{k} = {v}" for k, v in {"duration": 0.1, key: value}.items()))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path])
+    except BaseException:
+        code = None
+        err.write(traceback.format_exc())
+    print(json.dumps([key, value, code, err.getvalue()]), flush=True)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_every_numeric_key_ends_in_a_run_or_a_named_refusal(tmp_path):
+    values = ["nan", "inf", "-inf", "0", "-0.0", "1e300", str(2**64), "1e-300"]
+    cases = [(key, value) for key in bellqkd.cli._NUMBER_KEYS for value in values]
+    env = dict(os.environ, PYTHONPATH=str(Path(bellqkd.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD, str(tmp_path / "sweep.conf"),
+                           json.dumps(cases)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [tuple(r[:2]) for r in results] == cases
+    for key, value, code, err in results:
+        assert "Traceback" not in err and code in (0, 2, 3, 4, 5), (key, value, code, err)
+        if code == EXIT_CONFIG:
+            assert key in err, (key, value, err)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,5 @@
-"""Framing, transports, session state machine, end-to-end sessions."""
+"""Framing, transports, each endpoint replayed frame by frame, end-to-end sessions."""
 
-import copy
 import functools
 import hashlib
 import itertools
@@ -38,7 +37,6 @@ from bellqkd.protocol import (
     MatchAnnounce,
     PaParams,
     Phase,
-    ProtocolViolationError,
     QueueTransport,
     SessionConfig,
     SocketTransport,
@@ -404,53 +402,66 @@ def test_socket_transport_disconnect():
 
 
 # ---------------------------------------------------------------------------
-# Alice state machine, driven frame by frame
+# One endpoint against a pre-filled inbox
+
+
+def _replay(cls, frames, segments, cfg=SessionConfig(timeout=5.0)):
+    """Run ``cls`` against an inbox of Frames or raw bytes, closed after
+    the last; returns its result and the frames it sent."""
+    rx, tx = queue.Queue(), queue.Queue()
+    for frame in frames:
+        rx.put(frame if isinstance(frame, bytes) else encode_frame(frame.type, frame.payload))
+    rx.put(_CLOSED)
+    result = cls(QueueTransport(rx=rx, tx=tx, timeout=cfg.timeout), iter(segments), cfg).run()
+    sent = []
+    while (data := tx.get_nowait()) is not _CLOSED:
+        sent.append(decode_frame(data))
+    return result, sent
+
+
+_BOB_HELLO = Frame(FrameType.HELLO, encode_hello(1))
 
 
 def test_alice_hello_transition():
-    alice = AliceSession(transport=None, segments=iter([]))
-    out = alice.advance(Frame(FrameType.HELLO, encode_hello(1)))
-    assert out == []
-    assert alice.phase == Phase.SYNC
+    # after the peer's HELLO the next legal frame is a batch
+    result, sent = _replay(AliceSession, [_BOB_HELLO, _BOB_HELLO], [])
+    assert sent[0] == Frame(FrameType.HELLO, encode_hello(0))
+    assert [f.type for f in sent] == [FrameType.HELLO, FrameType.ABORT]
+    assert result.abort_message == "got HELLO, expected TIMETAG_BATCH"
 
 
 def test_alice_rejects_peer_claiming_wrong_role():
-    alice = AliceSession(transport=None, segments=iter([]))
-    out = alice.advance(Frame(FrameType.HELLO, encode_hello(0)))
-    assert alice.phase == Phase.ABORTED
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert out[0].type == FrameType.ABORT
+    result, sent = _replay(AliceSession, [Frame(FrameType.HELLO, encode_hello(0))], [])
+    assert result.phase == Phase.ABORTED
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == "peer is not the tag-sending side"
+    assert [f.type for f in sent] == [FrameType.HELLO, FrameType.ABORT]
 
 
 def test_alice_rejects_out_of_phase_frame():
-    alice = AliceSession(transport=None, segments=iter([]))
-    out = alice.advance(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(np.empty(0, np.uint8))))
-    assert alice.phase == Phase.ABORTED
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert out[0].type == FrameType.ABORT
-    reason, msg = decode_abort(out[0].payload)
-    assert reason == int(AbortReason.PROTOCOL_VIOLATION)
-    with pytest.raises(ProtocolViolationError):
-        alice.advance(Frame(FrameType.HELLO, encode_hello(1)))
+    reveal = Frame(FrameType.BELL_REVEAL, encode_bell_reveal(np.empty(0, np.uint8)))
+    result, sent = _replay(AliceSession, [reveal], [])
+    assert result.phase == Phase.ABORTED
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert sent[-1].type == FrameType.ABORT
+    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                              "got BELL_REVEAL, expected HELLO")
 
 
 def test_alice_empty_batch_ends_session():
-    alice = AliceSession(transport=None, segments=iter([]))
-    alice.advance(Frame(FrameType.HELLO, encode_hello(1)))
-    out = alice.advance(Frame(FrameType.TIMETAG_BATCH, b""))
-    assert alice.phase == Phase.DONE
-    assert MatchAnnounce.decode(out[0].payload).flag == ANNOUNCE_END
+    result, sent = _replay(AliceSession, [_BOB_HELLO, Frame(FrameType.TIMETAG_BATCH, b"")], [])
+    assert result.phase == Phase.DONE
+    assert [f.type for f in sent] == [FrameType.HELLO, FrameType.MATCH_ANNOUNCE]
+    assert MatchAnnounce.decode(sent[-1].payload).flag == ANNOUNCE_END
 
 
 def test_alice_rejects_bad_basis_codes():
-    alice = AliceSession(transport=None, segments=iter([
-        (np.array([100], np.uint64), np.array([1], np.uint8)),
-    ]))
-    alice.advance(Frame(FrameType.HELLO, encode_hello(1)))
+    segments = [(np.array([100], np.uint64), np.array([1], np.uint8))]
     batch = encode_timetag_batch(np.array([100], np.uint64), np.array([3], np.uint8))
-    out = alice.advance(Frame(FrameType.TIMETAG_BATCH, batch))
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert out[0].type == FrameType.ABORT
+    result, sent = _replay(AliceSession, [_BOB_HELLO, Frame(FrameType.TIMETAG_BATCH, batch)],
+                           segments)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert sent[-1].type == FrameType.ABORT
 
 
 # ---------------------------------------------------------------------------
@@ -596,58 +607,49 @@ def test_failed_reconciliation_drops_block_and_continues(monkeypatch):
 
 
 def test_bob_aborts_on_unexpected_frame_type():
-    t_alice, t_bob = inproc_pair(timeout=5.0)
     # scripted peer: correct HELLO, then an illegal frame instead of the
     # first MATCH_ANNOUNCE
-    t_alice.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
-    t_alice.send_frame(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(np.empty(0, np.uint8))))
+    reveal = Frame(FrameType.BELL_REVEAL, encode_bell_reveal(np.empty(0, np.uint8)))
     src = JointSegmentSource(_channel(duration=1.0))
-    result = run_session("bob", t_bob, src.segments("bob"), SessionConfig())
+    result, sent = _replay(BobSession, [Frame(FrameType.HELLO, encode_hello(0)), reveal],
+                           src.segments("bob"))
     assert result.phase == Phase.ABORTED
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    # the scripted peer received HELLO, one batch, and the ABORT
-    frames = []
-    while True:
-        try:
-            frames.append(t_alice.recv_frame())
-        except Exception:
-            break
-    assert frames[0].type == FrameType.HELLO
-    assert frames[-1].type == FrameType.ABORT
-    assert decode_abort(frames[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+    assert [f.type for f in sent] == [FrameType.HELLO, FrameType.TIMETAG_BATCH, FrameType.ABORT]
+    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                              "got BELL_REVEAL, expected MATCH_ANNOUNCE")
 
 
 @pytest.fixture(scope="module")
-def bob_transcript():
-    """Bob's frames of one short session, and a factory for a fresh Alice."""
+def transcripts():
+    """One short session.  Per endpoint class: the frames its peer sent,
+    its own segments and the config, the arguments of ``_replay``."""
     ch = _channel(duration=1.5)
-    b_out = []
-    _run(ch, recorders=(None, b_out.append), block_min_key_bits=2000)
-
-    def fresh_alice():
-        src = JointSegmentSource(ch)
-        cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
-        return AliceSession(transport=None, segments=src.segments("alice"), config=cfg)
-
-    return list(iter_frames(b"".join(b_out))), fresh_alice
+    a2b, b2a = [], []
+    _run(ch, recorders=(a2b.append, b2a.append), block_min_key_bits=2000)
+    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed, timeout=5.0)
+    src = JointSegmentSource(ch)
+    segments = {side: list(src.segments(side)) for side in ("alice", "bob")}
+    return {
+        AliceSession: (list(iter_frames(b"".join(b2a))), segments["alice"], cfg),
+        BobSession: (list(iter_frames(b"".join(a2b))), segments["bob"], cfg),
+    }
 
 
 @pytest.mark.parametrize("keep", [0, 1, 3, -1])
 @pytest.mark.parametrize("ftype", [FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE,
                                    FrameType.PARITY_REQUEST], ids=lambda t: t.name)
-def test_alice_aborts_on_truncated_reconciliation_payload(bob_transcript, ftype, keep):
-    frames, fresh_alice = bob_transcript
-    alice = fresh_alice()
-    for frame in frames:
-        if frame.type == ftype:
-            break
-        alice.advance(frame)
-    assert alice.phase == Phase.RECONCILE
-    out = alice.advance(Frame(ftype, frame.payload[:keep]))
-    assert alice.phase == Phase.ABORTED
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert out[0].type == FrameType.ABORT
-    assert decode_abort(out[0].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+def test_alice_aborts_on_truncated_reconciliation_payload(transcripts, ftype, keep):
+    frames, segments, cfg = transcripts[AliceSession]
+    at = [f.type for f in frames].index(ftype)
+    truncated = Frame(ftype, frames[at].payload[:keep])
+    result, sent = _replay(AliceSession, frames[:at] + [truncated], segments, cfg)
+    assert result.phase == Phase.ABORTED
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    # the frame was legal next: its payload, not its type, is refused
+    assert result.abort_message.startswith(f"bad {ftype.name} payload")
+    assert sent[-1].type == FrameType.ABORT
+    assert decode_abort(sent[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
 
 
 @pytest.mark.parametrize("keep", [0, 3, 4, -1])
@@ -739,86 +741,89 @@ def test_alice_refuses_block_stats_before_confirm_tag():
     assert frames[at].type == FrameType.VERIFY_TAG
     del frames[at]  # the confirm tag over the final key
 
-    alice = AliceSession(None, JointSegmentSource(ch).segments("alice"), cfg)
-    out = []
-    for frame in frames:
-        out += alice.advance(frame)
-        if alice.phase == Phase.ABORTED:
-            break
-    assert [f.type for f in out].count(FrameType.ABORT) == 1
-    assert out[-1].type == FrameType.ABORT
-    assert decode_abort(out[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
-    assert FrameType.BLOCK_STATS not in [f.type for f in out]
-    assert alice.key_bits == [] and alice.stats == []
+    result, sent = _replay(AliceSession, frames, JointSegmentSource(ch).segments("alice"), cfg)
+    assert [f.type for f in sent].count(FrameType.ABORT) == 1
+    assert sent[-1].type == FrameType.ABORT
+    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                              "got BLOCK_STATS, expected VERIFY_TAG")
+    assert FrameType.BLOCK_STATS not in [f.type for f in sent]
+    assert result.key_bytes() == b"" and result.stats == []
 
 
 def test_alice_aborts_on_unsorted_tag_batch():
-    alice = AliceSession(transport=None, segments=iter([
-        (np.array([100, 200], np.uint64), np.array([1, 1], np.uint8)),
-    ]))
-    alice.advance(Frame(FrameType.HELLO, encode_hello(1)))
+    segments = [(np.array([100, 200], np.uint64), np.array([1, 1], np.uint8))]
     batch = encode_timetag_batch(np.array([300, 200], np.uint64), np.array([0, 0], np.uint8))
-    out = alice.advance(Frame(FrameType.TIMETAG_BATCH, batch))
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert decode_abort(out[0].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
-                                            "tag times unsorted or out of range")
+    result, sent = _replay(AliceSession, [_BOB_HELLO, Frame(FrameType.TIMETAG_BATCH, batch)],
+                           segments)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                              "tag times unsorted or out of range")
 
 
 def test_bob_aborts_on_block_without_key_bits():
-    t_alice, t_bob = inproc_pair(timeout=5.0)
-    t_alice.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
     bell_only = MatchAnnounce(ANNOUNCE_BLOCK, 4000, 0, np.array([0], np.uint32),
                               np.array([0], np.uint32), np.array([1], np.uint8))
-    t_alice.send_frame(Frame(FrameType.MATCH_ANNOUNCE, bell_only.encode()))
     src = JointSegmentSource(_channel(duration=1.0))
-    result = run_session("bob", t_bob, src.segments("bob"), SessionConfig())
+    result, _ = _replay(BobSession, [Frame(FrameType.HELLO, encode_hello(0)),
+                                     Frame(FrameType.MATCH_ANNOUNCE, bell_only.encode())],
+                        src.segments("bob"))
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == "block without key bits"
 
 
 def test_bob_aborts_on_unknown_announce_flag():
-    t_alice, t_bob = inproc_pair(timeout=5.0)
-    t_alice.send_frame(Frame(FrameType.HELLO, encode_hello(0)))
     good = MatchAnnounce(ANNOUNCE_CONTINUE).encode()
-    t_alice.send_frame(Frame(FrameType.MATCH_ANNOUNCE, bytes([7]) + good[1:]))
     src = JointSegmentSource(_channel(duration=1.0))
-    result = run_session("bob", t_bob, src.segments("bob"), SessionConfig())
+    result, sent = _replay(BobSession, [Frame(FrameType.HELLO, encode_hello(0)),
+                                        Frame(FrameType.MATCH_ANNOUNCE, bytes([7]) + good[1:])],
+                           src.segments("bob"))
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    frames = []
-    while True:
-        try:
-            frames.append(t_alice.recv_frame())
-        except Exception:
-            break
-    assert [f.type for f in frames] == [FrameType.HELLO, FrameType.TIMETAG_BATCH,
-                                        FrameType.ABORT]
-    assert decode_abort(frames[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+    assert [f.type for f in sent] == [FrameType.HELLO, FrameType.TIMETAG_BATCH, FrameType.ABORT]
+    assert decode_abort(sent[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
 
 
-def test_alice_refuses_parity_request_beyond_the_passes(bob_transcript):
-    frames, fresh_alice = bob_transcript
-    alice = fresh_alice()
-    for frame in frames:
-        if frame.type == FrameType.PARITY_REQUEST:
-            break
-        alice.advance(frame)
-    ranges = frame_to_cascade_msg(frame).ranges
-    out = alice.advance(cascade_msg_to_frame(ParityRequestMsg(CascadeParams().passes, ranges)))
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert [f.type for f in out] == [FrameType.ABORT]
+def test_alice_refuses_parity_request_beyond_the_passes(transcripts):
+    frames, segments, cfg = transcripts[AliceSession]
+    at = [f.type for f in frames].index(FrameType.PARITY_REQUEST)
+    passes = CascadeParams().passes
+    beyond = ParityRequestMsg(passes, frame_to_cascade_msg(frames[at]).ranges)
+    result, sent = _replay(AliceSession, frames[:at] + [cascade_msg_to_frame(beyond)],
+                           segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == f"parity request for pass {passes} of only {passes}"
+    assert sent[-1].type == FrameType.ABORT
+    assert FrameType.PARITY_RESPONSE not in [f.type for f in sent]
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("repeat", "got PA_PARAMS, expected PA_SEED"),
+    ("seed-first", "got PA_SEED, expected PA_PARAMS"),
+])
+def test_alice_takes_pa_params_once_and_before_the_seed(transcripts, edit, message):
+    frames, segments, cfg = transcripts[AliceSession]
+    at = [f.type for f in frames].index(FrameType.PA_PARAMS)
+    assert frames[at + 1].type == FrameType.PA_SEED
+    if edit == "repeat":
+        frames = frames[:at + 1] + frames[at:]
+    else:
+        frames = frames[:at] + [frames[at + 1], frames[at]] + frames[at + 2:]
+    result, sent = _replay(AliceSession, frames, segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == message
+    assert sent[-1].type == FrameType.ABORT
 
 
 @pytest.mark.parametrize("tag", [b"", b"\x00\x01\x02"], ids=["0-bytes", "3-bytes"])
-def test_short_confirm_tag_is_a_protocol_violation(bob_transcript, tag):
-    frames, fresh_alice = bob_transcript
+def test_short_confirm_tag_is_a_protocol_violation(transcripts, tag):
+    frames, segments, cfg = transcripts[AliceSession]
     at = [f.type for f in frames].index(FrameType.PA_SEED) + 1
     assert frames[at].type == FrameType.VERIFY_TAG  # the confirm tag
-    alice = fresh_alice()
-    for frame in frames[:at]:
-        alice.advance(frame)
-    out = alice.advance(Frame(FrameType.VERIFY_TAG, tag))
-    assert alice.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert [f.type for f in out] == [FrameType.ABORT]
+    result, sent = _replay(AliceSession, frames[:at] + [Frame(FrameType.VERIFY_TAG, tag)],
+                           segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert sent[-1].type == FrameType.ABORT
+    # no status answers it: the one VERIFY_TAG sent closed reconciliation
+    assert [f.type for f in sent].count(FrameType.VERIFY_TAG) == 1
 
 
 def test_abort_message_kept_on_both_sides():
@@ -925,19 +930,6 @@ def test_session_config_validation():
             SessionConfig(**kw)
 
 
-@pytest.fixture(scope="module")
-def alice_in_each_phase(bob_transcript):
-    """Phase -> (Alice as she enters it, the frame the transcript sends next)."""
-    frames, fresh_alice = bob_transcript
-    alice = fresh_alice()
-    alice.segments = iter(list(alice.segments))  # a list iterator deep-copies
-    snapshots = {}
-    for frame in frames:
-        snapshots.setdefault(alice.phase, (copy.deepcopy(alice), frame))
-        alice.advance(frame)
-    return snapshots
-
-
 def _mutated_payload(data, payload: bytes) -> bytes:
     kind = data.draw(st.sampled_from(["keep", "truncate", "extend", "flip", "random"]))
     if kind == "truncate":
@@ -952,74 +944,28 @@ def _mutated_payload(data, payload: bytes) -> bytes:
     return payload
 
 
-@given(data=st.data())
-@settings(max_examples=1000, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_alice_advance_never_raises(alice_in_each_phase, data):
-    phases = [Phase.HELLO, Phase.SYNC, Phase.BELL, Phase.RECONCILE, Phase.AMPLIFY, Phase.CONFIRM]
-    assert set(phases) <= set(alice_in_each_phase)
-    snapshot, real = alice_in_each_phase[data.draw(st.sampled_from(phases))]
-    alice = copy.deepcopy(snapshot)
-    ftype = data.draw(st.one_of(st.just(real.type), st.sampled_from(list(FrameType))))
-    out = alice.advance(Frame(ftype, _mutated_payload(data, real.payload)))
-
-    assert isinstance(out, list) and all(isinstance(f, Frame) for f in out)
-    aborts = [f for f in out if f.type == FrameType.ABORT]
-    if aborts:
-        assert out == aborts[:1] and alice.phase == Phase.ABORTED
-        decode_abort(aborts[0].payload)
-    if alice.phase in (Phase.DONE, Phase.ABORTED):
-        with pytest.raises(ProtocolViolationError):
-            alice.advance(real)
-
-
-@pytest.fixture(scope="module")
-def alice_transcript():
-    """Alice's frames of one short session, and Bob's segments for a replay."""
-    ch = _channel(duration=1.5)
-    a_out = []
-    _run(ch, recorders=(a_out.append, None), block_min_key_bits=2000)
-    segments = list(JointSegmentSource(ch).segments("bob"))
-    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed, timeout=5.0)
-    return list(iter_frames(b"".join(a_out))), segments, cfg
-
-
-def _bob_replay(frames, segments, cfg):
-    """Run Bob against a pre-filled inbox; returns his result and his frames."""
-    rx, tx = queue.Queue(), queue.Queue()
-    for data in frames:
-        rx.put(data)
-    rx.put(_CLOSED)
-    result = BobSession(QueueTransport(rx=rx, tx=tx, timeout=cfg.timeout),
-                        iter(segments), cfg).run()
-    sent = []
-    while (data := tx.get_nowait()) is not _CLOSED:
-        sent.append(decode_frame(data))
-    return result, sent
-
-
-def test_bob_replays_alice_transcript(alice_transcript):
-    frames, segments, cfg = alice_transcript
-    result, _ = _bob_replay([encode_frame(f.type, f.payload) for f in frames], segments, cfg)
+def test_bob_replays_alice_transcript(transcripts):
+    result, sent = _replay(BobSession, *transcripts[BobSession])
     assert result.done and len(result.stats) >= 1
+    assert sent == transcripts[AliceSession][0]
 
 
-def test_bob_refuses_a_tag_in_place_of_the_confirm_status(alice_transcript):
-    frames, segments, cfg = alice_transcript
+def test_bob_refuses_a_tag_in_place_of_the_confirm_status(transcripts):
+    frames, segments, cfg = transcripts[BobSession]
     at = [k for k, f in enumerate(frames) if f.type == FrameType.VERIFY_TAG][1]
-    encoded = [encode_frame(f.type, f.payload) for f in frames]
-    encoded[at] = encode_frame(FrameType.VERIFY_TAG, b"\x01" * 8)
-    result, sent = _bob_replay(encoded, segments, cfg)
+    frames = frames[:at] + [Frame(FrameType.VERIFY_TAG, b"\x01" * 8)] + frames[at + 1:]
+    result, sent = _replay(BobSession, frames, segments, cfg)
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == "expected a tag status"
     assert sent[-1].type == FrameType.ABORT
 
 
+@pytest.mark.parametrize("cls", [AliceSession, BobSession], ids=["alice", "bob"])
 @given(data=st.data())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_bob_run_never_raises(alice_transcript, data):
-    frames, segments, cfg = alice_transcript
+def test_endpoint_never_raises(transcripts, cls, data):
+    frames, segments, cfg = transcripts[cls]
     encoded = [encode_frame(f.type, f.payload) for f in frames]
     # each frame type is as likely as any other, however often it occurs
     ftype = data.draw(st.sampled_from(sorted({f.type for f in frames})))
@@ -1040,7 +986,7 @@ def test_bob_run_never_raises(alice_transcript, data):
     else:  # bytes that need not decode as a frame at all
         encoded[i] = data.draw(st.binary(max_size=32))
 
-    result, sent = _bob_replay(encoded, segments, cfg)
+    result, sent = _replay(cls, encoded, segments, cfg)
 
     assert result.phase in (Phase.DONE, Phase.ABORTED)
     aborts = [f for f in sent if f.type == FrameType.ABORT]
