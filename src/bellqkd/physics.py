@@ -262,6 +262,20 @@ def route_detection(side: str, rng: np.random.Generator, size: Optional[int] = N
     raise ValueError("side must be 'alice' or 'bob'")
 
 
+def _correlation_table(channel: ChannelConfig, attack: AttackConfig) -> np.ndarray:
+    """E by (attacked, Alice setting, Bob setting), for outcome sampling."""
+    a_ang = np.asarray(ALICE_ANGLES)[:, None]
+    b_ang = np.asarray(BOB_ANGLES)[None, :]
+    base = -np.cos(_as_angle_rad2(a_ang - b_ang))
+    hv = ((np.arange(len(ALICE_ANGLES)) == AliceSetting.KEY)[:, None]
+          & (np.arange(len(BOB_ANGLES)) == BobSetting.KEY)[None, :])
+    vis = np.where(hv, channel.visibility_hv, channel.visibility_diag)
+    e_ir = -np.cos(_as_angle_rad2(a_ang - attack.attack_basis)) * np.cos(
+        _as_angle_rad2(b_ang - attack.attack_basis)
+    )
+    return np.stack([vis * base, e_ir])
+
+
 def _pair_correlation(
     a_set: np.ndarray,
     b_set: np.ndarray,
@@ -270,18 +284,7 @@ def _pair_correlation(
     attack: AttackConfig,
 ) -> np.ndarray:
     """Per-pair correlation coefficient E for outcome sampling."""
-    a_ang = np.asarray(ALICE_ANGLES)[a_set]
-    b_ang = np.asarray(BOB_ANGLES)[b_set]
-    base = -np.cos(_as_angle_rad2(a_ang - b_ang))
-    hv = (a_set == AliceSetting.KEY) & (b_set == BobSetting.KEY)
-    vis = np.where(hv, channel.visibility_hv, channel.visibility_diag)
-    e_pair = vis * base
-    if attack.intercept_fraction > 0.0:
-        e_ir = -np.cos(_as_angle_rad2(a_ang - attack.attack_basis)) * np.cos(
-            _as_angle_rad2(b_ang - attack.attack_basis)
-        )
-        e_pair = np.where(attacked, e_ir, e_pair)
-    return e_pair
+    return _correlation_table(channel, attack)[attacked.view(np.uint8), a_set, b_set]
 
 
 def analytic_chsh(channel: ChannelConfig, attack: AttackConfig = AttackConfig()) -> float:
@@ -323,6 +326,19 @@ def boundary_slack_s(channel: ChannelConfig) -> float:
     return abs(channel.bob_delay) * 1e-9 + 10.0 * channel.jitter_sigma * 1e-9 + 1e-6
 
 
+# A tag's sort key is its tick less the raw segment's first boundary tick,
+# shifted left by _CODE_BITS, with a detector code below: 0 for a pair tag,
+# the detector id for a background tag.  Keys fit an int64 while that
+# offset stays below MAX_KEY_SPAN in magnitude.
+_CODE_BITS = 3
+MAX_KEY_SPAN = 1 << 60
+
+
+def _keys_fit(channel: ChannelConfig, span_s: float) -> bool:
+    """Whether every tag of a raw segment spanning ``span_s`` has a key."""
+    return (span_s + boundary_slack_s(channel)) / TICK_SECONDS < MAX_KEY_SPAN
+
+
 def segment_count(duration: float, segment_seconds: float) -> int:
     # Past 2**62 segments of over 1 us each the run is refused anyway; the
     # clamp keeps an overflowing quotient from raising.
@@ -331,7 +347,8 @@ def segment_count(duration: float, segment_seconds: float) -> int:
 
 def check_run_bounds(channel: ChannelConfig, segment_seconds: float) -> None:
     """Refuse, naming its key, a run whose segments would not fit in bounded
-    memory or whose ticks would pass ``timetag.MAX_TICK``."""
+    memory or in ``generate_event_streams``' int64 sort keys, or whose
+    ticks would pass ``timetag.MAX_TICK``."""
     if segment_seconds <= 0:
         raise RangeError("segment_seconds", "segment_seconds must be > 0")
     slack_s = boundary_slack_s(channel)
@@ -345,6 +362,11 @@ def check_run_bounds(channel: ChannelConfig, segment_seconds: float) -> None:
         key = "pair_rate" if channel.pair_rate >= 6 * channel.background_rate else "background_rate"
         raise RangeError(key, "expected Alice tags per segment, (pair_rate + 6 * background_rate)"
                               f" * min(segment_seconds, duration) = {tags:.4g}, must be below 2**22")
+    # one microsecond more covers the rounding of a raw segment's ends
+    if not _keys_fit(channel, min(segment_seconds, channel.duration) + 1e-6):
+        raise RangeError("segment_seconds", "a segment's span, min(segment_seconds, duration),"
+                                            " plus the boundary slack must stay below 2**60 ticks"
+                                            f" ({MAX_KEY_SPAN * TICK_SECONDS:.4g} s)")
     limit_s = (MAX_TICK - _time_origin_ticks(channel)) * TICK_SECONDS
     if segment_count(channel.duration, segment_seconds) * segment_seconds + slack_s >= limit_s:
         key = "duration" if channel.duration >= segment_seconds else "segment_seconds"
@@ -385,9 +407,8 @@ def _sample_pairs(
 
 
 def _detector_ids(settings, outcomes, detector_table) -> np.ndarray:
-    plus = np.array([pair[0] for pair in detector_table], dtype=np.uint8)
-    minus = np.array([pair[1] for pair in detector_table], dtype=np.uint8)
-    return np.where(outcomes > 0, plus[settings], minus[settings]).astype(np.uint8)
+    # column 0 holds each setting's "+1" detector, column 1 its "-1" one
+    return np.array(detector_table, dtype=np.uint8)[settings, (outcomes < 0).view(np.uint8)]
 
 
 def _background(
@@ -398,29 +419,58 @@ def _background(
     t1: float,
     offset_s: float,
 ):
-    """Uncorrelated events on every detector, grouped by detector.
-
-    Each group is time-sorted (same draws, same order of draws), so the
-    stable sort of the whole stream merges a few sorted runs.  Equal
-    times inside a group carry the same detector id, so sorting them
-    first cannot change the merged stream.
-    """
-    times = []
-    dets = []
+    """Uncorrelated event times on every detector, one unsorted run per
+    detector in ``detector_table`` order, paired with its id."""
+    runs = []
     for plus, minus in detector_table:
         for det in (plus, minus):
             k = rng.poisson(rate * (t1 - t0))
-            times.append(np.sort(rng.uniform(t0, t1, k)) + offset_s)
-            dets.append(np.full(k, det, dtype=np.uint8))
-    if not times:
-        return np.empty(0), np.empty(0, dtype=np.uint8)
-    return np.concatenate(times), np.concatenate(dets)
+            times = rng.uniform(t0, t1, k)
+            times += offset_s
+            runs.append((times, det))
+    return runs
 
 
-def _to_ticks(times_s: np.ndarray, origin_tick: int) -> np.ndarray:
-    ticks = np.rint(times_s / TICK_SECONDS).astype(np.int64) + origin_tick
-    np.maximum(ticks, 0, out=ticks)
-    return ticks.astype(np.uint64)
+def _to_ticks(times_s: np.ndarray, origin_tick: int, base: int, out: np.ndarray) -> np.ndarray:
+    """Write each time's tick, ``max(rint(times_s / TICK_SECONDS) + origin_tick, 0)``,
+    less ``base`` to the int64 ``out`` and return it; ``times_s`` is
+    scaled in place."""
+    np.divide(times_s, TICK_SECONDS, out=times_s)
+    np.rint(times_s, out=out, casting="unsafe")
+    out += origin_tick - base
+    np.maximum(out, -base, out=out)
+    return out
+
+
+def _side_stream(pair_times, pair_dets, background, origin_tick: int, base: int):
+    """One station's time-sorted (ticks, detectors) from its runs.
+
+    ``pair_times`` are the detected pair tags' times in emission order,
+    ``background`` is ``_background``'s runs.  Sorting the keys orders
+    equal ticks as a stable sort of the runs concatenated in that order
+    would: pair tags first, then background by detector id, and tags
+    with equal keys are alike.  The pair tags' ids go back into the
+    code-0 slots in the order of a stable sort of the pair run alone.
+    """
+    n_pair = len(pair_times)
+    keys = np.empty(n_pair + sum(len(t) for t, _ in background), dtype=np.int64)
+    _to_ticks(pair_times, origin_tick, base, keys[:n_pair])
+    keys[:n_pair] <<= _CODE_BITS
+    pair_order = np.argsort(keys[:n_pair], kind="stable")
+    start = n_pair
+    for times, det in background:
+        run = keys[start:start + len(times)]
+        _to_ticks(times, origin_tick, base, run)
+        run <<= _CODE_BITS
+        run |= det
+        start += len(times)
+    keys.sort()
+    dets = keys.astype(np.uint8)  # the low byte holds the code
+    dets &= (1 << _CODE_BITS) - 1
+    dets[np.flatnonzero(dets == 0)] = pair_dets[pair_order]
+    keys >>= _CODE_BITS
+    keys += base
+    return keys.view(np.uint64), dets
 
 
 def generate_event_streams(
@@ -434,35 +484,35 @@ def generate_event_streams(
     """Simulate one acquisition and return both stations' tag streams.
 
     Deterministic for a fixed config: the sampler is seeded from
-    ``channel.rng_seed`` unless an explicit generator is passed.
+    ``channel.rng_seed`` unless an explicit generator is passed.  Each
+    side's runs (the detected pair tags, then each detector's
+    background) are written as int64 keys into one array and put in
+    time order by one unstable sort; ``_side_stream`` says why that
+    order is the stable one.  Raises ValueError when ``t_stop - t_start``
+    plus the boundary slack reaches 2**60 ticks, past which the keys
+    would overflow.
     """
     rng = rng if rng is not None else np.random.default_rng(channel.rng_seed)
     t0 = t_start
     t1 = channel.duration if t_stop is None else t_stop
+    if not _keys_fit(channel, t1 - t0):
+        raise ValueError("t_stop - t_start plus the boundary slack must stay below 2**60 ticks")
     origin = _time_origin_ticks(channel)
+    base = origin + seconds_to_ticks(t0)
 
     (t_emit, attacked, a_set, b_set, a_out, b_out,
      a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
-
-    a_pair_ticks = _to_ticks(t_a, origin)
-    b_pair_ticks = _to_ticks(t_b, origin)
-    a_pair_det = _detector_ids(a_set, a_out, ALICE_DETECTORS)
-    b_pair_det = _detector_ids(b_set, b_out, BOB_DETECTORS)
-
-    bg_a_t, bg_a_d = _background(channel.background_rate, ALICE_DETECTORS, rng, t0, t1, 0.0)
-    bg_b_t, bg_b_d = _background(
-        channel.background_rate, BOB_DETECTORS, rng, t0, t1, channel.bob_delay * 1e-9
-    )
-
-    a_ticks = np.concatenate([a_pair_ticks[a_flag], _to_ticks(bg_a_t, origin)])
-    a_dets = np.concatenate([a_pair_det[a_flag], bg_a_d])
-    b_ticks = np.concatenate([b_pair_ticks[b_flag], _to_ticks(bg_b_t, origin)])
-    b_dets = np.concatenate([b_pair_det[b_flag], bg_b_d])
-
-    order_a = np.argsort(a_ticks, kind="stable")
-    order_b = np.argsort(b_ticks, kind="stable")
-    a_ticks, a_dets = a_ticks[order_a], a_dets[order_a]
-    b_ticks, b_dets = b_ticks[order_b], b_dets[order_b]
+    # Alice's background is drawn before Bob's; each side's runs are
+    # assembled as soon as they are drawn.
+    a_ticks, a_dets = _side_stream(
+        t_a[a_flag], _detector_ids(a_set[a_flag], a_out[a_flag], ALICE_DETECTORS),
+        _background(channel.background_rate, ALICE_DETECTORS, rng, t0, t1, 0.0),
+        origin, base)
+    b_ticks, b_dets = _side_stream(
+        t_b[b_flag], _detector_ids(b_set[b_flag], b_out[b_flag], BOB_DETECTORS),
+        _background(channel.background_rate, BOB_DETECTORS, rng, t0, t1,
+                    channel.bob_delay * 1e-9),
+        origin, base)
 
     truth = None
     if ground_truth:
@@ -473,8 +523,8 @@ def generate_event_streams(
             bob_outcome=b_out,
             alice_detected=a_flag,
             bob_detected=b_flag,
-            alice_tick=a_pair_ticks,
-            bob_tick=b_pair_ticks,
+            alice_tick=_to_ticks(t_a, origin, 0, np.empty(len(t_a), np.int64)).view(np.uint64),
+            bob_tick=_to_ticks(t_b, origin, 0, np.empty(len(t_b), np.int64)).view(np.uint64),
             attacked=attacked,
         )
     return EventStreams(a_ticks, a_dets, b_ticks, b_dets, channel, truth)
@@ -507,9 +557,13 @@ class JointSegmentSource:
     time-sorted full stream.  Memory stays bounded by a couple of
     segments regardless of run length.
 
-    Per raw segment the work is the pair sampling and one stable sort
-    per side, which merges the pair tags (in emission order up to
-    jitter) with the per-detector background runs (each drawn sorted).
+    Per raw segment the work is the pair and background draws and one
+    in-place sort of int64 keys per side, which puts the pair tags (in
+    emission order up to jitter) and the per-detector background runs
+    (drawn unsorted) in the order a stable sort would give them; see
+    ``generate_event_streams``.  The raw segment's keys count ticks from
+    its first boundary, so they fit an int64 while a segment spans less
+    than 2**60 ticks, which ``check_run_bounds`` requires.
     The carried-over tags stay sorted, and each raw segment is appended
     by ``_merge_sorted``, which sorts only the few tags where the two
     runs overlap: those that jitter and the Bob delay carry across a

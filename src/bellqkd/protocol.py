@@ -24,9 +24,10 @@ Error contract.  Every failure ends the session in one recorded abort,
 ``SessionResult.abort_reason`` plus ``abort_message``:
 
 - a failed check (|S| <= 2, a key tag, a parameter or BlockStats
-  mismatch, a frame that is not legal next) aborts with its own
-  reason: INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK or
-  PROTOCOL_VIOLATION;
+  mismatch, a frame that is not legal next, a block that outgrows the
+  u32 match indices of MATCH_ANNOUNCE) aborts with its own reason:
+  INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK, PROTOCOL_VIOLATION or
+  BLOCK_TOO_LARGE;
 - ``MalformedFrameError`` (bytes that do not decode) and the
   reconciler's ``ChannelClosedError`` abort with PROTOCOL_VIOLATION;
 - ``PeerDisconnectedError`` and ``SessionTimeoutError`` abort with the
@@ -106,6 +107,7 @@ _PA_SEED_TAG = 0x70E9
 _CONFIRM_SEED_TAG = 0xC0F1
 
 _MATCH_RECORD = np.dtype([("a", "<u4"), ("b", "<u4"), ("cls", "u1")])
+_MAX_BLOCK_TAGS = 1 << 32  # tags per side a block's u32 match indices can address
 
 
 class FrameType(IntEnum):
@@ -145,6 +147,7 @@ class AbortReason(IntEnum):
     # Local-only codes (never sent in an ABORT frame):
     PEER_DISCONNECTED = 6
     TIMEOUT = 7
+    BLOCK_TOO_LARGE = 8  # sent, as 1-5 are
 
 
 # MATCH_ANNOUNCE flags
@@ -944,6 +947,10 @@ class AliceSession(_Endpoint):
 
     def _process_segment(self, a_ticks, a_dets, b_ticks, b_codes) -> None:
         blk = self._block
+        if max(blk.a_base + len(a_ticks), blk.b_base + len(b_ticks)) > _MAX_BLOCK_TAGS:
+            raise _AbortSignal(AbortReason.BLOCK_TOO_LARGE,
+                               f"block {blk.index} would pass {_MAX_BLOCK_TAGS} tags on one side,"
+                               " more than the match indices address; lower block_min_key_bits")
         ia, ib = match_coincidences(a_ticks, b_ticks, self.delay, _WINDOW)
         cls = np.asarray(classify(a_dets[ia], _basis_to_detector(b_codes[ib])), dtype=np.uint8)
         blk.a_idx.append((blk.a_base + ia).astype(np.uint32))

@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Nothing in here imports the package under test, except the former
-``find_delay``, which shares the current histogram helpers.  Each other
+``find_delay``, which shares the current histogram helpers, and the
+former stream assembly, which shares the current pair draws.  Each other
 function derives its answer from first principles (state vectors,
 explicit matrices, plain loops) so the unit tests compare two genuinely
 different routes to the same number.
@@ -10,7 +11,20 @@ different routes to the same number.
 import mpmath as mp
 import numpy as np
 
+from bellqkd.physics import (
+    ALICE_ANGLES,
+    ALICE_DETECTORS,
+    BOB_ANGLES,
+    BOB_DETECTORS,
+    AliceSetting,
+    BobSetting,
+    EventStreams,
+    GroundTruth,
+    _sample_pairs,
+    _time_origin_ticks,
+)
 from bellqkd.timetag import (
+    TICK_SECONDS,
     DelayEstimate,
     NoPeakError,
     WindowConfig,
@@ -421,3 +435,91 @@ def find_delay_200k_tags(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: Wi
         delay = float((weights * positions).sum() / weights.sum())
     return DelayEstimate(int(round(delay)), confidence)
 
+
+
+# ---------------------------------------------------------------------------
+# The former stream assembly of ``physics.generate_event_streams``, kept
+# unchanged as the reference: per-detector float sorts, tick copies, the
+# concatenation of each side's runs and one stable argsort per side.  The
+# pair draws are the package's own ``_sample_pairs``; the per-pair
+# correlation and detector-id kernels it replaced have their references
+# here too.
+
+
+def pair_correlation_by_angles(a_set, b_set, attacked, channel, attack) -> np.ndarray:
+    """Per-pair correlation coefficient E, computed pair by pair."""
+    a_ang = np.asarray(ALICE_ANGLES)[a_set]
+    b_ang = np.asarray(BOB_ANGLES)[b_set]
+    base = -np.cos(2.0 * np.deg2rad(a_ang - b_ang))
+    hv = (a_set == AliceSetting.KEY) & (b_set == BobSetting.KEY)
+    vis = np.where(hv, channel.visibility_hv, channel.visibility_diag)
+    e_pair = vis * base
+    if attack.intercept_fraction > 0.0:
+        e_ir = -np.cos(2.0 * np.deg2rad(a_ang - attack.attack_basis)) * np.cos(
+            2.0 * np.deg2rad(b_ang - attack.attack_basis)
+        )
+        e_pair = np.where(attacked, e_ir, e_pair)
+    return e_pair
+
+
+def detector_ids_by_where(settings, outcomes, detector_table) -> np.ndarray:
+    plus = np.array([pair[0] for pair in detector_table], dtype=np.uint8)
+    minus = np.array([pair[1] for pair in detector_table], dtype=np.uint8)
+    return np.where(outcomes > 0, plus[settings], minus[settings]).astype(np.uint8)
+
+
+def _background_sorted_runs(rate, detector_table, rng, t0, t1, offset_s):
+    times = []
+    dets = []
+    for plus, minus in detector_table:
+        for det in (plus, minus):
+            k = rng.poisson(rate * (t1 - t0))
+            times.append(np.sort(rng.uniform(t0, t1, k)) + offset_s)
+            dets.append(np.full(k, det, dtype=np.uint8))
+    if not times:
+        return np.empty(0), np.empty(0, dtype=np.uint8)
+    return np.concatenate(times), np.concatenate(dets)
+
+
+def _to_ticks_copy(times_s, origin_tick):
+    ticks = np.rint(times_s / TICK_SECONDS).astype(np.int64) + origin_tick
+    np.maximum(ticks, 0, out=ticks)
+    return ticks.astype(np.uint64)
+
+
+def generate_event_streams_stable_sorts(channel, attack, ground_truth=True, rng=None,
+                                        t_start=0.0, t_stop=None) -> EventStreams:
+    """Both stations' streams: concatenate every run, stable-argsort each side."""
+    rng = rng if rng is not None else np.random.default_rng(channel.rng_seed)
+    t0 = t_start
+    t1 = channel.duration if t_stop is None else t_stop
+    origin = _time_origin_ticks(channel)
+
+    (t_emit, attacked, a_set, b_set, a_out, b_out,
+     a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
+
+    a_pair_ticks = _to_ticks_copy(t_a, origin)
+    b_pair_ticks = _to_ticks_copy(t_b, origin)
+    a_pair_det = detector_ids_by_where(a_set, a_out, ALICE_DETECTORS)
+    b_pair_det = detector_ids_by_where(b_set, b_out, BOB_DETECTORS)
+
+    bg_a_t, bg_a_d = _background_sorted_runs(channel.background_rate, ALICE_DETECTORS,
+                                             rng, t0, t1, 0.0)
+    bg_b_t, bg_b_d = _background_sorted_runs(channel.background_rate, BOB_DETECTORS,
+                                             rng, t0, t1, channel.bob_delay * 1e-9)
+
+    a_ticks = np.concatenate([a_pair_ticks[a_flag], _to_ticks_copy(bg_a_t, origin)])
+    a_dets = np.concatenate([a_pair_det[a_flag], bg_a_d])
+    b_ticks = np.concatenate([b_pair_ticks[b_flag], _to_ticks_copy(bg_b_t, origin)])
+    b_dets = np.concatenate([b_pair_det[b_flag], bg_b_d])
+
+    order_a = np.argsort(a_ticks, kind="stable")
+    order_b = np.argsort(b_ticks, kind="stable")
+    a_ticks, a_dets = a_ticks[order_a], a_dets[order_a]
+    b_ticks, b_dets = b_ticks[order_b], b_dets[order_b]
+
+    truth = None
+    if ground_truth:
+        truth = GroundTruth(a_set, b_set, a_out, b_out, a_flag, b_flag,
+                            a_pair_ticks, b_pair_ticks, attacked)
+    return EventStreams(a_ticks, a_dets, b_ticks, b_dets, channel, truth)

@@ -29,7 +29,9 @@ from bellqkd.cli import (
     parse_config,
 )
 import bellqkd.cli
-from bellqkd.physics import AttackConfig, ChannelConfig, _time_origin_ticks, boundary_slack_s
+import bellqkd.protocol
+from bellqkd.physics import (AttackConfig, ChannelConfig, JointSegmentSource, _time_origin_ticks,
+                             boundary_slack_s)
 from bellqkd.protocol import BlockStats, SessionConfig
 from bellqkd.timetag import read_tag_file, seconds_to_ticks, write_tag_file
 
@@ -510,6 +512,26 @@ def test_insecure_run_prints_abort_lines(tmp_path, capsys):
         assert re.search(rf"^{side}: INSECURE_REGIME: \|S\| = \d\.\d{{4}} <= 2$", err, re.M)
 
 
+def test_block_past_the_match_index_limit_aborts_on_both_sides(tmp_path, capsys, monkeypatch):
+    # MATCH_ANNOUNCE addresses a block's tags with u32 indices.  With the
+    # limit lowered to this run's Alice tag count the one block still
+    # fits; one tag fewer and Alice ends it by name instead of wrapping.
+    path = tmp_path / "exp.conf"
+    path.write_text(_FAST_CONFIG)
+    channel = parse_config(_FAST_CONFIG).channel
+    alice_tags = sum(len(t) for t, _ in JointSegmentSource(channel).segments("alice"))
+    monkeypatch.setattr(bellqkd.protocol, "_MAX_BLOCK_TAGS", alice_tags)
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(bellqkd.protocol, "_MAX_BLOCK_TAGS", alice_tags - 1)
+    assert main(["run", "--config", str(path)]) == EXIT_TRANSPORT
+    out, err = capsys.readouterr()
+    assert out.strip() == ",".join(CSV_COLUMNS)
+    for side in ("alice", "bob"):
+        assert re.search(rf"^{side}: BLOCK_TOO_LARGE: block 0 would pass {alice_tags - 1} tags on one"
+                         " side, .*; lower block_min_key_bits$", err, re.M)
+
+
 @pytest.mark.parametrize("duration", ["1", "2"])
 def test_run_without_delay_peak_exits_no_peak(tmp_path, capsys, duration):
     # Pair-free streams have no correlation peak.  With 1 s the data ends
@@ -543,6 +565,20 @@ def test_bad_config_file_exits_config_error(tmp_path, capsys):
     assert "pair_rate" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.conf")]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seconds, code", [("1.44e8", EXIT_OK), ("1.442e8", EXIT_CONFIG)])
+def test_segment_span_at_the_sort_key_bound(tmp_path, capsys, seconds, code):
+    # A raw segment's ticks are sorted as int64 keys of (tick - segment
+    # start) << 3: its span plus the boundary slack must stay below 2**60
+    # ticks, 1.441e8 s.  Without tags the run below it ends at once.
+    path = tmp_path / "long.conf"
+    path.write_text(f"pair_rate = 0\nbackground_rate = 0\nduration = {seconds}\n"
+                    f"segment_seconds = {seconds}\n")
+    assert main(["run", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert "segment_seconds" in err and "below 2**60 ticks" in err
 
 
 def test_run_over_local_socket(config_file, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,17 +23,25 @@ from bellqkd.physics import (
     CHSH_SIGNS,
     CHSH_TERMS,
     ChannelConfig,
+    GroundTruth,
     JointSegmentSource,
+    MAX_KEY_SPAN,
+    RangeError,
     analytic_chsh,
     analytic_qber,
+    boundary_slack_s,
+    check_run_bounds,
     generate_event_streams,
     intercept_resend_correlation,
     intercept_resend_probability,
     joint_probability,
     route_detection,
     singlet_correlation,
+    _detector_ids,
     _merge_sorted,
+    _pair_correlation,
 )
+from bellqkd.timetag import TICK_SECONDS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -302,6 +311,94 @@ def test_negative_delay_keeps_ticks_nonnegative():
 def test_zero_duration_gives_empty_streams():
     s = generate_event_streams(ChannelConfig(duration=0.0))
     assert len(s.alice_ticks) == 0 and len(s.bob_ticks) == 0
+
+
+@st.composite
+def _stream_configs(draw):
+    """A channel, an attack and a [t_start, t_stop) for one stream draw.
+
+    Spans of a few microseconds at rates up to 2e9/s put many tags on
+    one 125 ps tick, within the pair run and across runs.
+    """
+    rate = st.one_of(st.just(0.0), st.floats(7.5, 9.3).map(lambda e: 10.0 ** e))
+    channel = ChannelConfig(
+        pair_rate=draw(rate),
+        background_rate=draw(rate),
+        loss_db_bob=draw(st.sampled_from([0.0, 3.0])),
+        detector_efficiency=draw(st.sampled_from([1.0, 0.6])),
+        jitter_sigma=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        bob_delay=draw(st.floats(-5000.0, 5000.0)),
+        duration=10.0,
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    attack = AttackConfig(intercept_fraction=draw(st.sampled_from([0.0, 0.35, 1.0])),
+                          attack_basis=draw(st.floats(-90.0, 90.0)))
+    t_start = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    t_stop = t_start + draw(st.floats(1e-7, 3e-6))
+    return channel, attack, t_start, t_stop
+
+
+@given(case=_stream_configs())
+@settings(max_examples=150, deadline=None)
+@example(case=(_small_channel(pair_rate=2e9, background_rate=2e9, jitter_sigma=0.0,
+                              bob_delay=-2000.0), AttackConfig(), 0.5, 0.5 + 1e-6))
+@example(case=(_small_channel(pair_rate=0.0, background_rate=1e9), AttackConfig(), 0.0, 2e-6))
+@example(case=(_small_channel(pair_rate=1e9, background_rate=0.0, jitter_sigma=0.0),
+               AttackConfig(intercept_fraction=0.5), 0.25, 0.25 + 2e-6))
+@example(case=(_small_channel(pair_rate=0.0, background_rate=0.0), AttackConfig(), 0.0, 1e-6))
+@example(case=(_small_channel(pair_rate=1e9, background_rate=1e9), AttackConfig(), 0.5, 0.5))
+def test_event_streams_equal_stable_sort_oracle(case):
+    channel, attack, t_start, t_stop = case
+    got = generate_event_streams(channel, attack, rng=np.random.default_rng(channel.rng_seed),
+                                 t_start=t_start, t_stop=t_stop)
+    want = oracles.generate_event_streams_stable_sorts(
+        channel, attack, rng=np.random.default_rng(channel.rng_seed),
+        t_start=t_start, t_stop=t_stop)
+    for name in ("alice_ticks", "alice_detectors", "bob_ticks", "bob_detectors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for f in fields(GroundTruth):
+        a, b = getattr(got.ground_truth, f.name), getattr(want.ground_truth, f.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
+@given(seed=st.integers(0, 2**32), vis=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       fraction=st.sampled_from([0.0, 0.35, 1.0]), basis=st.floats(-360.0, 360.0))
+@settings(max_examples=100, deadline=None)
+def test_pair_tables_equal_per_pair_oracles(seed, vis, fraction, basis):
+    rng = np.random.default_rng(seed)
+    channel = ChannelConfig(visibility_hv=vis[0], visibility_diag=vis[1])
+    attack = AttackConfig(intercept_fraction=fraction, attack_basis=basis)
+    n = 500
+    a_set = route_detection("alice", rng, n)
+    b_set = route_detection("bob", rng, n)
+    attacked = rng.random(n) < fraction
+    got = _pair_correlation(a_set, b_set, attacked, channel, attack)
+    want = oracles.pair_correlation_by_angles(a_set, b_set, attacked, channel, attack)
+    assert got.tobytes() == want.tobytes()
+    outcomes = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+    for settings_, table in ((a_set, ALICE_DETECTORS), (b_set, BOB_DETECTORS)):
+        got = _detector_ids(settings_, outcomes, table)
+        want = oracles.detector_ids_by_where(settings_, outcomes, table)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_key_span_bound():
+    # Ticks are sorted as (tick - segment start) << 3 in an int64, so a
+    # raw segment plus the boundary slack must span under 2**60 ticks.
+    ch = _small_channel(pair_rate=0.0, duration=2e8)
+    limit_s = MAX_KEY_SPAN * TICK_SECONDS - boundary_slack_s(ch)
+    with pytest.raises(ValueError, match="2\\*\\*60"):
+        generate_event_streams(ch, t_start=1.0, t_stop=1.0 + limit_s * (1 + 1e-12))
+    empty = generate_event_streams(ch, t_start=1.0, t_stop=1.0 + limit_s * (1 - 1e-12))
+    assert len(empty.alice_ticks) == len(empty.bob_ticks) == 0
+    for seconds in (limit_s, 2e8):
+        with pytest.raises(RangeError) as exc:
+            check_run_bounds(ch, seconds)
+        assert exc.value.field == "segment_seconds" and "2**60" in str(exc.value)
+    check_run_bounds(ch, limit_s * (1 - 1e-9))
+    # a short run is never cut into spans that long
+    check_run_bounds(_small_channel(pair_rate=0.0, duration=1.0), 2e8)
 
 
 # ---------------------------------------------------------------------------
