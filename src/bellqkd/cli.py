@@ -379,8 +379,8 @@ def keyrate_estimate(s_value: float, qber: float, n: int) -> SecurityEstimate:
     ``TAG_BITS`` verification tag, matching the interactive reconciler's
     target.
     """
-    if n < 1:
-        raise RangeError("n", "n must be >= 1")
+    if not 1 <= n < 2**53:  # float64 holds every integer below 2**53 exactly
+        raise RangeError("n", "n must be in [1, 2**53)")
     if not 0.0 <= qber <= 0.5:
         raise RangeError("qber", "qber must be in [0, 0.5]")
     leak = int(math.ceil(KEYRATE_EC_EFFICIENCY * n * float(binary_entropy(qber))))

@@ -403,7 +403,7 @@ def _sample_pairs(
     jit = channel.jitter_sigma * 1e-9
     t_a = t_emit + (jit * rng.standard_normal(n) if jit > 0 else 0.0)
     t_b = t_emit + channel.bob_delay * 1e-9 + (jit * rng.standard_normal(n) if jit > 0 else 0.0)
-    return t_emit, attacked, a_set, b_set, a_out, b_out, a_det_flag, b_det_flag, t_a, t_b
+    return attacked, a_set, b_set, a_out, b_out, a_det_flag, b_det_flag, t_a, t_b
 
 
 def _detector_ids(settings, outcomes, detector_table) -> np.ndarray:
@@ -500,7 +500,7 @@ def generate_event_streams(
     origin = _time_origin_ticks(channel)
     base = origin + seconds_to_ticks(t0)
 
-    (t_emit, attacked, a_set, b_set, a_out, b_out,
+    (attacked, a_set, b_set, a_out, b_out,
      a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
     # Alice's background is drawn before Bob's; each side's runs are
     # assembled as soon as they are drawn.

@@ -20,6 +20,11 @@ she aborts NO_PEAK with the last scan's message.
 The strict batch/announce lockstep makes the transcript a pure function
 of the inputs, so recorded runs replay byte-identically per direction.
 
+Every frame payload is one message class with ``encode()`` and
+``decode(payload)``; ``MESSAGES`` is the one map from a frame type to its
+class.  An endpoint sends a message with ``_Endpoint.send`` and receives
+one with ``_expect``, which decodes through ``frame_message``.
+
 Error contract.  Every failure ends the session in one recorded abort,
 ``SessionResult.abort_reason`` plus ``abort_message``:
 
@@ -28,8 +33,10 @@ Error contract.  Every failure ends the session in one recorded abort,
   u32 match indices of MATCH_ANNOUNCE) aborts with its own reason:
   INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK, PROTOCOL_VIOLATION or
   BLOCK_TOO_LARGE;
-- ``MalformedFrameError`` (bytes that do not decode) and the
-  reconciler's ``ChannelClosedError`` abort with PROTOCOL_VIOLATION;
+- ``MalformedFrameError`` and the reconciler's ``ChannelClosedError``
+  abort with PROTOCOL_VIOLATION.  Bytes that do not form a frame raise
+  it in ``decode_frame``; a payload that does not decode raises it in
+  ``frame_message`` only, as ``bad <TYPE> payload: <why>``;
 - ``PeerDisconnectedError`` and ``SessionTimeoutError`` abort with the
   local-only PEER_DISCONNECTED and TIMEOUT, which are never sent.
 
@@ -46,7 +53,7 @@ import queue
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -220,16 +227,23 @@ def iter_frames(data: bytes) -> Iterator[Frame]:
 
 
 # ---------------------------------------------------------------------------
-# Payload codecs
+# Messages: one class per frame type, each with ``encode()`` and
+# ``decode(payload)``.  A decoder raises only ValueError or struct.error.
+# Hello, TimetagBatch, BellReveal and Abort are plain classes: a frozen
+# dataclass costs about a millisecond of import time.
 
-def encode_hello(role: int) -> bytes:
-    return bytes([role])
+class Hello:
+    def __init__(self, role: int):
+        self.role = role  # 0 for the matching side, 1 for the tag-sending side
 
+    def encode(self) -> bytes:
+        return bytes([self.role])
 
-def decode_hello(payload: bytes) -> int:
-    if len(payload) != 1 or payload[0] not in (0, 1):
-        raise MalformedFrameError("bad hello payload")
-    return payload[0]
+    @staticmethod
+    def decode(payload: bytes) -> "Hello":
+        if payload not in (b"\x00", b"\x01"):
+            raise ValueError("not one role byte 0 or 1")
+        return Hello(payload[0])
 
 
 def encode_timetag_batch(ticks: np.ndarray, codes: np.ndarray) -> bytes:
@@ -238,9 +252,24 @@ def encode_timetag_batch(ticks: np.ndarray, codes: np.ndarray) -> bytes:
 
 def decode_timetag_batch(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
     if len(payload) % TAG_RECORD.itemsize != 0:
-        raise MalformedFrameError("truncated tag batch")
+        raise ValueError(f"{len(payload)} bytes are not whole {TAG_RECORD.itemsize}-byte records")
     rec = np.frombuffer(payload, dtype=TAG_RECORD)
     return rec["tick"].astype(np.uint64), rec["det"].astype(np.uint8)
+
+
+class TimetagBatch:
+    """Bob's tags of one segment, detector bytes replaced by basis codes."""
+
+    def __init__(self, ticks: np.ndarray, codes: np.ndarray):
+        self.ticks = ticks
+        self.codes = codes
+
+    def encode(self) -> bytes:
+        return encode_timetag_batch(self.ticks, self.codes)
+
+    @staticmethod
+    def decode(payload: bytes) -> "TimetagBatch":
+        return TimetagBatch(*decode_timetag_batch(payload))
 
 
 @dataclass(frozen=True)
@@ -262,14 +291,13 @@ class MatchAnnounce:
 
     @staticmethod
     def decode(payload: bytes) -> "MatchAnnounce":
-        if len(payload) < 17:
-            raise MalformedFrameError("short match announce")
         flag, delay, acc, count = struct.unpack_from("<BqII", payload)
         if flag not in (ANNOUNCE_END, ANNOUNCE_BLOCK, ANNOUNCE_CONTINUE):
-            raise MalformedFrameError(f"unknown match announce flag {flag}")
+            raise ValueError(f"unknown flag {flag}")
         body = payload[17:]
         if len(body) != count * _MATCH_RECORD.itemsize:
-            raise MalformedFrameError("match announce record size mismatch")
+            raise ValueError(f"{count} matches need {count * _MATCH_RECORD.itemsize} bytes,"
+                             f" got {len(body)}")
         rec = np.frombuffer(body, dtype=_MATCH_RECORD)
         return MatchAnnounce(
             flag, delay, acc,
@@ -277,22 +305,36 @@ class MatchAnnounce:
         )
 
 
-def encode_bell_reveal(detectors: np.ndarray) -> bytes:
-    return struct.pack("<I", len(detectors)) + np.asarray(detectors, np.uint8).tobytes()
+class BellReveal:
+    """One side's detector outcomes on the block's Bell branch."""
+
+    def __init__(self, detectors: np.ndarray):
+        self.detectors = detectors
+
+    def encode(self) -> bytes:
+        return struct.pack("<I", len(self.detectors)) + np.asarray(self.detectors, np.uint8).tobytes()
+
+    @staticmethod
+    def decode(payload: bytes) -> "BellReveal":
+        (count,) = struct.unpack_from("<I", payload)
+        if len(payload) - 4 != count:
+            raise ValueError(f"{count} detectors, got {len(payload) - 4} bytes")
+        return BellReveal(np.frombuffer(payload, np.uint8, offset=4).copy())
 
 
-def decode_bell_reveal(payload: bytes) -> np.ndarray:
-    if len(payload) < 4:
-        raise MalformedFrameError("short bell reveal")
-    (count,) = struct.unpack_from("<I", payload)
-    body = payload[4:]
-    if len(body) != count:
-        raise MalformedFrameError("bell reveal count mismatch")
-    return np.frombuffer(body, dtype=np.uint8).copy()
+class _Packed:
+    """A message whose fields, in order, are the class's ``_S`` struct."""
+
+    def encode(self) -> bytes:
+        return self._S.pack(*astuple(self))
+
+    @classmethod
+    def decode(cls, payload: bytes):
+        return cls(*cls._S.unpack(payload))
 
 
 @dataclass(frozen=True)
-class PaParams:
+class PaParams(_Packed):
     n: int
     leak_ec: int
     final_length: int
@@ -302,34 +344,13 @@ class PaParams:
 
     _S = struct.Struct("<IIIIdd")
 
-    def encode(self) -> bytes:
-        return self._S.pack(
-            self.n, self.leak_ec, self.final_length, self.finite_deduction,
-            self.s_value, self.rate_multiplier,
-        )
 
-    @staticmethod
-    def decode(payload: bytes) -> "PaParams":
-        try:
-            n, leak, final, ded, s, mult = PaParams._S.unpack(payload)
-        except struct.error as exc:
-            raise MalformedFrameError("bad PA params") from exc
-        return PaParams(n, leak, final, ded, s, mult)
-
-
-def encode_pa_seed(seed_bits: np.ndarray) -> bytes:
-    return CountedBits.of(seed_bits).encode()
-
-
-def decode_pa_seed(payload: bytes) -> np.ndarray:
-    try:
-        return CountedBits.decode(payload).unpack()
-    except (struct.error, ValueError) as exc:
-        raise MalformedFrameError(f"bad PA seed: {exc}") from exc
+class PaSeedMsg(CountedBits):
+    """The public Toeplitz seed bits."""
 
 
 @dataclass
-class BlockStats:
+class BlockStats(_Packed):
     """Per-block record both endpoints must agree on at block close."""
 
     block_index: int
@@ -350,57 +371,47 @@ class BlockStats:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
+
+class Abort:
+    def __init__(self, reason: int, message: str = ""):
+        self.reason = reason  # an AbortReason code
+        self.message = message
+
     def encode(self) -> bytes:
-        return self._S.pack(
-            self.block_index, self.t_start, self.t_end,
-            self.coincidence_count, self.accidental_count,
-            self.qber, self.s_value, self.s_stderr,
-            self.leak_ec, self.i_eve, self.final_bits,
-        )
+        return bytes([self.reason]) + self.message.encode("utf-8")
 
     @staticmethod
-    def decode(payload: bytes) -> "BlockStats":
-        try:
-            vals = BlockStats._S.unpack(payload)
-        except struct.error as exc:
-            raise MalformedFrameError("bad block stats") from exc
-        return BlockStats(*vals)
+    def decode(payload: bytes) -> "Abort":
+        if not payload:
+            raise ValueError("no reason byte")
+        return Abort(payload[0], payload[1:].decode("utf-8", errors="replace"))
 
 
-def encode_abort(reason: int, message: str = "") -> bytes:
-    return bytes([reason]) + message.encode("utf-8")
-
-
-def decode_abort(payload: bytes) -> Tuple[int, str]:
-    if len(payload) < 1:
-        raise MalformedFrameError("empty abort payload")
-    return payload[0], payload[1:].decode("utf-8", errors="replace")
-
-
-_CASCADE_FRAME_TYPES = {
-    ShuffleSeedMsg: FrameType.SHUFFLE_SEED,
-    QberSampleMsg: FrameType.QBER_SAMPLE,
-    ParityRequestMsg: FrameType.PARITY_REQUEST,
-    ParityResponseMsg: FrameType.PARITY_RESPONSE,
-    VerifyTagMsg: FrameType.VERIFY_TAG,
+MESSAGES = {
+    FrameType.HELLO: Hello,
+    FrameType.TIMETAG_BATCH: TimetagBatch,
+    FrameType.MATCH_ANNOUNCE: MatchAnnounce,
+    FrameType.BELL_REVEAL: BellReveal,
+    FrameType.QBER_SAMPLE: QberSampleMsg,
+    FrameType.SHUFFLE_SEED: ShuffleSeedMsg,
+    FrameType.PARITY_REQUEST: ParityRequestMsg,
+    FrameType.PARITY_RESPONSE: ParityResponseMsg,
+    FrameType.VERIFY_TAG: VerifyTagMsg,
+    FrameType.PA_PARAMS: PaParams,
+    FrameType.PA_SEED: PaSeedMsg,
+    FrameType.BLOCK_STATS: BlockStats,
+    FrameType.ABORT: Abort,
 }
+_FRAME_TYPES = {cls: ftype for ftype, cls in MESSAGES.items()}
 
 
-def cascade_msg_to_frame(msg) -> Frame:
-    return Frame(_CASCADE_FRAME_TYPES[type(msg)], msg.encode())
-
-
-_CASCADE_MSG_TYPES = {ftype: cls for cls, ftype in _CASCADE_FRAME_TYPES.items()}
-
-
-def frame_to_cascade_msg(frame: Frame):
-    cls = _CASCADE_MSG_TYPES.get(frame.type)
-    if cls is None:
-        raise MalformedFrameError(f"frame type {frame.type} is not a reconciliation message")
+def frame_message(frame: Frame):
+    """The message a frame carries; a payload that does not decode is malformed."""
+    ftype = FrameType(frame.type)
     try:
-        return cls.decode(frame.payload)
+        return MESSAGES[ftype].decode(frame.payload)
     except (struct.error, ValueError) as exc:
-        raise MalformedFrameError(f"bad {FrameType(frame.type).name} payload: {exc}") from exc
+        raise MalformedFrameError(f"bad {ftype.name} payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +661,14 @@ def _abort_signal(exc: Exception) -> _AbortSignal:
 def _peer_abort(frame: Frame) -> _AbortSignal:
     """The abort a received ABORT frame stands for; it is never answered."""
     try:
-        code, message = decode_abort(frame.payload)
+        abort = frame_message(frame)
     except MalformedFrameError as exc:
         return _AbortSignal(AbortReason.PROTOCOL_VIOLATION, str(exc), notify=False)
     try:
-        reason = AbortReason(code)
+        reason = AbortReason(abort.reason)
     except ValueError:
         reason = AbortReason.INTERNAL
-    return _AbortSignal(reason, message, notify=False)
+    return _AbortSignal(reason, abort.message, notify=False)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +746,8 @@ class _Endpoint:
     """What both endpoints share: results, the block record, the run loop.
 
     Each side is a script: ``_run_block`` runs one block's exchange in
-    order, and ``_expect`` is the only code that reads a frame.
+    order.  ``send`` and ``_expect`` are the only code that writes or
+    reads a frame; both deal in messages.
     """
 
     role = ""
@@ -763,8 +775,7 @@ class _Endpoint:
             self.abort_reason = sig.reason
             self.abort_message = sig.message
             if sig.notify:
-                self.transport.send_frame(
-                    Frame(FrameType.ABORT, encode_abort(int(sig.reason), sig.message)))
+                self.send(Abort(int(sig.reason), sig.message))
         finally:
             self.transport.close()
         return SessionResult(
@@ -780,25 +791,28 @@ class _Endpoint:
         )
 
     def _drive(self) -> None:
-        self.transport.send_frame(Frame(FrameType.HELLO, encode_hello(self._hello)))
-        if decode_hello(self._expect(FrameType.HELLO).payload) != 1 - self._hello:
+        self.send(Hello(self._hello))
+        if self._expect(Hello).role != 1 - self._hello:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, f"peer is not {self._peer}")
         while self._run_block():
             pass
         self.phase = Phase.DONE
 
-    def _expect(self, *types: FrameType) -> Frame:
-        """The next frame, if it is one of ``types``; a peer's ABORT ends the session."""
+    def send(self, msg) -> None:
+        self.transport.send_frame(Frame(_FRAME_TYPES[type(msg)], msg.encode()))
+
+    def _expect(self, *classes):
+        """The next message, if it is one of ``classes``; a peer's ABORT ends the session."""
         frame = self.transport.recv_frame()
         if frame.type == FrameType.ABORT:
             raise _peer_abort(frame)
-        if frame.type not in types:
+        if MESSAGES[frame.type] not in classes:
             raise _AbortSignal(
                 AbortReason.PROTOCOL_VIOLATION,
                 f"got {FrameType(frame.type).name}, expected "
-                + "/".join(t.name for t in types),
+                + "/".join(_FRAME_TYPES[cls].name for cls in classes),
             )
-        return frame
+        return frame_message(frame)
 
     def _close_block(self, stats: BlockStats) -> None:
         """Keep a finished block's row, size and key; open the next block."""
@@ -831,61 +845,59 @@ class AliceSession(_Endpoint):
         self.phase = Phase.SYNC
         flag = ANNOUNCE_CONTINUE
         while flag == ANNOUNCE_CONTINUE:
-            flag = self._on_batch(self._expect(FrameType.TIMETAG_BATCH))
+            flag = self._on_batch(self._expect(TimetagBatch))
             if flag != ANNOUNCE_BLOCK:
-                self.transport.send_frame(
-                    Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(flag).encode()))
+                self.send(MatchAnnounce(flag))
         if flag == ANNOUNCE_END:
             return False
 
         self.phase = Phase.BELL
-        self.transport.send_frame(Frame(FrameType.MATCH_ANNOUNCE, MatchAnnounce(
+        self.send(MatchAnnounce(
             ANNOUNCE_BLOCK,
             delay_ticks=int(self.delay),
             accidentals=blk.accidentals,
             a_idx=np.concatenate(blk.a_idx),
             b_idx=np.concatenate(blk.b_idx),
             classes=np.concatenate(blk.classes),
-        ).encode()))  # not bound to a name: the block's arrays are freed once sent
+        ))  # not bound to a name: the block's arrays are freed once sent
         bell_a = np.concatenate(blk.bell_dets)
-        self.transport.send_frame(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(bell_a)))
-        bell_b = decode_bell_reveal(self._expect(FrameType.BELL_REVEAL).payload)
+        self.send(BellReveal(bell_a))
+        bell_b = self._expect(BellReveal).detectors
         if len(bell_b) != len(bell_a):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
         if not blk.bell_test(bell_a, bell_b):
             # the peer refuses the block next; log its row as the peer does
             self.stats.append(blk.stats(qber=float("nan")))
-            self._expect(FrameType.ABORT)  # raises: the peer's abort, or a violation
+            self._expect(Abort)  # raises: the peer's abort, or a violation
 
         self.phase = Phase.RECONCILE
         responder = AliceReconciler(np.concatenate(blk.key_bits), CascadeParams())
         while not responder.done:
-            reply = responder.handle(frame_to_cascade_msg(self._expect(
-                FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE,
-                FrameType.PARITY_REQUEST, FrameType.VERIFY_TAG)))
+            reply = responder.handle(self._expect(
+                ShuffleSeedMsg, QberSampleMsg, ParityRequestMsg, VerifyTagMsg))
             if reply is not None:
-                self.transport.send_frame(cascade_msg_to_frame(reply))
+                self.send(reply)
         blk.recon = responder.result
 
         if blk.recon.verified:
             self.phase = Phase.AMPLIFY
-            pa = PaParams.decode(self._expect(FrameType.PA_PARAMS).payload)
+            pa = self._expect(PaParams)
             if pa != blk.pa_params(self.cfg):
                 raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
                                    "privacy amplification parameter mismatch")
             if pa.final_length > 0:
-                seed_bits = decode_pa_seed(self._expect(FrameType.PA_SEED).payload)
+                seed_bits = self._expect(PaSeedMsg).unpack()
                 if len(seed_bits) != blk.recon.n + pa.final_length - 1:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
                                        "toeplitz seed length mismatch")
                 blk.final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
 
                 self.phase = Phase.CONFIRM
-                tag = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG)).tag
+                tag = self._expect(VerifyTagMsg).tag
                 if tag is None:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
                 confirmed = _confirm_tag(blk.final, self.cfg.seed, blk.index) == tag
-                self.transport.send_frame(cascade_msg_to_frame(VerifyTagMsg(status=int(confirmed))))
+                self.send(VerifyTagMsg(status=int(confirmed)))
                 if not confirmed:
                     blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
                     self.stats.append(blk.stats(qber=float("nan")))
@@ -893,22 +905,21 @@ class AliceSession(_Endpoint):
                                        "final key tag mismatch", notify=False)
         self.phase = Phase.CONFIRM
 
-        payload = self._expect(FrameType.BLOCK_STATS).payload
-        theirs = BlockStats.decode(payload)
+        theirs = self._expect(BlockStats)
         if not (np.isnan(theirs.qber) or 0.0 <= theirs.qber <= 1.0):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "qber out of range")
         # the qber includes the peer-side correction count
         mine = blk.stats(qber=theirs.qber)
-        if mine.encode() != payload:
+        if mine.encode() != theirs.encode():
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
         self._close_block(mine)
-        self.transport.send_frame(Frame(FrameType.BLOCK_STATS, payload))
+        self.send(mine)
         return True
 
-    def _on_batch(self, frame: Frame) -> int:
+    def _on_batch(self, batch: TimetagBatch) -> int:
         """Take one of Bob's batches with a segment of her own; returns the
         MATCH_ANNOUNCE flag that answers it."""
-        b_ticks, b_codes = decode_timetag_batch(frame.payload)
+        b_ticks, b_codes = batch.ticks, batch.codes
         if len(b_ticks):
             if int(b_codes.max()) > 1:
                 raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "basis code out of range")
@@ -970,21 +981,6 @@ class AliceSession(_Endpoint):
 # ---------------------------------------------------------------------------
 # Bob: driving endpoint
 
-class _FrameCascadeChannel:
-    def __init__(self, session: "BobSession"):
-        self.session = session
-
-    def send(self, msg) -> None:
-        self.session.transport.send_frame(cascade_msg_to_frame(msg))
-
-    def request(self, msg):
-        self.send(msg)
-        frame = self.session._expect(
-            FrameType.QBER_SAMPLE, FrameType.PARITY_RESPONSE, FrameType.VERIFY_TAG
-        )
-        return frame_to_cascade_msg(frame)
-
-
 _NO_SEGMENT = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8))
 
 
@@ -1003,9 +999,8 @@ class BobSession(_Endpoint):
 
         while True:
             ticks, dets = next(self.segments, _NO_SEGMENT)
-            self.transport.send_frame(Frame(
-                FrameType.TIMETAG_BATCH, encode_timetag_batch(ticks, _detector_to_basis(dets))))
-            ma = MatchAnnounce.decode(self._expect(FrameType.MATCH_ANNOUNCE).payload)
+            self.send(TimetagBatch(ticks, _detector_to_basis(dets)))
+            ma = self._expect(MatchAnnounce)
             if len(ticks) == 0:
                 # an empty batch reads as end-of-data on the far side
                 if ma.flag != ANNOUNCE_END:
@@ -1036,11 +1031,11 @@ class BobSession(_Endpoint):
         my_key = bob_key_bits(key_dets)
         bell_mine = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
 
-        bell_theirs = decode_bell_reveal(self._expect(FrameType.BELL_REVEAL).payload)
+        bell_theirs = self._expect(BellReveal).detectors
         if len(bell_theirs) != len(bell_mine):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
         self.phase = Phase.BELL
-        self.transport.send_frame(Frame(FrameType.BELL_REVEAL, encode_bell_reveal(bell_mine)))
+        self.send(BellReveal(bell_mine))
         if not blk.bell_test(bell_theirs, bell_mine):
             self.stats.append(blk.stats(qber=float("nan")))
             bell = blk.bell
@@ -1051,26 +1046,26 @@ class BobSession(_Endpoint):
         self.phase = Phase.RECONCILE
         params = CascadeParams(shuffle_seed=_derived_seed(cfg.seed, blk.index, _CASCADE_SEED_TAG))
         try:
-            blk.recon = reconcile_bob(my_key, _FrameCascadeChannel(self), params)
+            blk.recon = reconcile_bob(my_key, self, params)
         except VerificationFailedError as exc:
             blk.recon = exc.result
 
         if blk.recon.verified:
             self.phase = Phase.AMPLIFY
             pa = blk.pa_params(cfg)
-            self.transport.send_frame(Frame(FrameType.PA_PARAMS, pa.encode()))
+            self.send(pa)
             if pa.final_length > 0:
                 seed_bits = generate_toeplitz_seed(
                     blk.recon.n, pa.final_length,
                     np.random.SeedSequence([int(cfg.seed), int(blk.index), _PA_SEED_TAG]),
                 )
-                self.transport.send_frame(Frame(FrameType.PA_SEED, encode_pa_seed(seed_bits)))
+                self.send(PaSeedMsg.of(seed_bits))
                 blk.final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
 
                 self.phase = Phase.CONFIRM
                 tag = _confirm_tag(blk.final, cfg.seed, blk.index)
-                self.transport.send_frame(cascade_msg_to_frame(VerifyTagMsg(tag=tag)))
-                status = frame_to_cascade_msg(self._expect(FrameType.VERIFY_TAG)).status
+                self.send(VerifyTagMsg(tag=tag))
+                status = self._expect(VerifyTagMsg).status
                 if status is None:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a tag status")
                 if status != 1:
@@ -1082,12 +1077,16 @@ class BobSession(_Endpoint):
         self.phase = Phase.CONFIRM
 
         stats = blk.stats(blk.recon.measured_qber)
-        payload = stats.encode()
-        self.transport.send_frame(Frame(FrameType.BLOCK_STATS, payload))
-        if self._expect(FrameType.BLOCK_STATS).payload != payload:
+        self.send(stats)
+        if self._expect(BlockStats).encode() != stats.encode():
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
         self._close_block(stats)
         return True
+
+    def request(self, msg):
+        """Cascade's channel: send ``msg``, return the peer's reply."""
+        self.send(msg)
+        return self._expect(QberSampleMsg, ParityResponseMsg, VerifyTagMsg)
 
 
 def run_session(role: str, transport, segments: Iterable,
@@ -1182,24 +1181,24 @@ def audit_transcript(bob_to_alice: bytes, alice_to_bob: bytes) -> TranscriptAudi
         elif frame.type in (FrameType.PA_PARAMS, FrameType.PA_SEED):
             last_context = "amplify"
         elif frame.type == FrameType.QBER_SAMPLE:
-            sample_bits += frame_to_cascade_msg(frame).count
+            sample_bits += frame_message(frame).count
             last_context = "reconcile"
         elif frame.type == FrameType.VERIFY_TAG:
-            msg = frame_to_cascade_msg(frame)
+            msg = frame_message(frame)
             if msg.tag is not None:
                 if last_context == "amplify":
                     confirm_tags += 8 * len(msg.tag)
                 else:
                     reconcile_tags += 8 * len(msg.tag)
         elif frame.type == FrameType.BLOCK_STATS:
-            leak_total += BlockStats.decode(frame.payload).leak_ec
+            leak_total += frame_message(frame).leak_ec
             blocks += 1
 
     for frame in iter_frames(alice_to_bob):
         if frame.type == FrameType.PARITY_RESPONSE:
-            parity_bits += frame_to_cascade_msg(frame).count
+            parity_bits += frame_message(frame).count
         elif frame.type == FrameType.QBER_SAMPLE:
-            sample_bits += frame_to_cascade_msg(frame).count
+            sample_bits += frame_message(frame).count
 
     return TranscriptAudit(
         parity_bits=parity_bits,

@@ -495,7 +495,7 @@ def generate_event_streams_stable_sorts(channel, attack, ground_truth=True, rng=
     t1 = channel.duration if t_stop is None else t_stop
     origin = _time_origin_ticks(channel)
 
-    (t_emit, attacked, a_set, b_set, a_out, b_out,
+    (attacked, a_set, b_set, a_out, b_out,
      a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
 
     a_pair_ticks = _to_ticks_copy(t_a, origin)

@@ -156,6 +156,9 @@ def test_keyrate_validation():
         keyrate_estimate(2.5, 0.02, 0)
     with pytest.raises(RangeError):
         keyrate_estimate(2.5, 0.7, 1000)
+    with pytest.raises(RangeError):
+        keyrate_estimate(2.5, 0.02, 2**53)
+    assert main(["keyrate", "--s", "2.5", "--qber", "0.02", "--n", str(10**400)]) == EXIT_CONFIG
 
 
 def test_keyrate_command(capsys):

@@ -1,5 +1,6 @@
 """Framing, transports, each endpoint replayed frame by frame, end-to-end sessions."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -27,35 +28,30 @@ from bellqkd.protocol import (
     ANNOUNCE_BLOCK,
     ANNOUNCE_CONTINUE,
     ANNOUNCE_END,
+    MESSAGES,
+    Abort,
     AbortReason,
     AliceSession,
+    BellReveal,
     BlockStats,
     BobSession,
     Frame,
     FrameType,
+    Hello,
     MalformedFrameError,
     MatchAnnounce,
     PaParams,
+    PaSeedMsg,
     Phase,
     QueueTransport,
     SessionConfig,
     SocketTransport,
+    TimetagBatch,
     UnsupportedVersionError,
     audit_transcript,
-    cascade_msg_to_frame,
-    decode_abort,
-    decode_bell_reveal,
     decode_frame,
-    decode_hello,
-    decode_pa_seed,
-    decode_timetag_batch,
-    encode_abort,
-    encode_bell_reveal,
     encode_frame,
-    encode_hello,
-    encode_pa_seed,
-    encode_timetag_batch,
-    frame_to_cascade_msg,
+    frame_message,
     inproc_pair,
     iter_frames,
     run_inproc_pair,
@@ -64,6 +60,16 @@ from bellqkd.protocol import (
     _CLOSED,
     _derived_seed,
 )
+
+
+def _frame(msg) -> Frame:
+    return Frame(protocol._FRAME_TYPES[type(msg)], msg.encode())
+
+
+def _abort_of(frame: Frame):
+    abort = frame_message(frame)
+    return abort.reason, abort.message
+
 
 # ---------------------------------------------------------------------------
 # Frame layer
@@ -106,35 +112,14 @@ def test_unsupported_version_is_malformed():
 
 def test_iter_frames_splits_stream():
     stream = (encode_frame(FrameType.HELLO, b"\x00")
-              + encode_frame(FrameType.ABORT, encode_abort(1, "x"))
-              + encode_frame(FrameType.PA_SEED, encode_pa_seed(np.array([1, 0, 1], np.uint8))))
+              + encode_frame(FrameType.ABORT, Abort(1, "x").encode())
+              + encode_frame(FrameType.PA_SEED, PaSeedMsg.of(np.array([1, 0, 1], np.uint8)).encode()))
     frames = list(iter_frames(stream))
     assert [f.type for f in frames] == [FrameType.HELLO, FrameType.ABORT, FrameType.PA_SEED]
     with pytest.raises(MalformedFrameError):
         list(iter_frames(stream + b"\x01\x02"))
     with pytest.raises(MalformedFrameError):
         list(iter_frames(stream[:-1]))
-
-
-def test_hello_codec():
-    assert decode_hello(encode_hello(0)) == 0
-    assert decode_hello(encode_hello(1)) == 1
-    with pytest.raises(MalformedFrameError):
-        decode_hello(b"\x02")
-    with pytest.raises(MalformedFrameError):
-        decode_hello(b"")
-
-
-def test_timetag_batch_codec():
-    ticks = np.array([0, 1, 2**40], dtype=np.uint64)
-    codes = np.array([0, 1, 0], dtype=np.uint8)
-    t, c = decode_timetag_batch(encode_timetag_batch(ticks, codes))
-    np.testing.assert_array_equal(t, ticks)
-    np.testing.assert_array_equal(c, codes)
-    t, c = decode_timetag_batch(b"")
-    assert len(t) == 0
-    with pytest.raises(MalformedFrameError):
-        decode_timetag_batch(b"\x01\x02\x03")
 
 
 @given(
@@ -159,97 +144,100 @@ def test_match_announce_roundtrip(flag, delay, acc, records):
     np.testing.assert_array_equal(back.classes, ma.classes)
 
 
+_BITS = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
+
+# Per frame type: sample messages, and payloads that must be refused.  The
+# first sample's payload cut by one byte must be refused too.
+_MESSAGE_SAMPLES = {
+    FrameType.HELLO: ([Hello(0), Hello(1)], [b"\x02", b""]),
+    FrameType.TIMETAG_BATCH: (
+        [TimetagBatch(np.array([0, 1, 2**40], np.uint64), np.array([0, 1, 0], np.uint8)),
+         TimetagBatch(np.empty(0, np.uint64), np.empty(0, np.uint8))],
+        [b"\x01\x02\x03"]),
+    FrameType.MATCH_ANNOUNCE: (
+        [MatchAnnounce(ANNOUNCE_BLOCK, 5, 0, np.array([1], np.uint32), np.array([2], np.uint32),
+                       np.array([0], np.uint8)),
+         MatchAnnounce(ANNOUNCE_CONTINUE)],
+        []),
+    FrameType.BELL_REVEAL: (
+        [BellReveal(np.array([3, 4, 5, 6], np.uint8)), BellReveal(np.empty(0, np.uint8))],
+        [b"\x02\x00\x00\x00\x03"]),  # count says 2, body has 1
+    FrameType.QBER_SAMPLE: ([QberSampleMsg(3, b"\xa0")], []),
+    FrameType.SHUFFLE_SEED: ([ShuffleSeedMsg(12345)], []),
+    FrameType.PARITY_REQUEST: ([ParityRequestMsg(1, ((0, 8), (8, 8)))], []),
+    FrameType.PARITY_RESPONSE: ([ParityResponseMsg(2, b"\xc0")], []),
+    FrameType.VERIFY_TAG: ([VerifyTagMsg(tag=b"\x01" * 8), VerifyTagMsg(status=1)], []),
+    FrameType.PA_PARAMS: ([PaParams(10000, 1762, 2802, 0, -2.5003, 1.0)], []),
+    FrameType.PA_SEED: (
+        [PaSeedMsg.of(_BITS)],
+        [b"\x09\x00\x00\x00\xff",       # 9 bits need 2 bytes, not 1
+         b"\x08\x00\x00\x00\xff\xff"]),  # 8 bits need 1 byte, not 2
+    FrameType.BLOCK_STATS: (
+        [BlockStats(3, 1.0, 2.5, 12345, 67, 0.031, -2.49, 0.02, 800, 0.55, 421),
+         BlockStats(0, 0.0, 1.0, 1, 0, float("nan"), -1.4, 0.1, 0, float("nan"), 0)],
+        []),
+    FrameType.ABORT: ([Abort(2), Abort(2, "tag mismatch ✓")], [b""]),
+}
+
+
+def _same_fields(a, b) -> bool:
+    """Field by field; arrays by value, and NaN equals NaN."""
+    return vars(a).keys() == vars(b).keys() and all(
+        np.array_equal(x, vars(b)[k]) if isinstance(x, np.ndarray)
+        else x == vars(b)[k] or (x != x and vars(b)[k] != vars(b)[k])
+        for k, x in vars(a).items())
+
+
+@pytest.mark.parametrize("ftype", list(FrameType), ids=lambda t: t.name)
+def test_message_codec(ftype):
+    # one class per frame type, and the inverse map leads back
+    assert len(set(MESSAGES.values())) == len(MESSAGES) == len(FrameType)
+    cls = MESSAGES[ftype]
+    assert protocol._FRAME_TYPES[cls] == ftype
+    samples, refused = _MESSAGE_SAMPLES[ftype]
+    for msg in samples:
+        assert type(msg) is cls
+        back = frame_message(Frame(ftype, msg.encode()))
+        assert type(back) is cls and _same_fields(back, msg)
+        assert back.encode() == msg.encode()  # byte-exact, the NaN BlockStats row too
+    for payload in refused + [samples[0].encode()[:-1]]:
+        with pytest.raises(MalformedFrameError, match=f"^bad {ftype.name} payload: "):
+            frame_message(Frame(ftype, payload))
+
+
 def test_match_announce_rejects_bad_sizes():
     with pytest.raises(MalformedFrameError):
-        MatchAnnounce.decode(b"\x00" * 10)
+        frame_message(Frame(FrameType.MATCH_ANNOUNCE, b"\x00" * 10))
     good = MatchAnnounce(ANNOUNCE_BLOCK, 5, 0,
                          np.array([1], np.uint32), np.array([2], np.uint32),
                          np.array([0], np.uint8)).encode()
     with pytest.raises(MalformedFrameError):
-        MatchAnnounce.decode(good[:-1])
+        frame_message(Frame(FrameType.MATCH_ANNOUNCE, good[:-1]))
 
 
 def test_match_announce_rejects_unknown_flag():
     good = MatchAnnounce(ANNOUNCE_CONTINUE).encode()
     with pytest.raises(MalformedFrameError, match="flag 7"):
-        MatchAnnounce.decode(bytes([7]) + good[1:])
-
-
-def test_bell_reveal_codec():
-    dets = np.array([3, 4, 5, 6], dtype=np.uint8)
-    np.testing.assert_array_equal(decode_bell_reveal(encode_bell_reveal(dets)), dets)
-    assert len(decode_bell_reveal(encode_bell_reveal(np.empty(0, np.uint8)))) == 0
-    with pytest.raises(MalformedFrameError):
-        decode_bell_reveal(b"\x02\x00\x00\x00\x03")  # count says 2, body has 1
-
-
-def test_pa_params_codec():
-    p = PaParams(10000, 1762, 2802, 0, -2.5003, 1.0)
-    assert PaParams.decode(p.encode()) == p
-    with pytest.raises(MalformedFrameError):
-        PaParams.decode(p.encode()[:-1])
-
-
-def test_pa_seed_codec():
-    bits = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
-    np.testing.assert_array_equal(decode_pa_seed(encode_pa_seed(bits)), bits)
-    with pytest.raises(MalformedFrameError):
-        decode_pa_seed(b"\x09\x00\x00\x00\xff")  # 9 bits need 2 bytes, not 1
-    with pytest.raises(MalformedFrameError):
-        decode_pa_seed(b"\x08\x00\x00\x00\xff\xff")  # 8 bits need 1 byte, not 2
+        frame_message(Frame(FrameType.MATCH_ANNOUNCE, bytes([7]) + good[1:]))
 
 
 def test_counted_bits_payloads_share_one_layout():
     # QBER_SAMPLE, PARITY_RESPONSE and PA_SEED: a u32 bit count, then the
     # bits packed MSB first; the two Cascade types still compare unequal
-    bits = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
-    sample, parities = QberSampleMsg.of(bits), ParityResponseMsg.of(bits)
-    assert (encode_pa_seed(bits) == sample.encode() == parities.encode()
+    sample, parities = QberSampleMsg.of(_BITS), ParityResponseMsg.of(_BITS)
+    assert (PaSeedMsg.of(_BITS).encode() == sample.encode() == parities.encode()
             == b"\x0b\x00\x00\x00\xb4\xe0")
     assert sample != parities
-    for ftype in (FrameType.QBER_SAMPLE, FrameType.PARITY_RESPONSE):
-        msg = frame_to_cascade_msg(Frame(ftype, sample.encode()))
-        np.testing.assert_array_equal(msg.unpack(), bits)
+    for ftype in (FrameType.QBER_SAMPLE, FrameType.PARITY_RESPONSE, FrameType.PA_SEED):
+        msg = frame_message(Frame(ftype, sample.encode()))
+        np.testing.assert_array_equal(msg.unpack(), _BITS)
 
 
 @pytest.mark.parametrize("payload", [b"", b"\x02", b"\x00\x01\x02", b"\x00" * 7, b"\x00" * 9],
                          ids=["empty", "status-2", "3-bytes", "7-bytes", "9-bytes"])
 def test_verify_tag_is_a_status_byte_or_a_full_tag(payload):
     with pytest.raises(MalformedFrameError):
-        frame_to_cascade_msg(Frame(FrameType.VERIFY_TAG, payload))
-
-
-def test_block_stats_codec():
-    s = BlockStats(3, 1.0, 2.5, 12345, 67, 0.031, -2.49, 0.02, 800, 0.55, 421)
-    assert BlockStats.decode(s.encode()) == s
-    assert s.duration == 1.5
-    nan_row = BlockStats(0, 0.0, 1.0, 1, 0, float("nan"), -1.4, 0.1, 0, float("nan"), 0)
-    assert BlockStats.decode(nan_row.encode()).encode() == nan_row.encode()
-    with pytest.raises(MalformedFrameError):
-        BlockStats.decode(s.encode()[:-1])
-
-
-def test_abort_codec():
-    reason, msg = decode_abort(encode_abort(2, "tag mismatch ✓"))
-    assert reason == 2 and "tag mismatch" in msg
-    with pytest.raises(MalformedFrameError):
-        decode_abort(b"")
-
-
-def test_cascade_frame_mapping_roundtrip():
-    msgs = [
-        ShuffleSeedMsg(12345),
-        QberSampleMsg(3, b"\xa0"),
-        ParityRequestMsg(1, ((0, 8), (8, 8))),
-        ParityResponseMsg(2, b"\xc0"),
-        VerifyTagMsg(tag=b"\x01" * 8),
-        VerifyTagMsg(status=1),
-    ]
-    for msg in msgs:
-        frame = cascade_msg_to_frame(msg)
-        assert frame_to_cascade_msg(frame) == msg
-    with pytest.raises(MalformedFrameError):
-        frame_to_cascade_msg(Frame(FrameType.HELLO, b"\x00"))
+        frame_message(Frame(FrameType.VERIFY_TAG, payload))
 
 
 def test_derived_seed_separates_purposes():
@@ -286,7 +274,7 @@ def test_queue_transport_recorder():
     seen = []
     alice, bob = inproc_pair(recorders=(seen.append, None))
     alice.send_frame(Frame(FrameType.HELLO, b"\x00"))
-    alice.send_frame(Frame(FrameType.ABORT, encode_abort(1)))
+    alice.send_frame(_frame(Abort(1)))
     assert len(seen) == 2
     assert decode_frame(seen[0]).type == FrameType.HELLO
     assert decode_frame(seen[1]).type == FrameType.ABORT
@@ -299,7 +287,7 @@ def test_socket_transport_roundtrip():
     try:
         t1.send_frame(Frame(FrameType.HELLO, b"\x01"))
         assert t2.recv_frame() == Frame(FrameType.HELLO, b"\x01")
-        big = Frame(FrameType.PA_SEED, encode_pa_seed(np.ones(100_000, np.uint8)))
+        big = _frame(PaSeedMsg.of(np.ones(100_000, np.uint8)))
         t2.send_frame(big)
         assert t1.recv_frame() == big
     finally:
@@ -351,7 +339,7 @@ def test_socket_frame_over_the_cap_aborts_before_its_payload():
     s1.close()
     frames = list(iter_frames(received))
     assert [f.type for f in frames] == [FrameType.HELLO, FrameType.ABORT]
-    assert decode_abort(frames[1].payload)[0] == AbortReason.PROTOCOL_VIOLATION
+    assert frame_message(frames[1]).reason == AbortReason.PROTOCOL_VIOLATION
     with pytest.raises(MalformedFrameError, match="limit"):
         decode_frame(protocol._HEADER.pack(
             protocol.FRAME_MAGIC, protocol.FRAME_VERSION, FrameType.HELLO,
@@ -377,7 +365,7 @@ def test_socket_transport_waits_for_its_own_timeout():
 def test_socket_send_to_departed_peer_keeps_its_abort():
     from bellqkd.protocol import PeerDisconnectedError
     s1, s2 = socket.socketpair()
-    abort = Frame(FrameType.ABORT, encode_abort(AbortReason.PROTOCOL_VIOLATION, "gone"))
+    abort = _frame(Abort(AbortReason.PROTOCOL_VIOLATION, "gone"))
     s1.sendall(encode_frame(abort.type, abort.payload))
     s1.close()
     t2 = SocketTransport(s2, timeout=2.0)
@@ -419,19 +407,19 @@ def _replay(cls, frames, segments, cfg=SessionConfig(timeout=5.0)):
     return result, sent
 
 
-_BOB_HELLO = Frame(FrameType.HELLO, encode_hello(1))
+_BOB_HELLO = _frame(Hello(1))
 
 
 def test_alice_hello_transition():
     # after the peer's HELLO the next legal frame is a batch
     result, sent = _replay(AliceSession, [_BOB_HELLO, _BOB_HELLO], [])
-    assert sent[0] == Frame(FrameType.HELLO, encode_hello(0))
+    assert sent[0] == _frame(Hello(0))
     assert [f.type for f in sent] == [FrameType.HELLO, FrameType.ABORT]
     assert result.abort_message == "got HELLO, expected TIMETAG_BATCH"
 
 
 def test_alice_rejects_peer_claiming_wrong_role():
-    result, sent = _replay(AliceSession, [Frame(FrameType.HELLO, encode_hello(0))], [])
+    result, sent = _replay(AliceSession, [_frame(Hello(0))], [])
     assert result.phase == Phase.ABORTED
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == "peer is not the tag-sending side"
@@ -439,13 +427,13 @@ def test_alice_rejects_peer_claiming_wrong_role():
 
 
 def test_alice_rejects_out_of_phase_frame():
-    reveal = Frame(FrameType.BELL_REVEAL, encode_bell_reveal(np.empty(0, np.uint8)))
+    reveal = _frame(BellReveal(np.empty(0, np.uint8)))
     result, sent = _replay(AliceSession, [reveal], [])
     assert result.phase == Phase.ABORTED
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert sent[-1].type == FrameType.ABORT
-    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
-                                              "got BELL_REVEAL, expected HELLO")
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                 "got BELL_REVEAL, expected HELLO")
 
 
 def test_alice_empty_batch_ends_session():
@@ -457,8 +445,8 @@ def test_alice_empty_batch_ends_session():
 
 def test_alice_rejects_bad_basis_codes():
     segments = [(np.array([100], np.uint64), np.array([1], np.uint8))]
-    batch = encode_timetag_batch(np.array([100], np.uint64), np.array([3], np.uint8))
-    result, sent = _replay(AliceSession, [_BOB_HELLO, Frame(FrameType.TIMETAG_BATCH, batch)],
+    batch = _frame(TimetagBatch(np.array([100], np.uint64), np.array([3], np.uint8)))
+    result, sent = _replay(AliceSession, [_BOB_HELLO, batch],
                            segments)
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert sent[-1].type == FrameType.ABORT
@@ -513,6 +501,35 @@ def test_transcript_audit_matches_reported_leakage():
     assert audit.counted_disclosure == audit.leak_ec_total
     assert audit.sample_bits > 0           # disclosed but discarded
     assert audit.confirm_tag_bits == 64 * len(rb.stats)
+
+
+def test_benchmark_hooks_see_every_batch_and_reconciliation_frame(monkeypatch):
+    # perfbench/tracer.py times these three by swapping them in by name;
+    # a session that went round them would zero its per-layer figures
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("encode_timetag_batch", "decode_timetag_batch"):
+        monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
+    monkeypatch.setattr(protocol.AliceReconciler, "handle",
+                        counted("handle", protocol.AliceReconciler.handle))
+    b2a = []
+    ra, rb = _run(_channel(duration=1.5), recorders=(None, b2a.append), block_min_key_bits=2000)
+    assert ra.done and rb.done
+    types = [f.type for f in iter_frames(b"".join(b2a))]
+    batches = types.count(FrameType.TIMETAG_BATCH)
+    assert batches >= 2
+    assert calls["encode_timetag_batch"] == calls["decode_timetag_batch"] == batches
+    # a VERIFY_TAG after a PA_SEED is the confirm tag, which Alice checks herself
+    reconciliation = sum(types.count(t) for t in (
+        FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE, FrameType.PARITY_REQUEST,
+        FrameType.VERIFY_TAG)) - types.count(FrameType.PA_SEED)
+    assert reconciliation > 0 and calls["handle"] == reconciliation
 
 
 def test_transcript_deterministic_across_runs():
@@ -609,15 +626,15 @@ def test_failed_reconciliation_drops_block_and_continues(monkeypatch):
 def test_bob_aborts_on_unexpected_frame_type():
     # scripted peer: correct HELLO, then an illegal frame instead of the
     # first MATCH_ANNOUNCE
-    reveal = Frame(FrameType.BELL_REVEAL, encode_bell_reveal(np.empty(0, np.uint8)))
+    reveal = _frame(BellReveal(np.empty(0, np.uint8)))
     src = JointSegmentSource(_channel(duration=1.0))
-    result, sent = _replay(BobSession, [Frame(FrameType.HELLO, encode_hello(0)), reveal],
+    result, sent = _replay(BobSession, [_frame(Hello(0)), reveal],
                            src.segments("bob"))
     assert result.phase == Phase.ABORTED
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert [f.type for f in sent] == [FrameType.HELLO, FrameType.TIMETAG_BATCH, FrameType.ABORT]
-    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
-                                              "got BELL_REVEAL, expected MATCH_ANNOUNCE")
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                 "got BELL_REVEAL, expected MATCH_ANNOUNCE")
 
 
 @pytest.fixture(scope="module")
@@ -649,14 +666,14 @@ def test_alice_aborts_on_truncated_reconciliation_payload(transcripts, ftype, ke
     # the frame was legal next: its payload, not its type, is refused
     assert result.abort_message.startswith(f"bad {ftype.name} payload")
     assert sent[-1].type == FrameType.ABORT
-    assert decode_abort(sent[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+    assert frame_message(sent[-1]).reason == AbortReason.PROTOCOL_VIOLATION
 
 
 @pytest.mark.parametrize("keep", [0, 3, 4, -1])
 def test_truncated_parity_response_is_malformed(keep):
-    payload = cascade_msg_to_frame(ParityResponseMsg(12, b"\xa5\x30")).payload
+    payload = ParityResponseMsg(12, b"\xa5\x30").encode()
     with pytest.raises(MalformedFrameError):
-        frame_to_cascade_msg(Frame(FrameType.PARITY_RESPONSE, payload[:keep]))
+        frame_message(Frame(FrameType.PARITY_RESPONSE, payload[:keep]))
 
 
 class _Tamper:
@@ -712,8 +729,7 @@ def test_failed_confirm_tag_logs_equal_stats_rows():
 
 @pytest.mark.parametrize("change", [
     # a PARITY_RESPONSE carrying more parities than were asked for
-    lambda f: cascade_msg_to_frame(ParityResponseMsg(
-        frame_to_cascade_msg(f).count + 8, frame_to_cascade_msg(f).bits + b"\x00")),
+    lambda f: _frame(ParityResponseMsg(frame_message(f).count + 8, frame_message(f).bits + b"\x00")),
     # a QBER_SAMPLE where the PARITY_RESPONSE belongs
     lambda f: Frame(FrameType.QBER_SAMPLE, f.payload),
 ], ids=["wrong-count", "sample-instead"])
@@ -744,27 +760,27 @@ def test_alice_refuses_block_stats_before_confirm_tag():
     result, sent = _replay(AliceSession, frames, JointSegmentSource(ch).segments("alice"), cfg)
     assert [f.type for f in sent].count(FrameType.ABORT) == 1
     assert sent[-1].type == FrameType.ABORT
-    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
-                                              "got BLOCK_STATS, expected VERIFY_TAG")
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                 "got BLOCK_STATS, expected VERIFY_TAG")
     assert FrameType.BLOCK_STATS not in [f.type for f in sent]
     assert result.key_bytes() == b"" and result.stats == []
 
 
 def test_alice_aborts_on_unsorted_tag_batch():
     segments = [(np.array([100, 200], np.uint64), np.array([1, 1], np.uint8))]
-    batch = encode_timetag_batch(np.array([300, 200], np.uint64), np.array([0, 0], np.uint8))
-    result, sent = _replay(AliceSession, [_BOB_HELLO, Frame(FrameType.TIMETAG_BATCH, batch)],
+    batch = _frame(TimetagBatch(np.array([300, 200], np.uint64), np.array([0, 0], np.uint8)))
+    result, sent = _replay(AliceSession, [_BOB_HELLO, batch],
                            segments)
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
-    assert decode_abort(sent[-1].payload) == (int(AbortReason.PROTOCOL_VIOLATION),
-                                              "tag times unsorted or out of range")
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                 "tag times unsorted or out of range")
 
 
 def test_bob_aborts_on_block_without_key_bits():
     bell_only = MatchAnnounce(ANNOUNCE_BLOCK, 4000, 0, np.array([0], np.uint32),
                               np.array([0], np.uint32), np.array([1], np.uint8))
     src = JointSegmentSource(_channel(duration=1.0))
-    result, _ = _replay(BobSession, [Frame(FrameType.HELLO, encode_hello(0)),
+    result, _ = _replay(BobSession, [_frame(Hello(0)),
                                      Frame(FrameType.MATCH_ANNOUNCE, bell_only.encode())],
                         src.segments("bob"))
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
@@ -774,20 +790,20 @@ def test_bob_aborts_on_block_without_key_bits():
 def test_bob_aborts_on_unknown_announce_flag():
     good = MatchAnnounce(ANNOUNCE_CONTINUE).encode()
     src = JointSegmentSource(_channel(duration=1.0))
-    result, sent = _replay(BobSession, [Frame(FrameType.HELLO, encode_hello(0)),
+    result, sent = _replay(BobSession, [_frame(Hello(0)),
                                         Frame(FrameType.MATCH_ANNOUNCE, bytes([7]) + good[1:])],
                            src.segments("bob"))
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert [f.type for f in sent] == [FrameType.HELLO, FrameType.TIMETAG_BATCH, FrameType.ABORT]
-    assert decode_abort(sent[-1].payload)[0] == int(AbortReason.PROTOCOL_VIOLATION)
+    assert frame_message(sent[-1]).reason == AbortReason.PROTOCOL_VIOLATION
 
 
 def test_alice_refuses_parity_request_beyond_the_passes(transcripts):
     frames, segments, cfg = transcripts[AliceSession]
     at = [f.type for f in frames].index(FrameType.PARITY_REQUEST)
     passes = CascadeParams().passes
-    beyond = ParityRequestMsg(passes, frame_to_cascade_msg(frames[at]).ranges)
-    result, sent = _replay(AliceSession, frames[:at] + [cascade_msg_to_frame(beyond)],
+    beyond = ParityRequestMsg(passes, frame_message(frames[at]).ranges)
+    result, sent = _replay(AliceSession, frames[:at] + [_frame(beyond)],
                            segments, cfg)
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == f"parity request for pass {passes} of only {passes}"
@@ -992,4 +1008,4 @@ def test_endpoint_never_raises(transcripts, cls, data):
     aborts = [f for f in sent if f.type == FrameType.ABORT]
     if aborts:
         assert sent[-1:] == aborts[:1] and result.phase == Phase.ABORTED
-        decode_abort(aborts[0].payload)
+        frame_message(aborts[0])
