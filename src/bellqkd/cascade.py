@@ -4,8 +4,14 @@ Bob drives: a disclose-and-discard sample bootstraps the error-rate
 prior when none is given, then four passes of seeded-shuffled parity
 blocks locate errors by interactive binary search, with full
 back-tracking of earlier blocks after every correction.  Alice serves
-parities as a pure responder.  Both sides account every disclosed parity
-bit; a 64-bit universal-hash tag closes the block.
+parities as a pure responder and refuses any message that is not legal
+next.  Both sides account every disclosed parity bit; a 64-bit
+universal-hash tag closes the block.
+
+Both roles read every range parity from one XOR prefix of the pass's
+permuted bits (``_prefix_parity``): permuted range [s, s + l) has parity
+``prefix[s + l] ^ prefix[s]``.  A request carries its ranges as one
+(k, 2) u32 array, so each side handles a whole request in array steps.
 
 Message payloads are defined here; the protocol layer wraps them in
 frames, and LocalChannel runs the two roles in one process for tests.
@@ -91,22 +97,23 @@ class ShuffleSeedMsg:
         return ShuffleSeedMsg(seed)
 
 
-@dataclass(frozen=True)
 class ParityRequestMsg:
-    pass_index: int
-    ranges: tuple  # ((start, length), ...) over the pass's permutation
+    """A pass index and (start, length) ranges over the pass's permutation,
+    held as one (k, 2) little-endian u32 array: the wire body as it is."""
+
+    def __init__(self, pass_index: int, ranges):
+        self.pass_index = pass_index
+        self.ranges = np.asarray(ranges, dtype="<u4").reshape(-1, 2)
 
     def encode(self) -> bytes:
-        head = struct.pack("<BI", self.pass_index, len(self.ranges))
-        body = b"".join(struct.pack("<II", s, l) for s, l in self.ranges)
-        return head + body
+        return struct.pack("<BI", self.pass_index, len(self.ranges)) + self.ranges.tobytes()
 
     @staticmethod
     def decode(payload: bytes) -> "ParityRequestMsg":
         pass_index, count = struct.unpack("<BI", payload[:5])
         if len(payload) != 5 + 8 * count:
             raise ValueError(f"{count} ranges need {8 * count} bytes, got {len(payload) - 5}")
-        return ParityRequestMsg(pass_index, tuple(struct.iter_unpack("<II", payload[5:])))
+        return ParityRequestMsg(pass_index, np.frombuffer(payload, dtype="<u4", offset=5))
 
 
 @dataclass(frozen=True)
@@ -137,9 +144,9 @@ def classic_initial_block(qber: float, n: int) -> int:
     """First-pass block size ceil(0.73/QBER), clamped to [8, n/2]."""
     hi = max(1, n // 2)
     lo = min(8, hi)
-    if qber <= 0:
+    if qber <= 0 or 0.73 / qber >= hi:  # a subnormal qber makes 0.73 / qber infinite
         return hi
-    return max(lo, min(int(math.ceil(0.73 / qber)), hi))
+    return max(lo, int(math.ceil(0.73 / qber)))
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,14 @@ def _pass_permutation(n: int, pass_index: int, seed: int) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)
 
 
+def _prefix_parity(bits: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """XOR prefix of ``bits[perm]``: permuted range [s, s + l) has parity
+    ``prefix[s + l] ^ prefix[s]``.  The one source of every range parity."""
+    prefix = np.zeros(len(perm) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits[perm], out=prefix[1:])
+    return prefix
+
+
 def _split_sample(bits: np.ndarray, seed: int):
     """(sample, rest): the seeded SAMPLE_FRACTION to disclose, and the key left."""
     n = len(bits)
@@ -224,7 +239,9 @@ class AliceReconciler:
 
     Feed incoming messages to :meth:`handle`; it returns the reply message
     (or None for fire-and-forget messages).  After the verification tag
-    has been answered, :attr:`result` is available.
+    has been answered, :attr:`result` is available.  The shuffle seed comes
+    first, the QBER sample at most once and before any parity request, and
+    nothing after the tag; any other message raises ChannelClosedError.
     """
 
     def __init__(self, bits: np.ndarray, params: CascadeParams = CascadeParams()):
@@ -238,66 +255,56 @@ class AliceReconciler:
         self.qber_prior: Optional[float] = None
         self.done = False
         self.result: Optional[ReconciliationResult] = None
-        self._passes: dict = {}  # pass_index -> (perm, prefix)
+        self._passes: dict = {}  # pass_index -> prefix parity
+        self._legal: tuple = (ShuffleSeedMsg,)  # the message types legal next
 
     def handle(self, msg):
+        if not isinstance(msg, self._legal):
+            raise ChannelClosedError(f"unexpected message {type(msg).__name__}")
         self.exchanged_messages += 1
         if isinstance(msg, ShuffleSeedMsg):
             self.seed = msg.seed
+            self._legal = (QberSampleMsg, ParityRequestMsg, VerifyTagMsg)
             return None
+        self._legal = (ParityRequestMsg, VerifyTagMsg)
         if isinstance(msg, QberSampleMsg):
             return self._reply(self._handle_sample(msg))
         if isinstance(msg, ParityRequestMsg):
             return self._reply(self._handle_parities(msg))
-        if isinstance(msg, VerifyTagMsg):
-            return self._reply(self._handle_verify(msg))
-        raise ChannelClosedError(f"unexpected message {type(msg).__name__}")
+        self._legal = ()
+        return self._reply(self._handle_verify(msg))
 
     def _reply(self, msg):
         self.exchanged_messages += 1
         return msg
 
     def _handle_sample(self, msg: QberSampleMsg) -> QberSampleMsg:
-        if self.seed is None:
-            raise ChannelClosedError("sample before shuffle seed")
         mine, rest = _split_sample(self._bits, self.seed)
         if msg.count != len(mine):
             raise ChannelClosedError("sample size mismatch")
         self._bits = rest
-        self._passes.clear()
         self.sample_size = len(mine)
         self.sample_mismatches, self.qber_prior = _sample_prior(mine, msg.unpack())
         return QberSampleMsg.of(mine)
 
-    def _pass_state(self, p: int):
+    def _handle_parities(self, msg: ParityRequestMsg) -> ParityResponseMsg:
+        p = msg.pass_index
         if p not in self._passes:
             if p >= self.params.passes:
                 raise ChannelClosedError(f"parity request for pass {p} of only {self.params.passes}")
-            if self.seed is None:
-                raise ChannelClosedError("parity request before shuffle seed")
             perm = _pass_permutation(len(self._bits), p, self.seed)
-            permuted = self._bits[perm]
-            prefix = np.zeros(len(permuted) + 1, dtype=np.uint8)
-            np.bitwise_xor.accumulate(permuted, out=prefix[1:])
-            self._passes[p] = (perm, prefix)
-        return self._passes[p]
-
-    def _handle_parities(self, msg: ParityRequestMsg) -> ParityResponseMsg:
-        perm, prefix = self._pass_state(msg.pass_index)
-        n = len(self._bits)
-        parities = np.empty(len(msg.ranges), dtype=np.uint8)
-        for i, (start, length) in enumerate(msg.ranges):
-            if start + length > n or length == 0:
-                raise ChannelClosedError("parity range out of bounds")
-            parities[i] = prefix[start + length] ^ prefix[start]
-        self.leaked_bits += len(msg.ranges)
-        return ParityResponseMsg.of(parities)
+            self._passes[p] = _prefix_parity(self._bits, perm)
+        prefix = self._passes[p]
+        start, length = msg.ranges.astype(np.int64).T  # int64: a u32 sum would wrap
+        end = start + length
+        if np.any((length == 0) | (end >= len(prefix))):
+            raise ChannelClosedError("parity range out of bounds")
+        self.leaked_bits += len(end)
+        return ParityResponseMsg.of(prefix[end] ^ prefix[start])
 
     def _handle_verify(self, msg: VerifyTagMsg) -> VerifyTagMsg:
         if msg.tag is None:
             raise ChannelClosedError("expected a key tag")
-        if self.seed is None:
-            raise ChannelClosedError("key tag before shuffle seed")
         equal = verify_keys(self._bits, TAG_BITS, self.seed) == msg.tag
         self.leaked_bits += TAG_BITS
         self.done = True
@@ -342,59 +349,47 @@ class _BobState:
         self.exchanged_messages = 0
         self.errors_corrected = 0
         self.perms: list = []
-        self.invs: list = []
+        self.blocks: list = []    # per pass: each key bit's block index
         self.ks: list = []
-        self.mismatch: list = []
+        self.mismatch: list = []  # per pass: block parities differ (bool)
 
-    def request_parities(self, pass_index, ranges) -> np.ndarray:
-        msg = ParityRequestMsg(pass_index, tuple((int(s), int(l)) for s, l in ranges))
-        reply = self.channel.request(msg)
-        if not isinstance(reply, ParityResponseMsg) or reply.count != len(ranges):
+    def differs(self, pass_index, prefix, starts, lengths) -> np.ndarray:
+        """Ask for Alice's parities of the ranges; True where Bob's differ."""
+        reply = self.channel.request(ParityRequestMsg(pass_index, np.column_stack((starts, lengths))))
+        if not isinstance(reply, ParityResponseMsg) or reply.count != len(starts):
             raise ChannelClosedError("bad parity response")
         self.exchanged_messages += 2
         self.leaked_bits += reply.count
-        return reply.unpack()
+        return reply.unpack() != prefix[starts + lengths] ^ prefix[starts]
 
-    def own_parity(self, pass_index, start, length) -> int:
-        perm = self.perms[pass_index]
-        return int(np.bitwise_xor.reduce(self.bits[perm[start : start + length]]))
-
-    def flip(self, bit_index: int) -> None:
-        self.bits[bit_index] ^= 1
-        self.errors_corrected += 1
-        for q in range(len(self.perms)):
-            block = self.invs[q][bit_index] // self.ks[q]
-            self.mismatch[q][block] = ~self.mismatch[q][block]
+    def flip(self, positions: np.ndarray) -> None:
+        self.bits[positions] ^= 1
+        self.errors_corrected += len(positions)
+        for blocks, mismatch in zip(self.blocks, self.mismatch):
+            np.bitwise_xor.at(mismatch, blocks[positions], True)
 
 
-def _batch_binary_search(state: _BobState, pass_index: int, ranges) -> list:
+def _batch_binary_search(state: _BobState, pass_index: int, starts, lengths) -> np.ndarray:
     """Locate one differing bit in each disjoint odd-parity range.
 
     All active searches advance together: one request per halving level
     carries the current sub-ranges, so a block of length L costs
-    ceil(log2 L) disclosed parities.
+    ceil(log2 L) disclosed parities.  The bits do not change during a
+    search, so one prefix serves all its levels.
     """
-    active = [(int(s), int(l)) for s, l in ranges]
-    found = []
     perm = state.perms[pass_index]
-    while active:
-        done = [r for r in active if r[1] == 1]
-        for s, _ in done:
-            found.append(int(perm[s]))
-        active = [r for r in active if r[1] > 1]
-        if not active:
-            break
-        halves = [(s, (l + 1) // 2) for s, l in active]
-        alice = state.request_parities(pass_index, halves)
-        next_active = []
-        for (s, l), (hs, hl), ap in zip(active, halves, alice):
-            mine = state.own_parity(pass_index, hs, hl)
-            if mine != ap:
-                next_active.append((hs, hl))
-            else:
-                next_active.append((s + hl, l - hl))
-        active = next_active
-    return found
+    prefix = _prefix_parity(state.bits, perm)
+    found = []
+    while True:
+        done = lengths == 1
+        found.append(perm[starts[done]])
+        starts, lengths = starts[~done], lengths[~done]
+        if not len(starts):
+            return np.concatenate(found)
+        half = (lengths + 1) // 2
+        left = state.differs(pass_index, prefix, starts, half)
+        starts = np.where(left, starts, starts + half)
+        lengths = np.where(left, half, lengths - half)
 
 
 def reconcile_bob(
@@ -408,7 +403,7 @@ def reconcile_bob(
     Returns the result on success; raises VerificationFailedError (with
     ``.result`` attached) when the closing tags disagree.
     """
-    work = np.array(bits, dtype=np.uint8).copy()
+    work = np.array(bits, dtype=np.uint8)
     if len(work) == 0:
         raise ValueError("cannot reconcile an empty key")
 
@@ -437,31 +432,20 @@ def reconcile_bob(
     for p in range(params.passes):
         k_p = min(k1 * (2**p), max(1, n // 2))
         perm = _pass_permutation(n, p, seed)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n, dtype=np.int64)
-        nblocks = int(math.ceil(n / k_p))
-        starts = np.arange(nblocks, dtype=np.int64) * k_p
-        lengths = np.minimum(k_p, n - starts)
+        blocks = np.empty(n, dtype=np.int64)
+        blocks[perm] = np.arange(n, dtype=np.int64) // k_p
+        starts = np.arange(0, n, k_p, dtype=np.int64)
         state.perms.append(perm)
-        state.invs.append(inv)
+        state.blocks.append(blocks)
         state.ks.append(k_p)
+        state.mismatch.append(
+            state.differs(p, _prefix_parity(work, perm), starts, np.minimum(k_p, n - starts)))
 
-        alice_par = state.request_parities(p, list(zip(starts, lengths)))
-        permuted = work[perm]
-        my_par = np.bitwise_xor.reduceat(permuted, starts)
-        state.mismatch.append(alice_par.astype(bool) ^ my_par.astype(bool))
-
-        while True:
-            cand = [q for q in range(len(state.perms)) if state.mismatch[q].any()]
-            if not cand:
-                break
-            q = min(cand, key=lambda qq: state.ks[qq])
-            odd = np.nonzero(state.mismatch[q])[0]
-            q_starts = odd * state.ks[q]
-            q_lengths = np.minimum(state.ks[q], n - q_starts)
-            positions = _batch_binary_search(state, q, list(zip(q_starts, q_lengths)))
-            for i in positions:
-                state.flip(i)
+        # Block sizes grow with the pass, so the first pass with an odd
+        # block has the smallest ones: search there, then back-track.
+        while (q := next((i for i, m in enumerate(state.mismatch) if m.any()), None)) is not None:
+            starts = np.flatnonzero(state.mismatch[q]) * state.ks[q]
+            state.flip(_batch_binary_search(state, q, starts, np.minimum(state.ks[q], n - starts)))
 
     reply = channel.request(VerifyTagMsg(tag=verify_keys(work, TAG_BITS, seed)))
     if not isinstance(reply, VerifyTagMsg) or reply.status is None:

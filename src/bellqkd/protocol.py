@@ -229,8 +229,9 @@ def iter_frames(data: bytes) -> Iterator[Frame]:
 # ---------------------------------------------------------------------------
 # Messages: one class per frame type, each with ``encode()`` and
 # ``decode(payload)``.  A decoder raises only ValueError or struct.error.
-# Hello, TimetagBatch, BellReveal and Abort are plain classes: a frozen
-# dataclass costs about a millisecond of import time.
+# Hello, TimetagBatch, MatchAnnounce, BellReveal and Abort are plain
+# classes: a frozen dataclass costs about a millisecond of import time, and
+# its generated ``__eq__`` raises on array fields.
 
 class Hello:
     def __init__(self, role: int):
@@ -272,14 +273,18 @@ class TimetagBatch:
         return TimetagBatch(*decode_timetag_batch(payload))
 
 
-@dataclass(frozen=True)
 class MatchAnnounce:
-    flag: int
-    delay_ticks: int = 0
-    accidentals: int = 0
-    a_idx: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint32))
-    b_idx: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint32))
-    classes: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
+    """Alice's answer to one batch: a flag, and with ANNOUNCE_BLOCK the
+    delay, the accidentals and one (a, b, class) record per match."""
+
+    def __init__(self, flag: int, delay_ticks: int = 0, accidentals: int = 0,
+                 a_idx=None, b_idx=None, classes=None):
+        self.flag = flag
+        self.delay_ticks = delay_ticks
+        self.accidentals = accidentals
+        self.a_idx = np.empty(0, np.uint32) if a_idx is None else a_idx
+        self.b_idx = np.empty(0, np.uint32) if b_idx is None else b_idx
+        self.classes = np.empty(0, np.uint8) if classes is None else classes
 
     def encode(self) -> bytes:
         head = struct.pack("<BqII", self.flag, self.delay_ticks, self.accidentals, len(self.a_idx))

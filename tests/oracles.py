@@ -1,16 +1,30 @@
 """Independent reference implementations used to freeze expected values.
 
 Nothing in here imports the package under test, except the former
-``find_delay``, which shares the current histogram helpers, and the
-former stream assembly, which shares the current pair draws.  Each other
+``find_delay``, which shares the current histogram helpers, the former
+stream assembly, which shares the current pair draws, and the former
+Cascade, which shares the current permutations, sample split and key
+tag.  Each other
 function derives its answer from first principles (state vectors,
 explicit matrices, plain loops) so the unit tests compare two genuinely
 different routes to the same number.
 """
 
+import math
+import struct
+
 import mpmath as mp
 import numpy as np
 
+from bellqkd.cascade import (
+    TAG_BITS,
+    ChannelClosedError,
+    _pass_permutation,
+    _sample_prior,
+    _split_sample,
+    classic_initial_block,
+    verify_keys,
+)
 from bellqkd.physics import (
     ALICE_ANGLES,
     ALICE_DETECTORS,
@@ -523,3 +537,157 @@ def generate_event_streams_stable_sorts(channel, attack, ground_truth=True, rng=
         truth = GroundTruth(a_set, b_set, a_out, b_out, a_flag, b_flag,
                             a_pair_ticks, b_pair_ticks, attacked)
     return EventStreams(a_ticks, a_dets, b_ticks, b_dets, channel, truth)
+
+
+# ---------------------------------------------------------------------------
+# The former Cascade, kept as the reference: Bob advanced his binary
+# searches as Python lists of ranges and read his own parity of every
+# half-range with a gather and reduce (``own_parity``), his first parities
+# of a pass with ``reduceat``; Alice answered each range in a loop over
+# her prefix table.  Both roles run in one process, and each message Bob
+# sends is kept as (message class name, payload bytes).
+
+class _FormerAlice:
+    def __init__(self, bits, seed):
+        self.bits = np.array(bits, dtype=np.uint8)
+        self.seed = seed
+        self.leaked_bits = 0
+        self.passes = {}  # pass_index -> prefix table
+
+    def parities(self, p, ranges) -> np.ndarray:
+        if p not in self.passes:
+            permuted = self.bits[_pass_permutation(len(self.bits), p, self.seed)]
+            prefix = np.zeros(len(permuted) + 1, dtype=np.uint8)
+            np.bitwise_xor.accumulate(permuted, out=prefix[1:])
+            self.passes[p] = prefix
+        prefix = self.passes[p]
+        n = len(self.bits)
+        parities = np.empty(len(ranges), dtype=np.uint8)
+        for i, (start, length) in enumerate(ranges):
+            if start + length > n or length == 0:
+                raise ChannelClosedError("parity range out of bounds")
+            parities[i] = prefix[start + length] ^ prefix[start]
+        self.leaked_bits += len(ranges)
+        return parities
+
+
+class _FormerBobState:
+    def __init__(self, bits, alice, sent):
+        self.bits = bits
+        self.alice = alice
+        self.sent = sent
+        self.leaked_bits = 0
+        self.exchanged_messages = 0
+        self.errors_corrected = 0
+        self.perms: list = []
+        self.invs: list = []
+        self.ks: list = []
+        self.mismatch: list = []
+
+    def request_parities(self, pass_index, ranges) -> np.ndarray:
+        ranges = tuple((int(s), int(l)) for s, l in ranges)
+        self.sent.append(("ParityRequestMsg", struct.pack("<BI", pass_index, len(ranges))
+                          + b"".join(struct.pack("<II", s, l) for s, l in ranges)))
+        self.exchanged_messages += 2
+        self.leaked_bits += len(ranges)
+        return self.alice.parities(pass_index, ranges)
+
+    def own_parity(self, pass_index, start, length) -> int:
+        perm = self.perms[pass_index]
+        return int(np.bitwise_xor.reduce(self.bits[perm[start : start + length]]))
+
+    def flip(self, bit_index: int) -> None:
+        self.bits[bit_index] ^= 1
+        self.errors_corrected += 1
+        for q in range(len(self.perms)):
+            block = self.invs[q][bit_index] // self.ks[q]
+            self.mismatch[q][block] = ~self.mismatch[q][block]
+
+
+def _former_batch_binary_search(state: _FormerBobState, pass_index: int, ranges) -> list:
+    active = [(int(s), int(l)) for s, l in ranges]
+    found = []
+    perm = state.perms[pass_index]
+    while active:
+        done = [r for r in active if r[1] == 1]
+        for s, _ in done:
+            found.append(int(perm[s]))
+        active = [r for r in active if r[1] > 1]
+        if not active:
+            break
+        halves = [(s, (l + 1) // 2) for s, l in active]
+        alice = state.request_parities(pass_index, halves)
+        next_active = []
+        for (s, l), (hs, hl), ap in zip(active, halves, alice):
+            mine = state.own_parity(pass_index, hs, hl)
+            if mine != ap:
+                next_active.append((hs, hl))
+            else:
+                next_active.append((s + hl, l - hl))
+        active = next_active
+    return found
+
+
+def reconcile_pair_former(alice_bits, bob_bits, params, qber_estimate=None) -> dict:
+    """Both roles of the former Cascade; ``params.shuffle_seed`` must be set.
+
+    Returns Bob's corrected bits, the messages he sent, both sides'
+    counts, and whether the closing tags agreed."""
+    seed = params.shuffle_seed
+    sent = [("ShuffleSeedMsg", struct.pack("<Q", seed))]
+    work = np.array(bob_bits, dtype=np.uint8).copy()
+    alice = _FormerAlice(alice_bits, seed)
+    state = _FormerBobState(work, alice, sent)
+    state.exchanged_messages += 1
+
+    if qber_estimate is None:
+        mine, work = _split_sample(work, seed)
+        theirs, alice.bits = _split_sample(alice.bits, seed)
+        sent.append(("QberSampleMsg", struct.pack("<I", len(mine)) + np.packbits(mine).tobytes()))
+        state.exchanged_messages += 2
+        _, qber_estimate = _sample_prior(mine, theirs)
+        state.bits = work
+
+    n = len(work)
+    k1 = classic_initial_block(qber_estimate, n)
+    for p in range(params.passes):
+        k_p = min(k1 * (2**p), max(1, n // 2))
+        perm = _pass_permutation(n, p, seed)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n, dtype=np.int64)
+        nblocks = int(math.ceil(n / k_p))
+        starts = np.arange(nblocks, dtype=np.int64) * k_p
+        lengths = np.minimum(k_p, n - starts)
+        state.perms.append(perm)
+        state.invs.append(inv)
+        state.ks.append(k_p)
+
+        alice_par = state.request_parities(p, list(zip(starts, lengths)))
+        permuted = work[perm]
+        my_par = np.bitwise_xor.reduceat(permuted, starts)
+        state.mismatch.append(alice_par.astype(bool) ^ my_par.astype(bool))
+
+        while True:
+            cand = [q for q in range(len(state.perms)) if state.mismatch[q].any()]
+            if not cand:
+                break
+            q = min(cand, key=lambda qq: state.ks[qq])
+            odd = np.nonzero(state.mismatch[q])[0]
+            q_starts = odd * state.ks[q]
+            q_lengths = np.minimum(state.ks[q], n - q_starts)
+            positions = _former_batch_binary_search(state, q, list(zip(q_starts, q_lengths)))
+            for i in positions:
+                state.flip(i)
+
+    tag = verify_keys(work, TAG_BITS, seed)
+    sent.append(("VerifyTagMsg", tag))
+    state.exchanged_messages += 2
+    return {
+        "bits": work,
+        "sent": sent,
+        "leaked_bits": state.leaked_bits + TAG_BITS,
+        "alice_leaked_bits": alice.leaked_bits + TAG_BITS,
+        "errors_corrected": state.errors_corrected,
+        "exchanged_messages": state.exchanged_messages,
+        "verified": tag == verify_keys(alice.bits, TAG_BITS, seed),
+    }

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bellqkd.cascade import (
     AliceReconciler,
     CascadeParams,
     ChannelClosedError,
+    LocalChannel,
     ParityRequestMsg,
     QberSampleMsg,
     ShuffleSeedMsg,
@@ -36,6 +38,7 @@ def test_initial_block_size_rule():
     assert classic_initial_block(0.5, 10000) == 8     # lower clamp
     assert classic_initial_block(1e-9, 10000) == 5000  # upper clamp n/2
     assert classic_initial_block(0.0, 10000) == 5000
+    assert classic_initial_block(5e-324, 10000) == 5000  # 0.73 / qber overflows
     assert classic_initial_block(0.1, 10) == 5        # clamps shrink with n
 
 
@@ -130,6 +133,42 @@ def test_message_before_shuffle_seed_closes_channel(msg):
     alice = AliceReconciler(np.zeros(100, dtype=np.uint8), CascadeParams())
     with pytest.raises(ChannelClosedError):
         alice.handle(msg)
+
+
+def _sampled_responder(n=100):
+    alice = AliceReconciler(np.zeros(n, dtype=np.uint8), CascadeParams())
+    alice.handle(ShuffleSeedMsg(7))
+    alice.handle(QberSampleMsg(2, b"\x00"))  # 2 % of 100 bits
+    return alice
+
+
+@pytest.mark.parametrize("history, late", [
+    ([], ShuffleSeedMsg(8)),
+    ([ParityRequestMsg(0, ((0, 8),))], ShuffleSeedMsg(7)),
+    ([], QberSampleMsg(2, b"\x00")),
+    ([ParityRequestMsg(0, ((0, 8),))], QberSampleMsg(2, b"\x00")),
+    ([VerifyTagMsg(tag=b"\x00" * 8)], ParityRequestMsg(0, ((0, 8),))),
+], ids=["second-seed", "seed-after-parities", "second-sample", "sample-after-parities",
+        "after-the-tag"])
+def test_message_out_of_order_closes_channel(history, late):
+    alice = _sampled_responder()
+    for msg in history:
+        alice.handle(msg)
+    with pytest.raises(ChannelClosedError, match=f"^unexpected message {type(late).__name__}$"):
+        alice.handle(late)
+
+
+@pytest.mark.parametrize("ranges", [
+    ((0, 8), (8, 0)),
+    ((0, 97), (97, 2)),
+    ((0xFFFFFFFF, 2),),  # the u32 sum wraps to 1
+], ids=["zero-length", "past-the-end", "start-u32-max"])
+def test_parity_range_out_of_bounds_closes_channel(ranges):
+    alice = _sampled_responder()  # 98 bits left
+    assert alice.handle(ParityRequestMsg(0, ((0, 98), (97, 1)))).count == 2
+    with pytest.raises(ChannelClosedError, match="^parity range out of bounds$"):
+        alice.handle(ParityRequestMsg(0, ranges))
+    assert alice.leaked_bits == 2  # a refused request discloses nothing
 
 
 def test_parity_request_beyond_the_passes_closes_channel():
@@ -227,3 +266,44 @@ def test_verified_implies_equal_keys(seed, n, q):
     np.testing.assert_array_equal(alice.bits, bob.bits)
     assert alice.leaked_bits == bob.leaked_bits >= TAG_BITS
     assert bob.errors_corrected + bob.sample_mismatches == n_err
+
+
+class _RecordingChannel(LocalChannel):
+    """LocalChannel keeping Bob's messages as (class name, payload)."""
+
+    def __init__(self, responder):
+        super().__init__(responder)
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append((type(msg).__name__, msg.encode()))
+        super().send(msg)
+
+    def request(self, msg):
+        self.sent.append((type(msg).__name__, msg.encode()))
+        return super().request(msg)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.floats(0.0, 0.11),
+       st.integers(1, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_reconciliation_equals_the_former_cascade(seed, n, q, passes, with_prior):
+    rng = np.random.default_rng(seed)
+    alice_bits, bob_bits = _keys_with_errors(rng, n, int(round(q * n)))
+    params = CascadeParams(passes=passes, shuffle_seed=seed)
+    prior = q if with_prior else None
+    want = oracles.reconcile_pair_former(alice_bits, bob_bits, params, prior)
+
+    alice = AliceReconciler(alice_bits, params)
+    channel = _RecordingChannel(alice)
+    try:
+        bob = reconcile_bob(bob_bits, channel, params, prior)
+    except VerificationFailedError as exc:
+        bob = exc.result
+    assert channel.sent == want["sent"]  # every request byte-equal, in order
+    np.testing.assert_array_equal(bob.bits, want["bits"])
+    assert bob.verified == alice.result.verified == want["verified"]
+    assert bob.leaked_bits == want["leaked_bits"]
+    assert alice.result.leaked_bits == want["alice_leaked_bits"]
+    assert bob.errors_corrected == want["errors_corrected"]
+    assert bob.exchanged_messages == want["exchanged_messages"]

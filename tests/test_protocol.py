@@ -164,7 +164,10 @@ _MESSAGE_SAMPLES = {
         [b"\x02\x00\x00\x00\x03"]),  # count says 2, body has 1
     FrameType.QBER_SAMPLE: ([QberSampleMsg(3, b"\xa0")], []),
     FrameType.SHUFFLE_SEED: ([ShuffleSeedMsg(12345)], []),
-    FrameType.PARITY_REQUEST: ([ParityRequestMsg(1, ((0, 8), (8, 8)))], []),
+    FrameType.PARITY_REQUEST: (
+        [ParityRequestMsg(1, ((0, 8), (8, 8))), ParityRequestMsg(3, [(0xFFFFFFFF, 2)]),
+         ParityRequestMsg(0, ())],
+        [b"\x00\x01\x00\x00\x00" + b"\x00" * 9]),  # 1 range needs 8 bytes, not 9
     FrameType.PARITY_RESPONSE: ([ParityResponseMsg(2, b"\xc0")], []),
     FrameType.VERIFY_TAG: ([VerifyTagMsg(tag=b"\x01" * 8), VerifyTagMsg(status=1)], []),
     FrameType.PA_PARAMS: ([PaParams(10000, 1762, 2802, 0, -2.5003, 1.0)], []),
@@ -199,6 +202,7 @@ def test_message_codec(ftype):
         assert type(msg) is cls
         back = frame_message(Frame(ftype, msg.encode()))
         assert type(back) is cls and _same_fields(back, msg)
+        assert isinstance(msg == back, bool)  # comparing two messages never raises
         assert back.encode() == msg.encode()  # byte-exact, the NaN BlockStats row too
     for payload in refused + [samples[0].encode()[:-1]]:
         with pytest.raises(MalformedFrameError, match=f"^bad {ftype.name} payload: "):
@@ -809,6 +813,31 @@ def test_alice_refuses_parity_request_beyond_the_passes(transcripts):
     assert result.abort_message == f"parity request for pass {passes} of only {passes}"
     assert sent[-1].type == FrameType.ABORT
     assert FrameType.PARITY_RESPONSE not in [f.type for f in sent]
+
+
+@pytest.mark.parametrize("ranges", [((0, 0),), ((0, 2**20),), ((0xFFFFFFFF, 2),)],
+                         ids=["zero-length", "past-the-end", "start-u32-max"])
+def test_parity_range_out_of_bounds_is_a_protocol_violation(transcripts, ranges):
+    frames, segments, cfg = transcripts[AliceSession]
+    at = [f.type for f in frames].index(FrameType.PARITY_REQUEST)
+    bad = ParityRequestMsg(frame_message(frames[at]).pass_index, ranges)
+    result, sent = _replay(AliceSession, frames[:at] + [_frame(bad)], segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == "parity range out of bounds"
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                   "parity range out of bounds")
+    assert FrameType.PARITY_RESPONSE not in [f.type for f in sent]
+
+
+@pytest.mark.parametrize("ftype", [FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE],
+                         ids=lambda t: t.name)
+def test_alice_refuses_a_repeated_seed_or_sample(transcripts, ftype):
+    frames, segments, cfg = transcripts[AliceSession]
+    at = [f.type for f in frames].index(ftype)
+    result, sent = _replay(AliceSession, frames[:at + 1] + frames[at:], segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == f"unexpected message {type(frame_message(frames[at])).__name__}"
+    assert sent[-1].type == FrameType.ABORT
 
 
 @pytest.mark.parametrize("edit, message", [
