@@ -272,7 +272,7 @@ class AliceReconciler:
         if isinstance(msg, ParityRequestMsg):
             return self._reply(self._handle_parities(msg))
         self._legal = ()
-        return self._reply(self._handle_verify(msg))
+        return self._handle_verify(msg)
 
     def _reply(self, msg):
         self.exchanged_messages += 1
@@ -308,6 +308,7 @@ class AliceReconciler:
         equal = verify_keys(self._bits, TAG_BITS, self.seed) == msg.tag
         self.leaked_bits += TAG_BITS
         self.done = True
+        reply = self._reply(VerifyTagMsg(status=1 if equal else 0))  # counted in the result
         self.result = ReconciliationResult(
             bits=self._bits,
             n=len(self._bits),
@@ -319,7 +320,7 @@ class AliceReconciler:
             sample_size=self.sample_size,
             sample_mismatches=self.sample_mismatches,
         )
-        return VerifyTagMsg(status=1 if equal else 0)
+        return reply
 
 
 class LocalChannel:

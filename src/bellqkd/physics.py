@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Optional
@@ -555,7 +556,13 @@ class JointSegmentSource:
     per segment from that segment's child seed and re-cut on exact tick
     boundaries so that the concatenation of a side's segments equals the
     time-sorted full stream.  Memory stays bounded by a couple of
-    segments regardless of run length.
+    segments plus the one Bob holds ahead, regardless of run length.
+
+    Each side has one consumer, and the two may iterate concurrently.
+    The lock guards generation only: a side whose next segment is
+    already ready takes it without waiting while the other side
+    generates, which lets one station's generation overlap the other's
+    matching.
 
     Per raw segment the work is the pair and background draws and one
     in-place sort of int64 keys per side, which puts the pair tags (in
@@ -587,7 +594,7 @@ class JointSegmentSource:
             "alice": (np.empty(0, np.uint64), np.empty(0, np.uint8)),
             "bob": (np.empty(0, np.uint64), np.empty(0, np.uint8)),
         }
-        self._ready: dict = {"alice": [], "bob": []}
+        self._ready = {"alice": deque(), "bob": deque()}
         self._emitted = 0
         self._lock = threading.Lock()
 
@@ -634,14 +641,18 @@ class JointSegmentSource:
     def segments(self, side: str):
         """Iterate (ticks, detectors) segments for one side.
 
-        Both sides may iterate concurrently; a segment is freed once both
-        have consumed it, so memory stays bounded.
+        One consumer per side; both sides may iterate concurrently.  Only
+        ``_advance`` runs under the lock, and only this side's consumer
+        pops its ready queue, so a ready segment is taken without the
+        lock.  A segment is freed once both sides have consumed it.
         """
         if side not in ("alice", "bob"):
             raise ValueError("side must be 'alice' or 'bob'")
+        ready = self._ready[side]
         while True:
-            with self._lock:
-                if not self._ready[side] and not self._advance():
-                    return
-                seg = self._ready[side].pop(0)
-            yield seg
+            if not ready:
+                with self._lock:
+                    # the other side may have generated it while this one waited
+                    if not ready and not self._advance():
+                        return
+            yield ready.popleft()

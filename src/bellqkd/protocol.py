@@ -19,6 +19,8 @@ she aborts NO_PEAK with the last scan's message.
 
 The strict batch/announce lockstep makes the transcript a pure function
 of the inputs, so recorded runs replay byte-identically per direction.
+Only the stations' own work overlaps it: Bob generates his next segment
+while Alice matches the batch he has just sent.
 
 Every frame payload is one message class with ``encode()`` and
 ``decode(payload)``; ``MESSAGES`` is the one map from a frame type to its
@@ -990,10 +992,19 @@ _NO_SEGMENT = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8))
 
 
 class BobSession(_Endpoint):
-    """Streams tags, drives reconciliation and amplification."""
+    """Streams tags, drives reconciliation and amplification.
+
+    Bob takes segment k+1 from his source as soon as he has sent batch k,
+    before he reads its MATCH_ANNOUNCE, and holds it in ``_pending``, also
+    across a block boundary.  So his generation runs while Alice matches
+    batch k.  No frame moves: the transcript is the lockstep one.  A
+    session that aborts may have taken one segment more on this side
+    than on Alice's.
+    """
 
     role = "bob"
     _hello, _peer = 1, "the matching side"
+    _pending = None  # the segment taken ahead, sent as the next batch
 
     def _run_block(self) -> bool:
         """One block; returns False when the data ended (session done)."""
@@ -1003,10 +1014,14 @@ class BobSession(_Endpoint):
         det_chunks: list = []
 
         while True:
-            ticks, dets = next(self.segments, _NO_SEGMENT)
+            ticks, dets = self._pending or next(self.segments, _NO_SEGMENT)
             self.send(TimetagBatch(ticks, _detector_to_basis(dets)))
+            ended = len(ticks) == 0
+            del ticks  # sent; a block's last ticks would otherwise live through Cascade
+            # generate the next segment while the peer matches this batch
+            self._pending = None if ended else next(self.segments, _NO_SEGMENT)
             ma = self._expect(MatchAnnounce)
-            if len(ticks) == 0:
+            if ended:
                 # an empty batch reads as end-of-data on the far side
                 if ma.flag != ANNOUNCE_END:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected end announce")

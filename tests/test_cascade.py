@@ -224,6 +224,10 @@ def test_deterministic_for_fixed_seed():
         assert a.leaked_bits == b.leaked_bits
         assert a.exchanged_messages == b.exchanged_messages
         np.testing.assert_array_equal(a.bits, b.bits)
+    # both roles count every message of the exchange, with and without a sample
+    sampled = reconcile_pair(alice_bits, bob_bits, params)
+    for alice, bob in (r1, sampled):
+        assert alice.exchanged_messages == bob.exchanged_messages
 
 
 def test_params_validation():

@@ -405,6 +405,31 @@ def test_replay_of_a_shorter_duration_reads_no_further_than_its_last_cut(recordi
     assert sum(read) == (cut // 1000 + 1) * 1000
 
 
+def test_replay_of_an_aborted_recording_gives_its_exit_code_and_csv(tmp_path, capsys):
+    # Every pair is intercepted, so the first block fails the Bell test.
+    # Bob took his next segment before Alice had matched the block's last
+    # one; each file records what its side took, so bob.tags holds one
+    # segment more than alice.tags.
+    conf = tmp_path / "exp.conf"
+    conf.write_text(_FAST_CONFIG.replace("duration = 2", "duration = 3")
+                    + "intercept_fraction = 1\n")
+    live, replayed = tmp_path / "live.csv", tmp_path / "replay.csv"
+    code = main(["run", "--config", str(conf), "--csv", str(live), "--dump-tags", str(tmp_path)])
+    assert code == EXIT_INSECURE
+    origin = _time_origin_ticks(parse_config(conf.read_text()).channel)
+    last_segment = {side: (int(read_tag_file(tmp_path / f"{side}.tags")[1][-1]) - origin)
+                    // seconds_to_ticks(1.0) for side in ("alice", "bob")}
+    assert last_segment["bob"] == last_segment["alice"] + 1
+    capsys.readouterr()
+
+    code = main(["replay", "--alice", str(tmp_path / "alice.tags"),
+                 "--bob", str(tmp_path / "bob.tags"),
+                 "--config", str(conf), "--csv", str(replayed)])
+    assert code == EXIT_INSECURE
+    assert replayed.read_bytes() == live.read_bytes()
+    assert "INSECURE_REGIME" in capsys.readouterr().err
+
+
 def _peak_rss_mib(*args) -> float:
     """Run ``bellqkd <args>`` as a child process; its peak RSS in MiB."""
     env = dict(os.environ, PYTHONPATH=str(Path(bellqkd.cli.__file__).resolve().parents[1]))

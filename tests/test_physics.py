@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -440,6 +442,89 @@ def test_both_sides_can_interleave():
     for (a, b), ra, rb in zip(seq, ref_a, ref_b):
         np.testing.assert_array_equal(a[0], ra[0])
         np.testing.assert_array_equal(b[0], rb[0])
+
+
+def _pull(segments, out, wait, signal):
+    """Take every segment of ``segments`` into ``out`` as bytes, acquiring
+    ``wait`` before each take and releasing ``signal`` after it."""
+    while True:
+        assert wait.acquire(timeout=30)
+        seg = next(segments, None)
+        signal.release()
+        if seg is None:
+            return
+        out.append((seg[0].tobytes(), seg[1].tobytes()))
+
+
+@given(duration=st.floats(0.0, 3.0), seg_s=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+       attacked=st.booleans(), bob_ahead=st.integers(1, 2), alice_ahead=st.integers(0, 2),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_concurrent_sides_get_the_segments_of_one_thread(duration, seg_s, attacked, bob_ahead,
+                                                         alice_ahead, seed):
+    """The source's contract: one consumer per side, and the lock guards
+    generation only.  Alice's and Bob's threads pull one source at once;
+    each gets, in order, the bytes one thread gets by pulling both sides
+    in turn.  Bob runs up to ``bob_ahead`` segments ahead of Alice, as in
+    a session, where he takes segment k+1 before she takes k.  With
+    ``alice_ahead`` > 0 Alice may lead too, so that both sides find their
+    queues empty at once and race for the lock."""
+    ch = _small_channel(duration=duration, background_rate=2000.0, rng_seed=seed)
+    attack = AttackConfig(intercept_fraction=0.5 if attacked else 0.0)
+    src = JointSegmentSource(ch, attack, segment_seconds=seg_s)
+    # each side's takes left before it must wait for the other side's next take
+    alice_may, bob_may = threading.Semaphore(alice_ahead), threading.Semaphore(bob_ahead)
+    got = {"alice": [], "bob": []}
+    threads = [
+        threading.Thread(target=_pull, args=(src.segments("alice"), got["alice"],
+                                             alice_may, bob_may)),
+        threading.Thread(target=_pull, args=(src.segments("bob"), got["bob"],
+                                             bob_may, alice_may)),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside generation too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    ref = JointSegmentSource(ch, attack, segment_seconds=seg_s)
+    turns = list(zip(ref.segments("alice"), ref.segments("bob")))
+    assert len(turns) == ref.n_segments
+    for k, side in enumerate(("alice", "bob")):
+        assert got[side] == [(seg[k][0].tobytes(), seg[k][1].tobytes()) for seg in turns]
+
+
+def test_a_ready_segment_is_taken_while_the_other_side_generates(monkeypatch):
+    src = JointSegmentSource(_small_channel(duration=4.0))
+    alice, bob = src.segments("alice"), src.segments("bob")
+    next(bob)  # generates segment 0 of both sides
+    generating, release = threading.Event(), threading.Event()
+    generate = src._generate_raw
+
+    def held(k):
+        generating.set()
+        release.wait(30)
+        return generate(k)
+
+    monkeypatch.setattr(src, "_generate_raw", held)
+    ahead = threading.Thread(target=next, args=(bob,))  # Bob's segment 1, under the lock
+    ahead.start()
+    assert generating.wait(30)
+    got = []
+    taker = threading.Thread(target=lambda: got.append(next(alice)))
+    taker.start()
+    try:
+        taker.join(2.0)
+        assert got, "Alice's ready segment 0 waited for Bob's generation"
+    finally:
+        release.set()
+        ahead.join()
+        taker.join()
 
 
 def _tag_run(draw, ticks):

@@ -946,6 +946,78 @@ def test_peer_disconnect():
     assert result.abort_reason == AbortReason.PEER_DISCONNECTED
 
 
+class _SegmentError(Exception):
+    pass
+
+
+def _raising_at(segments, k):
+    """``segments`` with an error in place of segment ``k``."""
+    for i, seg in enumerate(segments):
+        if i == k:
+            raise _SegmentError(f"no segment {k}")
+        yield seg
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+@pytest.mark.parametrize("where", ["inside-a-block", "after-a-block"])
+def test_error_in_bobs_segments_ends_the_session_cleanly(monkeypatch, where, transport):
+    # Bob takes segment k after he sends batch k-1 and before he reads its
+    # announce, so his iterator fails while Alice matches batch k-1: inside
+    # a block, or when that announce closes a block.  Both threads end long
+    # before the timeout, the error reaches the caller and Alice ends
+    # ABORTED.  (replay reads both tag files through before the session
+    # starts, so its segments cannot raise mid-session.)
+    ch = _channel(duration=3.0)
+    cfg = SessionConfig(block_min_key_bits=3000, seed=ch.rng_seed, segment_seconds=0.5,
+                        timeout=30.0)
+    a2b = []
+    src = JointSegmentSource(ch, segment_seconds=cfg.segment_seconds)
+    ra, rb = run_inproc_pair(src.segments("alice"), src.segments("bob"), cfg,
+                             recorders=(a2b.append, None))
+    assert ra.done and rb.done
+    flags = [frame_message(f).flag for f in iter_frames(b"".join(a2b))
+             if f.type == FrameType.MATCH_ANNOUNCE]
+    closing = ANNOUNCE_CONTINUE if where == "inside-a-block" else ANNOUNCE_BLOCK
+    k = flags.index(closing) + 1
+    assert k < src.n_segments
+
+    results = {}
+
+    def recorded(role, *args):
+        results[role] = run_session(role, *args)
+        return results[role]
+
+    monkeypatch.setattr(protocol, "run_session", recorded)
+    if transport == "socket":
+        t_alice, t_bob = (SocketTransport(s, timeout=cfg.timeout) for s in socket.socketpair())
+    else:
+        t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
+    src = JointSegmentSource(ch, segment_seconds=cfg.segment_seconds)
+    start = time.monotonic()
+    with pytest.raises(_SegmentError, match=f"no segment {k}"):
+        run_transport_pair(t_alice, t_bob, src.segments("alice"),
+                           _raising_at(src.segments("bob"), k), cfg)
+    assert time.monotonic() - start < cfg.timeout / 3
+    assert list(results) == ["alice"]
+    assert results["alice"].phase == Phase.ABORTED
+    assert results["alice"].abort_reason == AbortReason.PEER_DISCONNECTED
+
+
+def test_both_roles_count_the_same_reconciliation_messages(monkeypatch):
+    counts = {"alice": [], "bob": []}
+    close_block = protocol._Endpoint._close_block
+
+    def counted(self, stats):
+        counts[self.role].append(self._block.recon.exchanged_messages)
+        close_block(self, stats)
+
+    monkeypatch.setattr(protocol._Endpoint, "_close_block", counted)
+    ra, rb = _run(_channel())
+    assert ra.done and rb.done
+    assert len(counts["bob"]) == len(rb.stats) >= 1
+    assert counts["alice"] == counts["bob"]
+
+
 def test_socket_session_matches_inproc():
     ch = _channel(duration=1.5)
     cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
