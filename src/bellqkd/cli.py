@@ -6,12 +6,18 @@ two final key files.  ``replay`` feeds recorded time-tag files through
 the identical pipeline from coincidence matching onward.  ``keyrate``
 prints a standalone security estimate.
 
+``run`` and ``replay`` differ only in where the segments come from: one
+parent parser holds their shared flags, ``_config`` folds the file and
+the flags into the ``ExperimentConfig`` that carries the output paths,
+and ``_execute`` runs the session and writes its outputs.
+
 Config files are flat ``key = value`` text with ``#`` comments; unknown
 keys are rejected.  All keys default to the paper-like operating point.
 
 Exit codes: 0 success, 2 insecure regime, 3 verification failure,
-4 transport/protocol failure, 5 config or input error.  A side that
-aborted prints ``alice|bob: <REASON>: <message>`` to stderr.
+4 transport/protocol failure (an empty segment mid-run included),
+5 config or input error.  A side that aborted prints
+``alice|bob: <REASON>: <message>`` to stderr.
 """
 
 from __future__ import annotations
@@ -111,26 +117,34 @@ def _probe(cls, key: str, value) -> None:
         raise RangeError(key, str(exc))
 
 
-def _validate_transport(value: str) -> str:
+def _socket_address(value: str) -> Optional[Tuple[str, int]]:
+    """None for ``inproc``; (host, port) for ``socket [HOST:PORT]``, 127.0.0.1:0 without one."""
     parts = value.split()
     if not parts or parts[0] not in ("inproc", "socket"):
         raise RangeError("transport", f"transport must be 'inproc' or 'socket [HOST:PORT]', got '{value}'")
-    if parts[0] == "inproc" and len(parts) != 1:
-        raise RangeError("transport", "inproc takes no address")
-    if parts[0] == "socket":
-        if len(parts) > 2:
-            raise RangeError("transport", "socket takes at most one HOST:PORT address")
-        if len(parts) == 2:
-            host, sep, port = parts[1].rpartition(":")
-            if not sep or not host:
-                raise RangeError("transport", f"bad socket address '{parts[1]}'")
-            try:
-                port_num = int(port)
-            except ValueError:
-                raise RangeError("transport", f"bad port in '{parts[1]}'")
-            if not 0 <= port_num <= 65535:
-                raise RangeError("transport", f"port {port_num} out of range")
-    return " ".join(parts)
+    if parts[0] == "inproc":
+        if len(parts) != 1:
+            raise RangeError("transport", "inproc takes no address")
+        return None
+    if len(parts) > 2:
+        raise RangeError("transport", "socket takes at most one HOST:PORT address")
+    if len(parts) == 1:
+        return "127.0.0.1", 0
+    host, sep, port = parts[1].rpartition(":")
+    if not sep or not host:
+        raise RangeError("transport", f"bad socket address '{parts[1]}'")
+    try:
+        port_num = int(port)
+    except ValueError:
+        raise RangeError("transport", f"bad port in '{parts[1]}'")
+    if not 0 <= port_num <= 65535:
+        raise RangeError("transport", f"port {port_num} out of range")
+    return host, port_num
+
+
+def _validate_transport(value: str) -> str:
+    _socket_address(value)
+    return " ".join(value.split())
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -188,17 +202,14 @@ def _session_config(cfg: ExperimentConfig) -> SessionConfig:
 
 
 def _make_transports(transport: str, timeout: float):
-    parts = transport.split()
-    if parts[0] == "inproc":
+    address = _socket_address(transport)
+    if address is None:
         return inproc_pair(timeout=timeout)
-    addr = parts[1] if len(parts) == 2 else "127.0.0.1:0"
-    host, _, port = addr.rpartition(":")
-    host = host or "127.0.0.1"
-    listener = socket.create_server((host, int(port)))
+    listener = socket.create_server(address)
     try:
         bound_port = listener.getsockname()[1]
         listener.settimeout(10.0)
-        client = socket.create_connection((host, bound_port), timeout=10.0)
+        client = socket.create_connection((address[0], bound_port), timeout=10.0)
         server, _ = listener.accept()
     finally:
         listener.close()
@@ -245,8 +256,7 @@ def _session_exit_code(alice: SessionResult, bob: SessionResult) -> int:
     return EXIT_TRANSPORT
 
 
-def _execute(cfg: ExperimentConfig, alice_segments, bob_segments,
-             csv_path: Optional[str], keys_dir: Optional[str]) -> int:
+def _execute(cfg: ExperimentConfig, alice_segments, bob_segments) -> int:
     session_cfg = _session_config(cfg)
     t_alice, t_bob = _make_transports(cfg.transport, session_cfg.timeout)
     alice, bob = run_transport_pair(t_alice, t_bob, alice_segments, bob_segments, session_cfg)
@@ -264,18 +274,18 @@ def _execute(cfg: ExperimentConfig, alice_segments, bob_segments,
             code = EXIT_TRANSPORT
 
     text = format_csv(bob.stats)
-    if csv_path:
-        Path(csv_path).write_text(text)
+    if cfg.csv:
+        Path(cfg.csv).write_text(text)
     else:
         sys.stdout.write(text)
 
-    if keys_dir:
-        directory = Path(keys_dir)
+    if cfg.keys:
+        directory = Path(cfg.keys)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "alice.key").write_bytes(alice.key_bytes())
         (directory / "bob.key").write_bytes(bob.key_bytes())
 
-    if csv_path:
+    if cfg.csv:
         total = sum(s.final_bits for s in bob.stats)
         print(f"{len(bob.stats)} blocks, {total} final key bits, exit {code}")
     return code
@@ -288,9 +298,7 @@ def _append_records(segments, path: Path):
         yield ticks, dets
 
 
-def run_experiment(cfg: ExperimentConfig, csv_path: Optional[str] = None,
-                   keys_dir: Optional[str] = None,
-                   dump_tags_dir: Optional[str] = None) -> int:
+def run_experiment(cfg: ExperimentConfig, dump_tags_dir: Optional[str] = None) -> int:
     """Simulate, run both endpoints, write outputs; returns the exit code."""
     source = JointSegmentSource(cfg.channel, cfg.attack, segment_seconds=cfg.segment_seconds)
     segments = {side: source.segments(side) for side in ("alice", "bob")}
@@ -301,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, csv_path: Optional[str] = None,
             path = Path(dump_tags_dir) / f"{side}.tags"
             write_tag_file(path, side, np.empty(0, np.uint64), np.empty(0, np.uint8))
             segments[side] = _append_records(segments[side], path)
-    return _execute(cfg, segments["alice"], segments["bob"], csv_path, keys_dir)
+    return _execute(cfg, segments["alice"], segments["bob"])
 
 
 def _file_segments(chunks: Iterator, cfg: ExperimentConfig) -> Iterator:
@@ -361,15 +369,14 @@ def _read_chunks(path: str, side: str) -> Iterator[Tuple[np.ndarray, np.ndarray]
         start, last = start + len(ticks), ticks[-1]
 
 
-def replay(alice_path: str, bob_path: str, cfg: ExperimentConfig,
-           csv_path: Optional[str] = None, keys_dir: Optional[str] = None) -> int:
+def replay(alice_path: str, bob_path: str, cfg: ExperimentConfig) -> int:
     """Run the pipeline from matching onward on recorded tag files."""
     check_run_bounds(cfg.channel, cfg.segment_seconds)
     for side, path in (("alice", alice_path), ("bob", bob_path)):
         for _ in _read_chunks(path, side):  # refuse bad input before any session starts
             pass
     return _execute(cfg, _file_segments(_read_chunks(alice_path, "alice"), cfg),
-                    _file_segments(_read_chunks(bob_path, "bob"), cfg), csv_path, keys_dir)
+                    _file_segments(_read_chunks(bob_path, "bob"), cfg))
 
 
 def keyrate_estimate(s_value: float, qber: float, n: int) -> SecurityEstimate:
@@ -391,32 +398,24 @@ def keyrate_estimate(s_value: float, qber: float, n: int) -> SecurityEstimate:
         raise RangeError("s", str(exc))
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    return parse_config(Path(path).read_text())
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        _probe(ChannelConfig, "rng_seed", args.seed)
-        cfg = replace(cfg, channel=replace(cfg.channel, rng_seed=args.seed))
-    if getattr(args, "transport", None):
+def _config(args) -> ExperimentConfig:
+    """The config file's settings, with the command line's overrides."""
+    cfg = parse_config(Path(args.config).read_text())
+    seed = getattr(args, "seed", None)  # replay has no --seed
+    if seed is not None:
+        _probe(ChannelConfig, "rng_seed", seed)
+        cfg = replace(cfg, channel=replace(cfg.channel, rng_seed=seed))
+    if args.transport:
         cfg = replace(cfg, transport=_validate_transport(" ".join(args.transport)))
-    if getattr(args, "csv", None):
-        cfg = replace(cfg, csv=args.csv)
-    if getattr(args, "keys", None):
-        cfg = replace(cfg, keys=args.keys)
-    return cfg
+    return replace(cfg, csv=args.csv or cfg.csv, keys=args.keys or cfg.keys)
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    return run_experiment(cfg, csv_path=cfg.csv, keys_dir=cfg.keys,
-                          dump_tags_dir=args.dump_tags)
+    return run_experiment(_config(args), dump_tags_dir=args.dump_tags)
 
 
 def _cmd_replay(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    return replay(args.alice, args.bob, cfg, csv_path=cfg.csv, keys_dir=cfg.keys)
+    return replay(args.alice, args.bob, _config(args))
 
 
 def _cmd_keyrate(args) -> int:
@@ -443,23 +442,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate and run a full key-distribution session")
-    p_run.add_argument("--config", required=True, help="path to key = value config file")
-    p_run.add_argument("--transport", nargs="+", metavar="KIND",
-                       help="'inproc' or 'socket [HOST:PORT]' (overrides config)")
-    p_run.add_argument("--csv", help="write per-block CSV here instead of stdout")
-    p_run.add_argument("--keys", help="directory for alice.key / bob.key")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True, help="path to key = value config file")
+    shared.add_argument("--transport", nargs="+", metavar="KIND",
+                        help="'inproc' or 'socket [HOST:PORT]' (overrides config)")
+    shared.add_argument("--csv", help="write per-block CSV here instead of stdout")
+    shared.add_argument("--keys", help="directory for alice.key / bob.key")
+
+    p_run = sub.add_parser("run", parents=[shared],
+                           help="simulate and run a full key-distribution session")
     p_run.add_argument("--seed", type=int, help="override the config rng_seed")
     p_run.add_argument("--dump-tags", dest="dump_tags", metavar="DIR",
                        help="also record both raw tag streams")
 
-    p_rep = sub.add_parser("replay", help="re-run matching onward from recorded tag files")
+    p_rep = sub.add_parser("replay", parents=[shared],
+                           help="re-run matching onward from recorded tag files")
     p_rep.add_argument("--alice", required=True, help="Alice-side tag file")
     p_rep.add_argument("--bob", required=True, help="Bob-side tag file")
-    p_rep.add_argument("--config", required=True)
-    p_rep.add_argument("--transport", nargs="+", metavar="KIND")
-    p_rep.add_argument("--csv")
-    p_rep.add_argument("--keys")
 
     p_key = sub.add_parser("keyrate", help="print a security estimate for given S, QBER, n")
     p_key.add_argument("--s", type=float, required=True, help="CHSH value")
@@ -473,10 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"run": _cmd_run, "replay": _cmd_replay, "keyrate": _cmd_keyrate}
     try:
         return handlers[args.command](args)
-    except (ParseError, RangeError, TagFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ParseError, RangeError, TagFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

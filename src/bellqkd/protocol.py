@@ -30,11 +30,12 @@ one with ``_expect``, which decodes through ``frame_message``.
 Error contract.  Every failure ends the session in one recorded abort,
 ``SessionResult.abort_reason`` plus ``abort_message``:
 
-- a failed check (|S| <= 2, a key tag, a parameter or BlockStats
-  mismatch, a frame that is not legal next, a block that outgrows the
-  u32 match indices of MATCH_ANNOUNCE) aborts with its own reason:
-  INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK, PROTOCOL_VIOLATION or
-  BLOCK_TOO_LARGE;
+- a failed check (|S| <= 2 or S not measured, a key tag, a parameter or
+  BlockStats mismatch, a frame that is not legal next, a block that
+  outgrows the u32 match indices of MATCH_ANNOUNCE, a segment of Bob's
+  without tags that is not his last) aborts with its own reason:
+  INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK, PROTOCOL_VIOLATION,
+  BLOCK_TOO_LARGE or EMPTY_SEGMENT;
 - ``MalformedFrameError`` and the reconciler's ``ChannelClosedError``
   abort with PROTOCOL_VIOLATION.  Bytes that do not form a frame raise
   it in ``decode_frame``; a payload that does not decode raises it in
@@ -156,7 +157,9 @@ class AbortReason(IntEnum):
     # Local-only codes (never sent in an ABORT frame):
     PEER_DISCONNECTED = 6
     TIMEOUT = 7
-    BLOCK_TOO_LARGE = 8  # sent, as 1-5 are
+    # Sent, as 1-5 are:
+    BLOCK_TOO_LARGE = 8
+    EMPTY_SEGMENT = 9
 
 
 # MATCH_ANNOUNCE flags
@@ -705,15 +708,17 @@ class _Block:
         self.bell_dets: list = []
         self.key_count = 0
 
-    def bell_test(self, alice_dets: np.ndarray, bob_dets: np.ndarray) -> bool:
-        """Estimate S from the revealed Bell branch; True if |S| > 2."""
+    def bell_refusal(self, alice_dets: np.ndarray, bob_dets: np.ndarray) -> Optional[str]:
+        """Estimate S from the revealed Bell branch; why the block is
+        refused, or None if |S| > 2."""
         try:
             self.bell = chsh_value(count_coincidences(alice_dets, bob_dets))
         except InvalidDetectorError:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "revealed detector out of range")
-        except EmptyTermError:
-            return False
-        return abs(self.bell.s_value) > 2.0
+        except EmptyTermError as exc:
+            return f"S not measured: {exc}"
+        s = abs(self.bell.s_value)
+        return None if s > 2.0 else f"|S| = {s:.4f} <= 2"
 
     def pa_params(self, cfg: SessionConfig) -> PaParams:
         """Set the security estimate; returns the amplification parameters."""
@@ -872,7 +877,7 @@ class AliceSession(_Endpoint):
         bell_b = self._expect(BellReveal).detectors
         if len(bell_b) != len(bell_a):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
-        if not blk.bell_test(bell_a, bell_b):
+        if blk.bell_refusal(bell_a, bell_b):
             # the peer refuses the block next; log its row as the peer does
             self.stats.append(blk.stats(qber=float("nan")))
             self._expect(Abort)  # raises: the peer's abort, or a violation
@@ -999,7 +1004,11 @@ class BobSession(_Endpoint):
     across a block boundary.  So his generation runs while Alice matches
     batch k.  No frame moves: the transcript is the lockstep one.  A
     session that aborts may have taken one segment more on this side
-    than on Alice's.
+    than on Alice's, two after EMPTY_SEGMENT.
+
+    An empty batch reads as end of data on Alice's side, so only the
+    source's last segment may be empty: an empty one with more to come
+    ends the session in EMPTY_SEGMENT, named by its index.
     """
 
     role = "bob"
@@ -1014,15 +1023,17 @@ class BobSession(_Endpoint):
         det_chunks: list = []
 
         while True:
-            ticks, dets = self._pending or next(self.segments, _NO_SEGMENT)
+            ticks, dets = self._pending or next(self.segments, None) or _NO_SEGMENT
+            if not len(ticks) and next(self.segments, None) is not None:
+                raise _AbortSignal(AbortReason.EMPTY_SEGMENT,
+                                   f"segment {blk.seg_end} has no tags and is not the last")
             self.send(TimetagBatch(ticks, _detector_to_basis(dets)))
             ended = len(ticks) == 0
             del ticks  # sent; a block's last ticks would otherwise live through Cascade
             # generate the next segment while the peer matches this batch
-            self._pending = None if ended else next(self.segments, _NO_SEGMENT)
+            self._pending = None if ended else next(self.segments, None)
             ma = self._expect(MatchAnnounce)
             if ended:
-                # an empty batch reads as end-of-data on the far side
                 if ma.flag != ANNOUNCE_END:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected end announce")
                 return False
@@ -1056,11 +1067,10 @@ class BobSession(_Endpoint):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
         self.phase = Phase.BELL
         self.send(BellReveal(bell_mine))
-        if not blk.bell_test(bell_theirs, bell_mine):
+        refusal = blk.bell_refusal(bell_theirs, bell_mine)
+        if refusal:
             self.stats.append(blk.stats(qber=float("nan")))
-            bell = blk.bell
-            raise _AbortSignal(AbortReason.INSECURE_REGIME,
-                               f"|S| = {abs(bell.s_value) if bell else 0:.4f} <= 2")
+            raise _AbortSignal(AbortReason.INSECURE_REGIME, refusal)
 
         # Reconcile (this side drives; the peer serves parities).
         self.phase = Phase.RECONCILE

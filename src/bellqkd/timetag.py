@@ -228,10 +228,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     if fine_total == 0:
         return DelayEstimate(int(coarse_delay), confidence)
 
-    argmax = int(np.argmax(fine_hist))
-    mask = np.ones(fine_bins, dtype=bool)
-    mask[max(0, argmax - 32) : argmax + 33] = False
-    baseline = float(fine_hist[mask].mean()) if mask.any() else 0.0
+    argmax, _, baseline = _peak_and_background(fine_hist, exclude_halfwidth=32)
     lo = max(0, argmax - 24)
     hi = min(fine_bins, argmax + 25)
     weights = np.clip(fine_hist[lo:hi].astype(float) - baseline, 0.0, None)

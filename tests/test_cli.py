@@ -560,6 +560,83 @@ def test_block_past_the_match_index_limit_aborts_on_both_sides(tmp_path, capsys,
                          " side, .*; lower block_min_key_bits$", err, re.M)
 
 
+def test_unmeasured_s_names_its_empty_term(tmp_path, capsys):
+    # 1 ms segments and one-bit blocks: the first block closes before any
+    # pair reaches the (BELL_1, KEY) analyzer pairing, so S is not
+    # measured; the refusal says so instead of reporting |S| = 0.
+    path = tmp_path / "sparse.conf"
+    path.write_text("duration = 0.5\npair_rate = 5000\nbackground_rate = 0\n"
+                    "segment_seconds = 0.001\nblock_min_key_bits = 1\n")
+    assert main(["run", "--config", str(path)]) == EXIT_INSECURE
+    out, err = capsys.readouterr()
+    for side in ("alice", "bob"):
+        assert re.search(rf"^{side}: INSECURE_REGIME: S not measured: no counts for term "
+                         r"\(BELL_1, KEY\)$", err, re.M)
+    [row] = out.strip().split("\n")[1:]
+    assert math.isnan(float(row.split(",")[CSV_COLUMNS.index("s_value")]))
+
+
+# 0.5 ms segments at 2000 pairs/s: Bob's segment 2 holds no tags.
+_EMPTY_SEGMENT_CONFIG = ("duration = 2.0\npair_rate = 2000\nbackground_rate = 0\n"
+                         "segment_seconds = 0.0005\nblock_min_key_bits = 200\n")
+
+
+def _assert_empty_segment_abort(err: str, segment: int):
+    for side in ("alice", "bob"):
+        assert re.search(rf"^{side}: EMPTY_SEGMENT: segment {segment} has no tags and is not "
+                         "the last$", err, re.M), err
+
+
+def test_empty_segment_mid_run_aborts_on_both_sides(tmp_path, capsys):
+    # Bob's empty segment once went out as an empty batch, which Alice
+    # reads as end of data: the run ended DONE with the rest unread.
+    path = tmp_path / "exp.conf"
+    path.write_text(_EMPTY_SEGMENT_CONFIG)
+    channel = parse_config(_EMPTY_SEGMENT_CONFIG).channel
+    bob = [len(t) for t, _ in JointSegmentSource(channel, segment_seconds=0.0005).segments("bob")]
+    assert bob[2] == 0 and sum(bob[3:]) > 0
+    assert main(["run", "--config", str(path)]) == EXIT_TRANSPORT
+    out, err = capsys.readouterr()
+    assert out == ",".join(CSV_COLUMNS) + "\n"
+    _assert_empty_segment_abort(err, 2)
+
+
+def test_replay_of_an_empty_segment_recording_gives_its_exit_code_and_csv(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(_EMPTY_SEGMENT_CONFIG)
+    live, replayed = tmp_path / "live.csv", tmp_path / "replay.csv"
+    code = main(["run", "--config", str(conf), "--csv", str(live), "--dump-tags", str(tmp_path)])
+    assert code == EXIT_TRANSPORT
+    live_err = capsys.readouterr().err
+    code = main(["replay", "--alice", str(tmp_path / "alice.tags"),
+                 "--bob", str(tmp_path / "bob.tags"), "--config", str(conf),
+                 "--csv", str(replayed)])
+    assert code == EXIT_TRANSPORT
+    assert replayed.read_bytes() == live.read_bytes()
+    assert capsys.readouterr().err == live_err
+    _assert_empty_segment_abort(live_err, 2)
+
+
+@pytest.mark.parametrize("duration, code", [("3", EXIT_OK), ("4", EXIT_TRANSPORT)])
+def test_replay_past_the_end_of_its_recording(recording, tmp_path, capsys, duration, code):
+    # The recording ends at 1.5 s; a longer replay cuts empty segments
+    # from 2 s on.  An empty last segment ends the session as the end of
+    # data does; one with another after it aborts EMPTY_SEGMENT.
+    conf = tmp_path / "exp.conf"
+    conf.write_text((recording / "exp.conf").read_text().replace("duration = 1.5",
+                                                                 f"duration = {duration}"))
+    csv_path = tmp_path / "replay.csv"
+    assert main(["replay", "--alice", str(recording / "alice.tags"),
+                 "--bob", str(recording / "bob.tags"), "--config", str(conf),
+                 "--csv", str(csv_path)]) == code
+    assert csv_path.read_bytes() == (recording / "live.csv").read_bytes()
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        _assert_empty_segment_abort(err, 2)
+
+
 @pytest.mark.parametrize("duration", ["1", "2"])
 def test_run_without_delay_peak_exits_no_peak(tmp_path, capsys, duration):
     # Pair-free streams have no correlation peak.  With 1 s the data ends
@@ -607,6 +684,71 @@ def test_segment_span_at_the_sort_key_bound(tmp_path, capsys, seconds, code):
     err = capsys.readouterr().err
     if code == EXIT_CONFIG:
         assert "segment_seconds" in err and "below 2**60 ticks" in err
+
+
+def _record_transports(monkeypatch) -> list:
+    """The transport string of every session ``main`` starts, from now on."""
+    seen = []
+    make = bellqkd.cli._make_transports
+
+    def recorded(transport, timeout):
+        seen.append(transport)
+        return make(transport, timeout)
+
+    monkeypatch.setattr(bellqkd.cli, "_make_transports", recorded)
+    return seen
+
+
+def _command(command, recording, conf, *flags):
+    if command == "run":
+        return ["run", "--config", str(conf), *flags]
+    return ["replay", "--alice", str(recording / "alice.tags"), "--bob",
+            str(recording / "bob.tags"), "--config", str(conf), *flags]
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_config_file_output_and_transport_keys_reach_the_command(recording, tmp_path, capsys,
+                                                                  monkeypatch, command):
+    conf = tmp_path / "exp.conf"
+    conf.write_text((recording / "exp.conf").read_text() + f"csv = {tmp_path / 'blocks.csv'}\n"
+                    f"keys = {tmp_path / 'keys'}\ntransport = socket\n")
+    seen = _record_transports(monkeypatch)
+    assert main(_command(command, recording, conf)) == EXIT_OK
+    assert seen == ["socket"]
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"\d+ blocks, [1-9]\d* final key bits, exit 0\n", out)
+    assert (tmp_path / "blocks.csv").read_bytes() == (recording / "live.csv").read_bytes()
+    keys = tmp_path / "keys"
+    assert (keys / "alice.key").read_bytes() == (keys / "bob.key").read_bytes() != b""
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_flags_override_the_config_file_output_and_transport(recording, tmp_path, capsys,
+                                                             monkeypatch, command):
+    conf = tmp_path / "exp.conf"
+    conf.write_text((recording / "exp.conf").read_text() + f"csv = {tmp_path / 'file.csv'}\n"
+                    f"keys = {tmp_path / 'file_keys'}\ntransport = socket\n")
+    seen = _record_transports(monkeypatch)
+    assert main(_command(command, recording, conf, "--csv", str(tmp_path / "flag.csv"),
+                         "--keys", str(tmp_path / "flag_keys"),
+                         "--transport", "inproc")) == EXIT_OK
+    assert seen == ["inproc"]
+    capsys.readouterr()
+    assert (tmp_path / "flag.csv").read_bytes() == (recording / "live.csv").read_bytes()
+    assert (tmp_path / "flag_keys" / "alice.key").read_bytes() != b""
+    assert not (tmp_path / "file.csv").exists() and not (tmp_path / "file_keys").exists()
+
+
+def test_run_and_replay_help_list_the_same_shared_flags(capsys):
+    flags = {}
+    for command in ("run", "replay"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags[command] = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert flags["run"] - flags["replay"] == {"--seed", "--dump-tags"}
+    assert flags["replay"] - flags["run"] == {"--alice", "--bob"}
+    assert flags["run"] & flags["replay"] == {"--help", "--config", "--transport", "--csv",
+                                              "--keys"}
 
 
 def test_run_over_local_socket(config_file, tmp_path, capsys):

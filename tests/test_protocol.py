@@ -1018,6 +1018,45 @@ def test_both_roles_count_the_same_reconciliation_messages(monkeypatch):
     assert counts["alice"] == counts["bob"]
 
 
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+@pytest.mark.parametrize("where", ["before-more-data", "last"])
+def test_an_empty_bob_segment_ends_the_session_only_when_it_is_the_last(transport, where):
+    # An empty batch reads as end of data on Alice's side.  Bob's segment
+    # 1 is empty: with data after it, both sides abort EMPTY_SEGMENT by
+    # its index; as the source's last, the session ends as it would
+    # without it.
+    ch = _channel(duration=3.0)
+    cfg = SessionConfig(block_min_key_bits=3000, seed=ch.rng_seed, timeout=30.0)
+    empty = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8))
+
+    def bob(segments):
+        if where == "last":
+            yield from segments
+            yield empty
+        else:
+            yield next(segments)
+            yield empty
+            yield from segments
+
+    if transport == "socket":
+        t_alice, t_bob = (SocketTransport(s, timeout=cfg.timeout) for s in socket.socketpair())
+    else:
+        t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
+    src = JointSegmentSource(ch, segment_seconds=cfg.segment_seconds)
+    ra, rb = run_transport_pair(t_alice, t_bob, src.segments("alice"),
+                                bob(src.segments("bob")), cfg)
+    if where == "last":
+        assert ra.done and rb.done
+        ref_a, ref_b = _run(ch)
+        assert [s.encode() for s in rb.stats] == [s.encode() for s in ref_b.stats]
+        assert rb.key_bytes() == ref_b.key_bytes() == ra.key_bytes() != b""
+    else:
+        for side in (ra, rb):
+            assert side.phase == Phase.ABORTED
+            assert side.abort_reason == AbortReason.EMPTY_SEGMENT
+            assert side.abort_message == "segment 1 has no tags and is not the last"
+
+
 def test_socket_session_matches_inproc():
     ch = _channel(duration=1.5)
     cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed)
