@@ -10,11 +10,7 @@ through.
 
 import numpy as np
 
-from bellqkd.cascade import (
-    CascadeParams,
-    VerificationFailedError,
-    reconcile_pair,
-)
+from bellqkd.cascade import CascadeParams, reconcile_pair
 from bellqkd.privamp import binary_entropy
 
 rng = np.random.default_rng(4)
@@ -50,12 +46,11 @@ alice = np.zeros(64, dtype=np.uint8)
 bob = alice.copy()
 bob[0] ^= 1
 bob[1] ^= 1
-try:
-    reconcile_pair(alice, bob, CascadeParams(passes=1, shuffle_seed=1),
-                   qber_estimate=1e-12)
+_, r = reconcile_pair(alice, bob, CascadeParams(passes=1, shuffle_seed=1),
+                      qber_estimate=1e-12)
+if r.verified:
     print("  unexpectedly verified")
-except VerificationFailedError as exc:
-    r = exc.result
+else:
     print(f"  verification failed as it should: verified={r.verified}, "
           f"leak {r.leaked_bits} bits, errors corrected {r.errors_corrected}")
     print("  (multi-pass back-tracking with a shuffle that splits the pair fixes it)")

@@ -41,7 +41,6 @@ from .sifting import (
 from .cascade import (
     CascadeParams,
     ReconciliationResult,
-    VerificationFailedError,
     reconcile_pair,
     verify_keys,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "TagFileError",
-    "VerificationFailedError",
     "WindowConfig",
     "audit_transcript",
     "binary_entropy",

@@ -6,7 +6,9 @@ blocks locate errors by interactive binary search, with full
 back-tracking of earlier blocks after every correction.  Alice serves
 parities as a pure responder and refuses any message that is not legal
 next.  Both sides account every disclosed parity bit; a 64-bit
-universal-hash tag closes the block.
+universal-hash tag closes the block.  Both roles return their
+``ReconciliationResult`` either way: tags that disagree read as
+``verified=False``, never as an exception.
 
 Both roles read every range parity from one XOR prefix of the pass's
 permuted bits (``_prefix_parity``): permuted range [s, s + l) has parity
@@ -38,14 +40,6 @@ TAG_BITS = 64  # every key tag: the one closing reconciliation and the confirm t
 
 class ChannelClosedError(Exception):
     """The reconciliation channel closed mid-exchange."""
-
-
-class VerificationFailedError(Exception):
-    """Key tags disagree after all passes; the block must be discarded."""
-
-    def __init__(self, result):
-        super().__init__("verification tag mismatch after reconciliation")
-        self.result = result
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +395,8 @@ def reconcile_bob(
 ) -> ReconciliationResult:
     """Correct ``bits`` against the reference key on the far side.
 
-    Returns the result on success; raises VerificationFailedError (with
-    ``.result`` attached) when the closing tags disagree.
+    Returns the result; ``verified`` is False when the closing tags
+    disagree, and the block must then be discarded.
     """
     work = np.array(bits, dtype=np.uint8)
     if len(work) == 0:
@@ -453,22 +447,18 @@ def reconcile_bob(
         raise ChannelClosedError("bad verification response")
     state.exchanged_messages += 2
     state.leaked_bits += TAG_BITS
-    verified = reply.status == 1
 
-    result = ReconciliationResult(
+    return ReconciliationResult(
         bits=work,
         n=n,
         leaked_bits=state.leaked_bits,
         exchanged_messages=state.exchanged_messages,
-        verified=verified,
+        verified=reply.status == 1,
         errors_corrected=state.errors_corrected,
         qber_prior=float(qber_estimate),
         sample_size=sample_size,
         sample_mismatches=sample_mismatches,
     )
-    if not verified:
-        raise VerificationFailedError(result)
-    return result
 
 
 def reconcile_pair(
@@ -477,11 +467,8 @@ def reconcile_pair(
     params: CascadeParams = CascadeParams(),
     qber_estimate: Optional[float] = None,
 ):
-    """Run both roles in-process; returns (alice_result, bob_result).
-
-    Bob's VerificationFailedError propagates with both results attached to
-    the exception's ``.result`` (Bob) and the responder (Alice).
-    """
+    """Run both roles in-process; returns (alice_result, bob_result),
+    whose ``verified`` flags agree."""
     responder = AliceReconciler(alice_bits, params)
     channel = LocalChannel(responder)
     bob_result = reconcile_bob(bob_bits, channel, params, qber_estimate)

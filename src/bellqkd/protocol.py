@@ -30,24 +30,29 @@ one with ``_expect``, which decodes through ``frame_message``.
 Error contract.  Every failure ends the session in one recorded abort,
 ``SessionResult.abort_reason`` plus ``abort_message``:
 
-- a failed check (|S| <= 2 or S not measured, a key tag, a parameter or
-  BlockStats mismatch, a frame that is not legal next, a block that
-  outgrows the u32 match indices of MATCH_ANNOUNCE, a segment of Bob's
-  without tags that is not his last) aborts with its own reason:
-  INSECURE_REGIME, VERIFICATION_FAILED, NO_PEAK, PROTOCOL_VIOLATION,
-  BLOCK_TOO_LARGE or EMPTY_SEGMENT;
+- a failed check (|S| <= 2 or S not measured, a key tag, a frame that
+  is not legal next, a block that outgrows the u32 match indices of
+  MATCH_ANNOUNCE, a segment of Bob's without tags that is not his last)
+  aborts with its own reason: INSECURE_REGIME, VERIFICATION_FAILED,
+  NO_PEAK, PROTOCOL_VIOLATION, BLOCK_TOO_LARGE or EMPTY_SEGMENT;
+- a PA_PARAMS, PA_SEED or echoed BLOCK_STATS whose bytes differ from the
+  ones this side derives aborts with PROTOCOL_VIOLATION ``<TYPE> mismatch``
+  (Alice's own BLOCK_STATS check keeps ``block stats mismatch``);
 - ``MalformedFrameError`` and the reconciler's ``ChannelClosedError``
   abort with PROTOCOL_VIOLATION.  Bytes that do not form a frame raise
   it in ``decode_frame``; a payload that does not decode raises it in
   ``frame_message`` only, as ``bad <TYPE> payload: <why>``;
-- ``PeerDisconnectedError`` and ``SessionTimeoutError`` abort with the
-  local-only PEER_DISCONNECTED and TIMEOUT, which are never sent.
+- ``PeerDisconnectedError`` and ``SessionTimeoutError`` abort with
+  PEER_DISCONNECTED and TIMEOUT;
+- a received ABORT is the peer's abort: its reason (INTERNAL if unknown,
+  PROTOCOL_VIOLATION if the payload is empty) and its text.
 
-Every other abort sends the peer one ABORT frame carrying the reason
-and the message, except VERIFICATION_FAILED on the final key, which the
-tag exchange has already told both sides.  A received ABORT is never
-answered: its reason (INTERNAL if unknown, PROTOCOL_VIOLATION if the
-payload is empty) and its text become the local abort.
+``_Endpoint.run`` holds the only two abort rules.  INSECURE_REGIME or
+VERIFICATION_FAILED at or past the Bell phase logs the open block's row,
+qber NaN, as the peer does.  An abort sends the peer one ABORT frame with
+its reason and message unless it came from the peer, or its reason is
+PEER_DISCONNECTED, TIMEOUT or VERIFICATION_FAILED (the confirm status
+has told both sides).
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from .cascade import (
     ReconciliationResult,
     ShuffleSeedMsg,
     TAG_BITS,
-    VerificationFailedError,
     VerifyTagMsg,
     reconcile_bob,
     verify_keys,
@@ -149,15 +153,15 @@ class Phase(IntEnum):
 
 
 class AbortReason(IntEnum):
+    # _Endpoint.run sends each reason in an ABORT but 2, 6 and 7 (_UNSENT);
+    # INTERNAL is only read, for a peer's code this side does not know.
     INSECURE_REGIME = 1
     VERIFICATION_FAILED = 2
     PROTOCOL_VIOLATION = 3
     NO_PEAK = 4
     INTERNAL = 5
-    # Local-only codes (never sent in an ABORT frame):
     PEER_DISCONNECTED = 6
     TIMEOUT = 7
-    # Sent, as 1-5 are:
     BLOCK_TOO_LARGE = 8
     EMPTY_SEGMENT = 9
 
@@ -170,10 +174,6 @@ ANNOUNCE_CONTINUE = 2
 
 class MalformedFrameError(Exception):
     """Bytes on the wire do not form a valid frame."""
-
-
-class UnsupportedVersionError(MalformedFrameError):
-    """Frame carries a version this implementation does not speak."""
 
 
 class PeerDisconnectedError(Exception):
@@ -204,7 +204,7 @@ def decode_frame(data: bytes) -> Frame:
     if magic != FRAME_MAGIC:
         raise MalformedFrameError("bad magic")
     if version != FRAME_VERSION:
-        raise UnsupportedVersionError(f"version {version}")
+        raise MalformedFrameError(f"version {version}")
     try:
         ftype = FrameType(ftype)
     except ValueError:
@@ -641,13 +641,16 @@ def _detector_to_basis(dets) -> np.ndarray:
 # Aborts
 
 class _AbortSignal(Exception):
-    """Ends the session with ``reason``; ``notify`` sends the peer an ABORT."""
+    """Ends the session with ``reason`` and ``message``."""
 
-    def __init__(self, reason: AbortReason, message: str, notify: bool = True):
+    def __init__(self, reason: AbortReason, message: str):
         super().__init__(message)
         self.reason = reason
         self.message = message
-        self.notify = notify
+
+
+class _PeerAbort(_AbortSignal):
+    """The abort a received ABORT frame stands for; it is never answered."""
 
 
 # The one map from an exception to the abort it ends the session with.
@@ -657,28 +660,36 @@ _ABORT_REASONS = (
     (MalformedFrameError, AbortReason.PROTOCOL_VIOLATION),
     (ChannelClosedError, AbortReason.PROTOCOL_VIOLATION),
 )
-_LOCAL_ONLY = (AbortReason.PEER_DISCONNECTED, AbortReason.TIMEOUT)
 _ABORT_ERRORS = (_AbortSignal,) + tuple(exc for exc, _ in _ABORT_REASONS)
+# Aborts that refuse the open block, whose row both sides then log.
+_REFUSALS = (AbortReason.INSECURE_REGIME, AbortReason.VERIFICATION_FAILED)
+_UNSENT = (AbortReason.PEER_DISCONNECTED, AbortReason.TIMEOUT, AbortReason.VERIFICATION_FAILED)
 
 
 def _abort_signal(exc: Exception) -> _AbortSignal:
     if isinstance(exc, _AbortSignal):
         return exc
     reason = next(r for cls, r in _ABORT_REASONS if isinstance(exc, cls))
-    return _AbortSignal(reason, str(exc), notify=reason not in _LOCAL_ONLY)
+    return _AbortSignal(reason, str(exc))
 
 
-def _peer_abort(frame: Frame) -> _AbortSignal:
-    """The abort a received ABORT frame stands for; it is never answered."""
+def _peer_abort(frame: Frame) -> _PeerAbort:
     try:
         abort = frame_message(frame)
     except MalformedFrameError as exc:
-        return _AbortSignal(AbortReason.PROTOCOL_VIOLATION, str(exc), notify=False)
+        return _PeerAbort(AbortReason.PROTOCOL_VIOLATION, str(exc))
     try:
         reason = AbortReason(abort.reason)
     except ValueError:
         reason = AbortReason.INTERNAL
-    return _AbortSignal(reason, abort.message, notify=False)
+    return _PeerAbort(reason, abort.message)
+
+
+def _expect_equal(mine, theirs) -> None:
+    """Refuse a peer's message whose bytes differ from this side's own."""
+    if mine.encode() != theirs.encode():
+        raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
+                           f"{_FRAME_TYPES[type(mine)].name} mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +743,7 @@ class _Block:
     def stats(self, qber: float) -> BlockStats:
         nan = float("nan")
         bell, recon = self.bell, self.recon
-        if recon is None:  # refused at the Bell stage
+        if recon is None:  # refused before reconciliation ended
             leak, i_eve = 0, nan
         else:
             leak = recon.leaked_bits
@@ -755,7 +766,7 @@ class _Block:
 
 
 class _Endpoint:
-    """What both endpoints share: results, the block record, the run loop.
+    """What both endpoints share: results, block record, run loop, amplification.
 
     Each side is a script: ``_run_block`` runs one block's exchange in
     order.  ``send`` and ``_expect`` are the only code that writes or
@@ -783,10 +794,12 @@ class _Endpoint:
             self._drive()
         except _ABORT_ERRORS as exc:
             sig = _abort_signal(exc)
+            if sig.reason in _REFUSALS and self.phase >= Phase.BELL:
+                self.stats.append(self._block.stats(qber=float("nan")))
             self.phase = Phase.ABORTED
             self.abort_reason = sig.reason
             self.abort_message = sig.message
-            if sig.notify:
+            if not isinstance(sig, _PeerAbort) and sig.reason not in _UNSENT:
                 self.send(Abort(int(sig.reason), sig.message))
         finally:
             self.transport.close()
@@ -825,6 +838,28 @@ class _Endpoint:
                 + "/".join(_FRAME_TYPES[cls].name for cls in classes),
             )
         return frame_message(frame)
+
+    def _amplify(self) -> None:
+        """Compress the reconciled block by the length its S allows and
+        confirm the result; ``blk.final`` is set once the tag is confirmed.
+        ``_agree`` and ``_confirm`` are each role's half of an exchange."""
+        cfg, blk = self.cfg, self._block
+        self.phase = Phase.AMPLIFY
+        pa = blk.pa_params(cfg)
+        self._agree(pa)
+        if pa.final_length == 0:
+            return
+        seed_bits = generate_toeplitz_seed(
+            blk.recon.n, pa.final_length,
+            np.random.SeedSequence([int(cfg.seed), int(blk.index), _PA_SEED_TAG]),
+        )
+        self._agree(PaSeedMsg.of(seed_bits))
+        final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
+
+        self.phase = Phase.CONFIRM
+        if not self._confirm(_confirm_tag(final, cfg.seed, blk.index)):
+            raise _AbortSignal(AbortReason.VERIFICATION_FAILED, "final key tag mismatch")
+        blk.final = final
 
     def _close_block(self, stats: BlockStats) -> None:
         """Keep a finished block's row, size and key; open the next block."""
@@ -878,9 +913,7 @@ class AliceSession(_Endpoint):
         if len(bell_b) != len(bell_a):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "bell reveal length mismatch")
         if blk.bell_refusal(bell_a, bell_b):
-            # the peer refuses the block next; log its row as the peer does
-            self.stats.append(blk.stats(qber=float("nan")))
-            self._expect(Abort)  # raises: the peer's abort, or a violation
+            self._expect(Abort)  # raises: the peer's refusal, or a violation
 
         self.phase = Phase.RECONCILE
         responder = AliceReconciler(np.concatenate(blk.key_bits), CascadeParams())
@@ -890,31 +923,8 @@ class AliceSession(_Endpoint):
             if reply is not None:
                 self.send(reply)
         blk.recon = responder.result
-
         if blk.recon.verified:
-            self.phase = Phase.AMPLIFY
-            pa = self._expect(PaParams)
-            if pa != blk.pa_params(self.cfg):
-                raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
-                                   "privacy amplification parameter mismatch")
-            if pa.final_length > 0:
-                seed_bits = self._expect(PaSeedMsg).unpack()
-                if len(seed_bits) != blk.recon.n + pa.final_length - 1:
-                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
-                                       "toeplitz seed length mismatch")
-                blk.final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
-
-                self.phase = Phase.CONFIRM
-                tag = self._expect(VerifyTagMsg).tag
-                if tag is None:
-                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
-                confirmed = _confirm_tag(blk.final, self.cfg.seed, blk.index) == tag
-                self.send(VerifyTagMsg(status=int(confirmed)))
-                if not confirmed:
-                    blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
-                    self.stats.append(blk.stats(qber=float("nan")))
-                    raise _AbortSignal(AbortReason.VERIFICATION_FAILED,
-                                       "final key tag mismatch", notify=False)
+            self._amplify()
         self.phase = Phase.CONFIRM
 
         theirs = self._expect(BlockStats)
@@ -923,10 +933,22 @@ class AliceSession(_Endpoint):
         # the qber includes the peer-side correction count
         mine = blk.stats(qber=theirs.qber)
         if mine.encode() != theirs.encode():
+            # her ABORT carries this text, and the pinned tampered-stats transcript holds it
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
         self._close_block(mine)
         self.send(mine)
         return True
+
+    def _agree(self, msg) -> None:
+        _expect_equal(msg, self._expect(type(msg)))
+
+    def _confirm(self, tag: bytes) -> bool:
+        theirs = self._expect(VerifyTagMsg).tag
+        if theirs is None:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a key tag")
+        confirmed = theirs == tag
+        self.send(VerifyTagMsg(status=int(confirmed)))
+        return confirmed
 
     def _on_batch(self, batch: TimetagBatch) -> int:
         """Take one of Bob's batches with a segment of her own; returns the
@@ -1069,49 +1091,31 @@ class BobSession(_Endpoint):
         self.send(BellReveal(bell_mine))
         refusal = blk.bell_refusal(bell_theirs, bell_mine)
         if refusal:
-            self.stats.append(blk.stats(qber=float("nan")))
             raise _AbortSignal(AbortReason.INSECURE_REGIME, refusal)
 
         # Reconcile (this side drives; the peer serves parities).
         self.phase = Phase.RECONCILE
-        params = CascadeParams(shuffle_seed=_derived_seed(cfg.seed, blk.index, _CASCADE_SEED_TAG))
-        try:
-            blk.recon = reconcile_bob(my_key, self, params)
-        except VerificationFailedError as exc:
-            blk.recon = exc.result
-
+        blk.recon = reconcile_bob(my_key, self, CascadeParams(
+            shuffle_seed=_derived_seed(cfg.seed, blk.index, _CASCADE_SEED_TAG)))
         if blk.recon.verified:
-            self.phase = Phase.AMPLIFY
-            pa = blk.pa_params(cfg)
-            self.send(pa)
-            if pa.final_length > 0:
-                seed_bits = generate_toeplitz_seed(
-                    blk.recon.n, pa.final_length,
-                    np.random.SeedSequence([int(cfg.seed), int(blk.index), _PA_SEED_TAG]),
-                )
-                self.send(PaSeedMsg.of(seed_bits))
-                blk.final = toeplitz_hash(blk.recon.bits, seed_bits, pa.final_length)
-
-                self.phase = Phase.CONFIRM
-                tag = _confirm_tag(blk.final, cfg.seed, blk.index)
-                self.send(VerifyTagMsg(tag=tag))
-                status = self._expect(VerifyTagMsg).status
-                if status is None:
-                    raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a tag status")
-                if status != 1:
-                    blk.final = np.empty(0, dtype=np.uint8)  # the unconfirmed key is dropped
-                    # qber NaN, as Alice logs it: she has no correction count
-                    self.stats.append(blk.stats(qber=float("nan")))
-                    raise _AbortSignal(AbortReason.VERIFICATION_FAILED,
-                                       "final key tag mismatch", notify=False)
+            self._amplify()
         self.phase = Phase.CONFIRM
 
         stats = blk.stats(blk.recon.measured_qber)
         self.send(stats)
-        if self._expect(BlockStats).encode() != stats.encode():
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
+        _expect_equal(stats, self._expect(BlockStats))
         self._close_block(stats)
         return True
+
+    def _agree(self, msg) -> None:
+        self.send(msg)
+
+    def _confirm(self, tag: bytes) -> bool:
+        self.send(VerifyTagMsg(tag=tag))
+        status = self._expect(VerifyTagMsg).status
+        if status is None:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected a tag status")
+        return status == 1
 
     def request(self, msg):
         """Cascade's channel: send ``msg``, return the peer's reply."""

@@ -47,7 +47,6 @@ from bellqkd.protocol import (
     SessionConfig,
     SocketTransport,
     TimetagBatch,
-    UnsupportedVersionError,
     audit_transcript,
     decode_frame,
     encode_frame,
@@ -97,17 +96,13 @@ def test_decode_frame_rejects_garbage():
         decode_frame(good[:5])
     with pytest.raises(MalformedFrameError):
         decode_frame(b"XKDP" + good[4:])
-    with pytest.raises(UnsupportedVersionError):
+    with pytest.raises(MalformedFrameError, match="^version 9$"):
         decode_frame(good[:4] + bytes([9]) + good[5:])
     bad_type = good[:5] + bytes([14]) + good[6:]
     with pytest.raises(MalformedFrameError):
         decode_frame(bad_type)
     with pytest.raises(MalformedFrameError):
         decode_frame(good + b"extra")
-
-
-def test_unsupported_version_is_malformed():
-    assert issubclass(UnsupportedVersionError, MalformedFrameError)
 
 
 def test_iter_frames_splits_stream():
@@ -710,7 +705,27 @@ def test_tampered_block_stats_detected():
                                 src.segments("alice"), src.segments("bob"), cfg)
     assert ra.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert rb.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert ra.abort_message == rb.abort_message == "block stats mismatch"
+    # not a refusal: neither side logs the open block's row
+    assert ra.stats == rb.stats == []
     assert ra.key_bytes() == b""
+
+
+def test_pa_seed_other_than_the_derived_one_is_refused():
+    # the flipped bit leaves the final key as it was: a check of the seed's
+    # length alone let this session end DONE
+    def flip_top_bit_of_last_byte(frame):
+        return Frame(frame.type, frame.payload[:-1] + bytes([frame.payload[-1] ^ 0x80]))
+
+    cfg = SessionConfig(block_min_key_bits=2000, seed=5)
+    src = JointSegmentSource(ChannelConfig(duration=1.5, rng_seed=5))
+    t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
+    ra, rb = run_transport_pair(t_alice, _Tamper(t_bob, FrameType.PA_SEED, flip_top_bit_of_last_byte),
+                                src.segments("alice"), src.segments("bob"), cfg)
+    for side in (ra, rb):
+        assert side.abort_reason == AbortReason.PROTOCOL_VIOLATION
+        assert side.abort_message == "PA_SEED mismatch"
+        assert side.stats == [] and side.key_bytes() == b""
 
 
 def test_failed_confirm_tag_logs_equal_stats_rows():
@@ -856,6 +871,20 @@ def test_alice_takes_pa_params_once_and_before_the_seed(transcripts, edit, messa
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == message
     assert sent[-1].type == FrameType.ABORT
+
+
+@pytest.mark.parametrize("cls, ftype", [(AliceSession, FrameType.PA_PARAMS),
+                                        (BobSession, FrameType.BLOCK_STATS)],
+                         ids=["alice-pa-params", "bob-block-stats"])
+def test_a_message_both_sides_derive_must_match(transcripts, cls, ftype):
+    frames, segments, cfg = transcripts[cls]
+    at = [f.type for f in frames].index(ftype)
+    frames = frames[:at] + [_flip_last_byte(frames[at])] + frames[at + 1:]
+    result, sent = _replay(cls, frames, segments, cfg)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert result.abort_message == f"{ftype.name} mismatch"
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION), f"{ftype.name} mismatch")
+    assert result.stats == []
 
 
 @pytest.mark.parametrize("tag", [b"", b"\x00\x01\x02"], ids=["0-bytes", "3-bytes"])
