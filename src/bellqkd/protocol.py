@@ -52,7 +52,9 @@ VERIFICATION_FAILED at or past the Bell phase logs the open block's row,
 qber NaN, as the peer does.  An abort sends the peer one ABORT frame with
 its reason and message unless it came from the peer, or its reason is
 PEER_DISCONNECTED, TIMEOUT or VERIFICATION_FAILED (the confirm status
-has told both sides).
+has told both sides).  Alice closes a block before Bob checks her
+BLOCK_STATS echo; when his next frame is a PROTOCOL_VIOLATION ABORT,
+his refusal of it, she drops that block again.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ class MatchAnnounce:
         rec["a"] = self.a_idx
         rec["b"] = self.b_idx
         rec["cls"] = self.classes
-        return head + rec.tobytes()
+        return b"".join((head, rec.data))
 
     @staticmethod
     def decode(payload: bytes) -> "MatchAnnounce":
@@ -709,15 +711,21 @@ class _Block:
         self.recon: Optional[ReconciliationResult] = None
         self.estimate: Optional[SecurityEstimate] = None
         self.final = np.empty(0, dtype=np.uint8)
-        # Alice only: matches accumulated per segment
+        # Alice only: per segment, the (a_idx, b_idx, classes) matches, the
+        # key bits and the Bell-branch detectors
         self.a_base = 0
         self.b_base = 0
-        self.a_idx: list = []
-        self.b_idx: list = []
-        self.classes: list = []
+        self.matches: list = []
         self.key_bits: list = []
         self.bell_dets: list = []
         self.key_count = 0
+
+    def announce(self, delay: int) -> MatchAnnounce:
+        """The block's MATCH_ANNOUNCE.  The per-segment matches go with it,
+        so they are freed once it is sent."""
+        a_idx, b_idx, classes = (np.concatenate(parts) for parts in zip(*self.matches))
+        self.matches = []
+        return MatchAnnounce(ANNOUNCE_BLOCK, delay, self.accidentals, a_idx, b_idx, classes)
 
     def bell_refusal(self, alice_dets: np.ndarray, bob_dets: np.ndarray) -> Optional[str]:
         """Estimate S from the revealed Bell branch; why the block is
@@ -866,8 +874,7 @@ class _Endpoint:
         blk = self._block
         self.stats.append(stats)
         self.block_sizes.append(blk.recon.n)
-        if len(blk.final):
-            self.key_bits.append(blk.final)
+        self.key_bits.append(blk.final)
         self._block = _Block(blk.index + 1, blk.seg_end, self.cfg.segment_seconds)
 
 
@@ -885,6 +892,7 @@ class AliceSession(_Endpoint):
         self._warm_a: list = []
         self._warm_b: list = []
         self._no_peak = ""  # why the last delay scan failed
+        self._echoed = False  # her BLOCK_STATS echo is sent, Bob's answer not yet read
 
     def _run_block(self) -> bool:
         """One block; returns False when the data ended (session done)."""
@@ -892,21 +900,14 @@ class AliceSession(_Endpoint):
         self.phase = Phase.SYNC
         flag = ANNOUNCE_CONTINUE
         while flag == ANNOUNCE_CONTINUE:
-            flag = self._on_batch(self._expect(TimetagBatch))
+            flag = self._on_batch(self._next_batch())
             if flag != ANNOUNCE_BLOCK:
                 self.send(MatchAnnounce(flag))
         if flag == ANNOUNCE_END:
             return False
 
         self.phase = Phase.BELL
-        self.send(MatchAnnounce(
-            ANNOUNCE_BLOCK,
-            delay_ticks=int(self.delay),
-            accidentals=blk.accidentals,
-            a_idx=np.concatenate(blk.a_idx),
-            b_idx=np.concatenate(blk.b_idx),
-            classes=np.concatenate(blk.classes),
-        ))  # not bound to a name: the block's arrays are freed once sent
+        self.send(blk.announce(int(self.delay)))  # not bound to a name: freed once sent
         bell_a = np.concatenate(blk.bell_dets)
         self.send(BellReveal(bell_a))
         bell_b = self._expect(BellReveal).detectors
@@ -937,7 +938,21 @@ class AliceSession(_Endpoint):
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block stats mismatch")
         self._close_block(mine)
         self.send(mine)
+        self._echoed = True
         return True
+
+    def _next_batch(self) -> TimetagBatch:
+        try:
+            return self._expect(TimetagBatch)
+        except _PeerAbort as sig:
+            # Bob answers a BLOCK_STATS echo he refuses with this ABORT, and a
+            # confirmed one with a batch, EMPTY_SEGMENT or nothing: he never
+            # closed the block she just closed, so she drops it too.
+            if self._echoed and sig.reason == AbortReason.PROTOCOL_VIOLATION:
+                del self.stats[-1], self.block_sizes[-1], self.key_bits[-1]
+            raise
+        finally:
+            self._echoed = False
 
     def _agree(self, msg) -> None:
         _expect_equal(msg, self._expect(type(msg)))
@@ -998,9 +1013,8 @@ class AliceSession(_Endpoint):
                                " more than the match indices address; lower block_min_key_bits")
         ia, ib = match_coincidences(a_ticks, b_ticks, self.delay, _WINDOW)
         cls = np.asarray(classify(a_dets[ia], _basis_to_detector(b_codes[ib])), dtype=np.uint8)
-        blk.a_idx.append((blk.a_base + ia).astype(np.uint32))
-        blk.b_idx.append((blk.b_base + ib).astype(np.uint32))
-        blk.classes.append(cls)
+        blk.matches.append(((blk.a_base + ia).astype(np.uint32),
+                            (blk.b_base + ib).astype(np.uint32), cls))
         key = cls == int(CoincidenceClass.KEY)
         bell = cls == int(CoincidenceClass.BELL)
         blk.key_bits.append(alice_key_bits(a_dets[ia[key]]))
@@ -1054,12 +1068,17 @@ class BobSession(_Endpoint):
             del ticks  # sent; a block's last ticks would otherwise live through Cascade
             # generate the next segment while the peer matches this batch
             self._pending = None if ended else next(self.segments, None)
+            if not ended:
+                # A compact copy: the segment is a view that pins the source's
+                # merged array.  Copied before the generation above, it raised
+                # the tag-cap peak RSS by 34 MiB.
+                det_chunks.append(np.array(dets, dtype=np.uint8))
+            del dets
             ma = self._expect(MatchAnnounce)
             if ended:
                 if ma.flag != ANNOUNCE_END:
                     raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "expected end announce")
                 return False
-            det_chunks.append(np.asarray(dets, dtype=np.uint8))
             blk.seg_end += 1
             if ma.flag == ANNOUNCE_BLOCK:
                 break
@@ -1067,22 +1086,11 @@ class BobSession(_Endpoint):
                 # peer ran out of its own data; end with the partial block dropped
                 return False
 
-        # Sift: recover key/Bell branches from the announced matches.
+        # Sift in one step: only the two branches outlive it, so the block's
+        # detectors and the announce are freed before the Bell test.
         self.phase = Phase.SIFT
-        my_dets = np.concatenate(det_chunks)
-        if len(ma.b_idx) and int(ma.b_idx.max()) >= len(my_dets):
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "match index out of range")
-        self.delay = ma.delay_ticks
-        blk.coincidences = len(ma.b_idx)
-        blk.accidentals = ma.accidentals
-        key_dets = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.KEY)]]
-        if len(key_dets) == 0:
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block without key bits")
-        if int(key_dets.max()) > 2:
-            # a key-branch event must sit in this side's key basis
-            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "key class outside key basis")
-        my_key = bob_key_bits(key_dets)
-        bell_mine = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
+        my_key, bell_mine = self._sift(np.concatenate(det_chunks), ma)
+        del det_chunks, ma
 
         bell_theirs = self._expect(BellReveal).detectors
         if len(bell_theirs) != len(bell_mine):
@@ -1106,6 +1114,22 @@ class BobSession(_Endpoint):
         _expect_equal(stats, self._expect(BlockStats))
         self._close_block(stats)
         return True
+
+    def _sift(self, my_dets: np.ndarray, ma: MatchAnnounce) -> Tuple[np.ndarray, np.ndarray]:
+        """Recover the key bits and Bell-branch detectors from the announced matches."""
+        blk = self._block
+        if len(ma.b_idx) and int(ma.b_idx.max()) >= len(my_dets):
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "match index out of range")
+        self.delay = ma.delay_ticks
+        blk.coincidences = len(ma.b_idx)
+        blk.accidentals = ma.accidentals
+        key_dets = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.KEY)]]
+        if len(key_dets) == 0:
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block without key bits")
+        if int(key_dets.max()) > 2:
+            # a key-branch event must sit in this side's key basis
+            raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "key class outside key basis")
+        return bob_key_bits(key_dets), my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
 
     def _agree(self, msg) -> None:
         self.send(msg)

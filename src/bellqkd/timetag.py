@@ -97,9 +97,14 @@ class DelayEstimate:
     confidence: float
 
 
-# Tags per histogram chunk, and the granularity of the ``max_diffs`` stop.
-_HIST_CHUNK = 2_000
+# Tags per histogram chunk, and the granularity of the ``max_diffs`` stop,
+# a whole number of chunks.  A chunk of 500 coarse-scan tags forms ~0.7 MB
+# of differences at the ChannelConfig defaults.
+_HIST_CHUNK = 500
 _HIST_STOP_CHUNK = 20_000
+# Merged neighbours compared per step of the matcher's link scan, so the
+# key gaps never fill a full-length int64 array.
+_LINK_CHUNK = 1 << 16
 # Alice tags binned by the coarse delay scan.
 COARSE_TAGS = 32_000
 # Largest expected number of coarse bins, out of all of them, that would
@@ -108,42 +113,40 @@ COARSE_TAGS = 32_000
 PEAK_FALSE_ALARM = 1e-6
 
 
-def _difference_histogram(a, b, span, binw, max_diffs=60_000_000):
-    """Histogram of (b - a) differences restricted to |diff| <= span.
+def _difference_histogram(a, b, span, binw, max_diffs=60_000_000, shift=0):
+    """Histogram of (b - shift - a) differences restricted to |diff| <= span.
 
     Bin ``k`` holds the differences with ``(diff + span) // binw == k``,
     for ``k`` in ``0 .. 2 * (span // binw)``; when ``span`` is not a
     multiple of ``binw`` the few differences past the last bin fall into
-    it.  Each tag's partner range in ``b`` comes from two searchsorted
-    calls over all of ``a``; the differences are then formed and binned
-    in small chunks to bound memory.  Stops early, at a 20k-tag
-    boundary, once more than ``max_diffs`` differences have been binned
-    (the histogram is statistical, truncation only loses tail
-    statistics).
+    it.  Tags of ``a`` go in chunks of ``_HIST_CHUNK``: two searchsorted
+    calls find each tag's partner range in ``b``, and the differences are
+    formed and binned in place, so no array is as long as ``a``.  Stops
+    early, at a 20k-tag boundary, once more than ``max_diffs`` differences
+    have been binned (the histogram is statistical, truncation only loses
+    tail statistics).
     """
     nbins = 2 * (span // binw) + 1
-    lo = np.searchsorted(b, a - span, side="left")
-    counts = np.searchsorted(b, a + span, side="right") - lo
-    # The first 20k-tag stretch that carries the running total past
-    # max_diffs is the last one binned.
-    stretch_totals = np.cumsum(np.add.reduceat(counts, np.arange(0, len(a), _HIST_STOP_CHUNK)))
-    over = np.flatnonzero(stretch_totals > max_diffs)
-    stop = len(a) if len(over) == 0 else min(len(a), (int(over[0]) + 1) * _HIST_STOP_CHUNK)
-
     hist = np.zeros((2 * span) // binw + 1, dtype=np.int64)
-    for i in range(0, stop, _HIST_CHUNK):
-        c = counts[i : min(i + _HIST_CHUNK, stop)]
+    total = 0
+    for i in range(0, len(a), _HIST_CHUNK):
+        if i % _HIST_STOP_CHUNK == 0 and total > max_diffs:
+            break
+        low = a[i : i + _HIST_CHUNK] + (shift - span)  # each tag's lowest partner
+        lo = np.searchsorted(b, low, side="left")
+        c = np.searchsorted(b, low + 2 * span, side="right") - lo
         ends = np.cumsum(c)
         # Flat indices into b of every [lo, lo + count) range, then the
-        # bin of each difference, built in place.
-        vals = np.repeat(lo[i : i + len(c)] - (ends - c), c)
+        # bin of each difference.
+        vals = np.repeat(lo - (ends - c), c)
         vals += np.arange(ends[-1])
         vals = b[vals]
-        vals -= np.repeat(a[i : i + len(c)] - span, c)
+        vals -= np.repeat(low, c)
         vals //= binw
         hist += np.bincount(vals, minlength=len(hist))
+        total += int(ends[-1])
     hist[nbins - 1] += hist[nbins:].sum()
-    return hist[:nbins], int(counts[:stop].sum())
+    return hist[:nbins], total
 
 
 def _peak_and_background(hist, exclude_halfwidth):
@@ -174,6 +177,13 @@ def _poisson_tail(k: float, mean: float) -> float:
     return tail if tail >= sys.float_info.min else 0.0
 
 
+def _signed(ticks) -> np.ndarray:
+    """``ticks`` as int64.  A uint64 array is viewed, not cast: the view
+    holds the values the cast would, without the copy."""
+    ticks = np.asarray(ticks)
+    return ticks.view(np.int64) if ticks.dtype == np.uint64 else ticks.astype(np.int64, copy=False)
+
+
 def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig) -> DelayEstimate:
     """Recover Bob's constant delay relative to Alice.
 
@@ -192,8 +202,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     """
     if len(alice_ticks) == 0 or len(bob_ticks) == 0:
         raise NoPeakError("empty tag stream")
-    a = np.asarray(alice_ticks).astype(np.int64)
-    b = np.asarray(bob_ticks).astype(np.int64)
+    a, b = _signed(alice_ticks), _signed(bob_ticks)
 
     span = cfg.span_ticks
     binw = cfg.bin_ticks
@@ -222,9 +231,7 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     # Fine stage at single-tick resolution around the coarse peak, all tags.
     fine_span = 2 * binw
     fine_bins = 2 * fine_span + 1
-    b_shifted = b - coarse_delay
-
-    fine_hist, fine_total = _difference_histogram(a, b_shifted, fine_span, 1)
+    fine_hist, fine_total = _difference_histogram(a, b, fine_span, 1, shift=coarse_delay)
     if fine_total == 0:
         return DelayEstimate(int(coarse_delay), confidence)
 
@@ -294,6 +301,57 @@ def _indices_of(ticks, values):
     return first + (np.arange(len(values)) - np.searchsorted(values, values))
 
 
+def _clusters(a, b, delay, half):
+    """Split the merged streams into lone pairs and the crowd.
+
+    Returns (pair_a, pair_b, crowd_a, crowd_b): the Alice and Bob ticks of
+    every cluster of one Alice and one Bob tag within the window, in
+    Alice's order, and of every larger cluster.  Bob's ticks come minus
+    the delay.  Only these outlive the call, and the merged keys, 8 bytes
+    a tag, are freed before the pairs are split out.
+    """
+    keys = np.empty(len(a) + len(b), dtype=np.int64)
+    np.left_shift(a, 1, out=keys[: len(a)], casting="unsafe")
+    keys_b = keys[len(a) :]
+    np.left_shift(b, 1, out=keys_b, casting="unsafe")
+    keys_b -= 2 * delay - 1
+    keys.sort(kind="stable")  # a merge of two sorted runs
+
+    # Merged neighbours i, i + 1 within the window.  The key gap of an
+    # in-window pair is at most 2 * half + 1 (Alice first) or
+    # 2 * half - 1 (Bob first), so this keeps every one of them.
+    close = np.empty(max(len(keys) - 1, 0), dtype=bool)
+    for i in range(0, len(close), _LINK_CHUNK):
+        j = min(i + _LINK_CHUNK, len(close))
+        np.less_equal(keys[i + 1 : j + 1] - keys[i:j], 2 * half + 1, out=close[i:j])
+    links = np.flatnonzero(close)
+    del close
+    # A link with no link on either side is a cluster of two tags.
+    steps = np.diff(links) != 1
+    lone = np.ones(len(links), dtype=bool)
+    lone[1:] = steps
+    lone[:-1] &= steps
+
+    crowd = links[~lone]
+    in_crowd = np.zeros(len(keys), dtype=bool)
+    in_crowd[crowd] = in_crowd[crowd + 1] = True
+    crowd = keys[in_crowd]
+
+    links = links[lone]
+    left = keys[links]
+    links += 1
+    right = keys[links]
+    del keys, links
+    pair = (((left ^ right) & 1) == 1) & ((right >> 1) - (left >> 1) <= half)
+    left, right = left[pair], right[pair]
+    from_a = (left & 1) == 0
+    pair_a = np.where(from_a, left, right)
+    pair_a >>= 1
+    pair_b = np.where(from_a, right, left)
+    pair_b >>= 1
+    return pair_a, pair_b, crowd[(crowd & 1) == 0] >> 1, crowd[(crowd & 1) == 1] >> 1
+
+
 def match_coincidences(
     alice_ticks: np.ndarray,
     bob_ticks: np.ndarray,
@@ -334,34 +392,7 @@ def match_coincidences(
     if any(abs(t) >= MAX_TICK for t in (delay, *ends, *shifted)):
         raise ValueError(f"ticks, shifted ticks and delay must lie within +-{MAX_TICK}")
 
-    keys = np.empty(len(a) + len(b), dtype=np.int64)
-    np.left_shift(a, 1, out=keys[: len(a)], casting="unsafe")
-    keys_b = keys[len(a) :]
-    np.left_shift(b, 1, out=keys_b, casting="unsafe")
-    keys_b -= 2 * delay - 1
-    keys.sort(kind="stable")  # a merge of two sorted runs
-
-    # Merged neighbours i, i + 1 within the window.  The key gap of an
-    # in-window pair is at most 2 * half + 1 (Alice first) or
-    # 2 * half - 1 (Bob first), so this keeps every one of them.
-    links = np.flatnonzero(np.diff(keys) <= 2 * half + 1)
-    # A link with no link on either side is a cluster of two tags.
-    steps = np.diff(links)
-    lone = np.ones(len(links), dtype=bool)
-    lone[1:] = steps != 1
-    lone[:-1] &= steps != 1
-    left = keys[links[lone]]
-    right = keys[links[lone] + 1]
-    pair = (((left ^ right) & 1) == 1) & ((right >> 1) - (left >> 1) <= half)
-    left, right = left[pair], right[pair]
-    from_a = (left & 1) == 0
-    pair_a = np.where(from_a, left, right) >> 1
-    pair_b = np.where(from_a, right, left) >> 1
-
-    crowd = links[~lone]
-    crowd = keys[np.union1d(crowd, crowd + 1)]
-    crowd_a = crowd[(crowd & 1) == 0] >> 1
-    crowd_b = crowd[(crowd & 1) == 1] >> 1
+    pair_a, pair_b, crowd_a, crowd_b = _clusters(a, b, delay, half)
     ra, rb = _mutual_rounds(crowd_a, crowd_b, half)
 
     # Copies of one tick are linked, so they share a cluster: a lone
@@ -372,7 +403,8 @@ def match_coincidences(
     ib = np.concatenate([np.searchsorted(b, (pair_b + delay).astype(b.dtype)),
                          _indices_of(b, crowd_b + delay)[rb]])
     order = np.argsort(ia, kind="stable")
-    return ia[order], ib[order]
+    ib = ib[order]  # the unsorted ib is freed before ia[order] is made
+    return ia[order], ib
 
 
 def count_accidentals(

@@ -8,6 +8,7 @@ import queue
 import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -709,6 +710,105 @@ def test_tampered_block_stats_detected():
     # not a refusal: neither side logs the open block's row
     assert ra.stats == rb.stats == []
     assert ra.key_bytes() == b""
+
+
+def test_refused_block_stats_echo_drops_the_block_on_both_sides():
+    # Alice closes the block before Bob checks her echo; his refusal is the
+    # next frame she reads, and it drops the block on her side too
+    cfg = SessionConfig(block_min_key_bits=2000, seed=5)
+    src = JointSegmentSource(ChannelConfig(duration=1.5, rng_seed=5))
+    t_alice, t_bob = inproc_pair(timeout=cfg.timeout)
+    ra, rb = run_transport_pair(_Tamper(t_alice, FrameType.BLOCK_STATS, _flip_last_byte), t_bob,
+                                src.segments("alice"), src.segments("bob"), cfg)
+    for side in (ra, rb):
+        assert side.abort_reason == AbortReason.PROTOCOL_VIOLATION
+        assert side.abort_message == "BLOCK_STATS mismatch"
+        assert side.stats == [] and side.block_sizes == [] and side.key_bytes() == b""
+
+
+def test_empty_segment_right_after_a_confirmed_block_keeps_it_on_both_sides():
+    ch = ChannelConfig(duration=1.5, rng_seed=5)
+    cfg = SessionConfig(block_min_key_bits=2000, seed=5, segment_seconds=0.25)
+    src = JointSegmentSource(ch, segment_seconds=0.25)
+    ref_a, ref_b = run_inproc_pair(src.segments("alice"), src.segments("bob"), cfg)
+    first = ref_b.stats[0]
+    used = round(first.t_end / 0.25)  # Bob's segments in the first block
+    assert used < src.n_segments - 1  # more data follows the empty segment
+
+    def bob(segments):
+        yield from itertools.islice(segments, used)
+        yield np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8)
+        yield from segments
+
+    src = JointSegmentSource(ch, segment_seconds=0.25)
+    ra, rb = run_inproc_pair(src.segments("alice"), bob(src.segments("bob")), cfg)
+    for side, ref in ((ra, ref_a), (rb, ref_b)):
+        assert side.abort_reason == AbortReason.EMPTY_SEGMENT
+        assert side.abort_message == f"segment {used} has no tags and is not the last"
+        assert [s.encode() for s in side.stats] == [first.encode()]
+        assert side.block_sizes == ref.block_sizes[:1]
+        np.testing.assert_array_equal(side.key_bits, ref.key_bits[: first.final_bits])
+    assert first.final_bits > 0
+
+
+def _held_arrays(session):
+    """The arrays a session's attributes and its open block's hold, also in
+    lists and tuples, one level deep."""
+    held = []
+    for owner in (session, session._block):
+        for value in vars(owner).values():
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                parts = item if isinstance(item, (list, tuple)) else [item]
+                held += [p for p in parts if isinstance(p, np.ndarray)]
+    return held
+
+
+def test_each_side_frees_what_the_rest_of_the_block_does_not_read(monkeypatch):
+    # Bob: at reconcile_bob's entry no array of the block's segments, nor
+    # of the announce he decoded, is alive; only the segment he took ahead
+    # is.  Alice: once the announce is sent she holds no match indices.
+    ch = _channel(duration=2.0)
+    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed, segment_seconds=0.25)
+    src = JointSegmentSource(ch, segment_seconds=cfg.segment_seconds)
+    taken = []  # weakrefs to the arrays of each segment Bob took, of each announce he decoded
+
+    def bob_segments():
+        for ticks, dets in src.segments("bob"):
+            taken.append((weakref.ref(ticks), weakref.ref(dets)))
+            yield ticks, dets
+
+    decode = MatchAnnounce.decode
+
+    def decode_tracked(payload):
+        ma = decode(payload)
+        taken.append(tuple(weakref.ref(x) for x in (ma.a_idx, ma.b_idx, ma.classes)))
+        return ma
+
+    reconcile = protocol.reconcile_bob
+    alive_at_reconcile = []
+
+    def reconcile_checked(bits, bob, params):
+        ahead = [id(x) for x in bob._pending or ()]
+        alive_at_reconcile.append([r() for refs in taken for r in refs
+                                   if r() is not None and id(r()) not in ahead])
+        return reconcile(bits, bob, params)
+
+    send = AliceSession.send
+    alice_indices = []
+
+    def send_checked(alice, msg):
+        send(alice, msg)
+        if isinstance(msg, MatchAnnounce) and msg.flag == ANNOUNCE_BLOCK:
+            alice_indices.append([x for x in _held_arrays(alice) if x.dtype == np.uint32])
+
+    monkeypatch.setattr(MatchAnnounce, "decode", staticmethod(decode_tracked))
+    monkeypatch.setattr(protocol, "reconcile_bob", reconcile_checked)
+    monkeypatch.setattr(AliceSession, "send", send_checked)
+    ra, rb = run_inproc_pair(src.segments("alice"), bob_segments(), cfg)
+    assert ra.done and rb.done and len(rb.stats) >= 2
+    assert len(alive_at_reconcile) == len(alice_indices) == len(rb.stats)
+    assert alive_at_reconcile == [[]] * len(rb.stats)
+    assert alice_indices == [[]] * len(rb.stats)
 
 
 def test_pa_seed_other_than_the_derived_one_is_refused():

@@ -1,5 +1,11 @@
 """Delay recovery, coincidence matching, accidentals, tag files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +13,8 @@ from hypothesis import strategies as st
 
 import mpmath as mp
 import oracles
+import bellqkd
+from bellqkd import timetag
 from bellqkd.physics import ChannelConfig, JointSegmentSource
 from bellqkd.timetag import (
     MAX_TICK,
@@ -284,6 +292,35 @@ def test_match_and_accidentals_equal_full_rounds(streams, delay, window, offset)
     assert ia.dtype == ib.dtype == np.int64
     ra, _ = oracles.match_coincidences_full_rounds(a, b, delay + cfg.offset_ticks, cfg)
     assert count_accidentals(a, b, delay, cfg) == len(ra)
+
+
+@given(st.one_of(st.tuples(dense_ticks, dense_ticks), burst_streams()),
+       st.integers(-80, 80), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_match_scans_links_in_steps_of_any_size(streams, delay, step):
+    cfg = WindowConfig()
+    a = np.array(streams[0], dtype=np.uint64)
+    b = np.array(streams[1], dtype=np.uint64)
+    with mock.patch.object(timetag, "_LINK_CHUNK", step):
+        ia, ib = match_coincidences(a, b, delay, cfg)
+    ra, rb = oracles.match_coincidences_full_rounds(a, b, delay, cfg)
+    np.testing.assert_array_equal(ia, ra)
+    np.testing.assert_array_equal(ib, rb)
+
+
+def test_a_session_leaves_numpy_ma_unimported():
+    # np.union1d imports numpy.ma, ~16 ms on the serial path of a session
+    child = ("import sys\n"
+             "from bellqkd.physics import ChannelConfig, JointSegmentSource\n"
+             "from bellqkd.protocol import SessionConfig, run_inproc_pair\n"
+             "src = JointSegmentSource(ChannelConfig(duration=2, rng_seed=3))\n"
+             "ra, rb = run_inproc_pair(src.segments('alice'), src.segments('bob'),\n"
+             "                         SessionConfig(block_min_key_bits=3000, seed=3))\n"
+             "print(ra.done, len(ra.stats), 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bellqkd.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["True", "1", "False"]
 
 
 _TOP = MAX_TICK - 1
