@@ -35,9 +35,8 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .cascade import TAG_BITS
-from .physics import (ALICE_DETECTORS, BOB_DETECTORS, AttackConfig, ChannelConfig,
-                      JointSegmentSource, RangeError, _time_origin_ticks, boundary_slack_s,
-                      check_run_bounds, segment_count)
+from .physics import (AttackConfig, ChannelConfig, JointSegmentSource, RangeError,
+                      _time_origin_ticks, boundary_slack_s, check_run_bounds, segment_count)
 from .privamp import InsecureRegimeError, SecurityEstimate, binary_entropy, secret_fraction
 from .protocol import (
     AbortReason,
@@ -48,6 +47,7 @@ from .protocol import (
     inproc_pair,
     run_transport_pair,
 )
+from .sifting import ALICE_SETTING, BOB_SETTING, NO_SETTING
 from .timetag import (MAX_TICK, TagFileError, pack_tag_records, read_tag_file, seconds_to_ticks,
                       write_tag_file)
 
@@ -353,7 +353,7 @@ def _read_chunks(path: str, side: str) -> Iterator[Tuple[np.ndarray, np.ndarray]
             raise TagFileError(f"{path} records side '{recorded}', expected {side}")
         if len(ticks) == 0:
             return
-        bad = ~np.isin(dets, ALICE_DETECTORS if side == "alice" else BOB_DETECTORS)
+        bad = (ALICE_SETTING if side == "alice" else BOB_SETTING)[dets] == NO_SETTING
         if bad.any():
             i = int(np.argmax(bad))
             raise TagFileError(f"{path}: record {start + i}: detector id {dets[i]} "

@@ -59,8 +59,8 @@ CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 # each setting's "+1" output in degrees; detectors are each setting's
 # (plus, minus) ids.  Alice's second Bell setting has its "+1" port at
 # 157.5 deg, so an ideal singlet yields S = -2*sqrt(2) exactly under the
-# sign convention above.  Sifting and the protocol hard-code the same
-# ids; tests/test_sifting.py checks that they agree.
+# sign convention above.  Every rule that reads an id is derived from
+# these tuples, most through the tables ``bellqkd.sifting`` builds.
 ALICE_ANGLES = (0.0, 22.5, 157.5)
 BOB_ANGLES = (0.0, 45.0)
 ALICE_DETECTORS = ((1, 2), (3, 4), (5, 6))

@@ -84,7 +84,7 @@ from .cascade import (
     reconcile_bob,
     verify_keys,
 )
-from .physics import require_finite
+from .physics import BOB_DETECTORS, require_finite
 from .privamp import (
     SecurityEstimate,
     eve_information,
@@ -94,6 +94,7 @@ from .privamp import (
     toeplitz_hash,
 )
 from .sifting import (
+    BOB_SETTING,
     BellEstimate,
     CoincidenceClass,
     EmptyTermError,
@@ -627,16 +628,8 @@ def _confirm_tag(final_bits: np.ndarray, seed: int, block_index: int) -> bytes:
     return verify_keys(final_bits, TAG_BITS, _derived_seed(seed, block_index, _CONFIRM_SEED_TAG))
 
 
-def _basis_to_detector(basis: np.ndarray) -> np.ndarray:
-    # Representative detector of the announced basis, for classification:
-    # the key basis behaves like detector 1, the rotated basis like 3.
-    return np.where(basis == 0, 1, 3).astype(np.uint8)
-
-
-def _detector_to_basis(dets) -> np.ndarray:
-    # The basis code Bob announces for each of his tags: 0 for the key
-    # analyzer's detectors 1-2, 1 for the rotated analyzer's 3-4.
-    return (np.asarray(dets) >= 3).astype(np.uint8)
+# Bob's "+1" detector by announced setting: Alice classifies with it.
+_BOB_PLUS = np.array([plus for plus, _ in BOB_DETECTORS], np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +963,7 @@ class AliceSession(_Endpoint):
         MATCH_ANNOUNCE flag that answers it."""
         b_ticks, b_codes = batch.ticks, batch.codes
         if len(b_ticks):
-            if int(b_codes.max()) > 1:
+            if int(b_codes.max()) >= len(BOB_DETECTORS):
                 raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "basis code out of range")
             if b_ticks[-1] >= MAX_TICK or np.any(b_ticks[1:] < b_ticks[:-1]):
                 raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION,
@@ -1012,7 +1005,7 @@ class AliceSession(_Endpoint):
                                f"block {blk.index} would pass {_MAX_BLOCK_TAGS} tags on one side,"
                                " more than the match indices address; lower block_min_key_bits")
         ia, ib = match_coincidences(a_ticks, b_ticks, self.delay, _WINDOW)
-        cls = np.asarray(classify(a_dets[ia], _basis_to_detector(b_codes[ib])), dtype=np.uint8)
+        cls = classify(a_dets[ia], _BOB_PLUS[b_codes[ib]]).view(np.uint8)
         blk.matches.append(((blk.a_base + ia).astype(np.uint32),
                             (blk.b_base + ib).astype(np.uint32), cls))
         key = cls == int(CoincidenceClass.KEY)
@@ -1063,7 +1056,7 @@ class BobSession(_Endpoint):
             if not len(ticks) and next(self.segments, None) is not None:
                 raise _AbortSignal(AbortReason.EMPTY_SEGMENT,
                                    f"segment {blk.seg_end} has no tags and is not the last")
-            self.send(TimetagBatch(ticks, _detector_to_basis(dets)))
+            self.send(TimetagBatch(ticks, BOB_SETTING[dets]))
             ended = len(ticks) == 0
             del ticks  # sent; a block's last ticks would otherwise live through Cascade
             # generate the next segment while the peer matches this batch
@@ -1126,10 +1119,11 @@ class BobSession(_Endpoint):
         key_dets = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.KEY)]]
         if len(key_dets) == 0:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block without key bits")
-        if int(key_dets.max()) > 2:
-            # a key-branch event must sit in this side's key basis
+        try:
+            key_bits = bob_key_bits(key_dets)
+        except InvalidDetectorError:  # a key-branch event must sit in this side's key basis
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "key class outside key basis")
-        return bob_key_bits(key_dets), my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
+        return key_bits, my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
 
     def _agree(self, msg) -> None:
         self.send(msg)

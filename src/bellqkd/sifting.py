@@ -2,10 +2,10 @@
 the CHSH statistic, and raw-key extraction.
 
 Works on the detector-id pairs of identified coincidences, in the
-layout of ``physics.ALICE_DETECTORS``/``BOB_DETECTORS``: detectors 1-2
-on either side belong to the key (H/V) analyzers; Alice's 3-6 and Bob's
-3-4 belong to the rotated Bell analyzers.  The branch and key-bit maps
-compare ids directly; a test checks them against the layout.
+layout of ``physics.ALICE_DETECTORS``/``BOB_DETECTORS``.  Every rule
+that reads a detector id goes through tables built from those two
+tuples at import: per side, each id's setting and outcome bit, and the
+class of each (Alice setting, Bob setting) pair.
 """
 
 from __future__ import annotations
@@ -40,54 +40,69 @@ class CoincidenceClass(IntEnum):
     DISCARD = 2  # Alice key analyzer x Bob rotated analyzer
 
 
+NO_SETTING = 255  # setting-table value of an id no detector of the station has
+
+
+def _id_tables(detectors):
+    """By detector id: its setting and outcome bit (0 at a "+1" port, 1 at
+    "-1"); the entry past the last byte stands for every id outside 0..255."""
+    setting, outcome = np.full(257, NO_SETTING, np.uint8), np.zeros(257, np.uint8)
+    for s, (plus, minus) in enumerate(detectors):
+        setting[[plus, minus]], outcome[minus] = s, 1
+    return setting, outcome
+
+
+ALICE_SETTING, _ALICE_OUTCOME = _id_tables(ALICE_DETECTORS)
+BOB_SETTING, _BOB_OUTCOME = _id_tables(BOB_DETECTORS)
+# by (Alice setting, Bob setting)
+_CLASS = np.full((len(ALICE_DETECTORS), len(BOB_DETECTORS)), CoincidenceClass.BELL, np.int8)
+_CLASS[AliceSetting.KEY] = CoincidenceClass.DISCARD
+_CLASS[AliceSetting.KEY, BobSetting.KEY] = CoincidenceClass.KEY
+# the count matrix, by (Alice setting, outcome, Bob setting, outcome)
+_COUNT_SHAPE = (len(ALICE_DETECTORS), 2, len(BOB_DETECTORS), 2)
+
+
+def _settings(ids, table: np.ndarray, side: str, only=None):
+    """The ids, and each one's setting.  Refuses any id no detector of the
+    side has, and with ``only`` any id of another setting."""
+    ids = np.asarray(ids)
+    if ids.dtype != np.uint8:  # an id outside 0..255 reads the table's last entry
+        ids = np.clip(np.asarray(ids, dtype=np.int64), -1, 256)
+    settings = table[ids]
+    if (settings == NO_SETTING if only is None else settings != only).any():
+        raise InvalidDetectorError(f"{side} detector id outside "
+                                   f"{'the layout' if only is None else only.name + ' setting'}")
+    return ids, settings
+
+
 def classify(alice_detector, bob_detector):
     """Branch class for detector-id pairs (scalars or arrays)."""
-    a = np.asarray(alice_detector, dtype=np.int64)
-    b = np.asarray(bob_detector, dtype=np.int64)
-    if a.size and ((a < 1) | (a > 6)).any():
-        raise InvalidDetectorError("Alice detector ids must be in 1..6")
-    if b.size and ((b < 1) | (b > 4)).any():
-        raise InvalidDetectorError("Bob detector ids must be in 1..4")
-    out = np.where(
-        a >= 3,
-        CoincidenceClass.BELL,
-        np.where(b <= 2, CoincidenceClass.KEY, CoincidenceClass.DISCARD),
-    ).astype(np.int8)
-    if np.isscalar(alice_detector) or np.ndim(alice_detector) == 0:
-        return CoincidenceClass(int(out))
-    return out
+    out = _CLASS[_settings(alice_detector, ALICE_SETTING, "Alice")[1],
+                 _settings(bob_detector, BOB_SETTING, "Bob")[1]]
+    return CoincidenceClass(int(out)) if np.ndim(alice_detector) == 0 else out
 
 
 def count_coincidences(alice_detectors, bob_detectors) -> np.ndarray:
-    """6x4 count matrix n[i-1, j-1] over detector-id pairs."""
-    a = np.asarray(alice_detectors, dtype=np.int64)
-    b = np.asarray(bob_detectors, dtype=np.int64)
-    classify(a, b)  # validates ranges
-    flat = (a - 1) * 4 + (b - 1)
-    return np.bincount(flat, minlength=24).reshape(6, 4).astype(np.int64)
+    """Count matrix over detector-id pairs, a row per Alice detector and a
+    column per Bob detector in layout order: n[i-1, j-1] for ids i, j."""
+    a, a_set = _settings(alice_detectors, ALICE_SETTING, "Alice")
+    b, b_set = _settings(bob_detectors, BOB_SETTING, "Bob")
+    flat = np.ravel_multi_index((a_set, _ALICE_OUTCOME[a], b_set, _BOB_OUTCOME[b]), _COUNT_SHAPE)
+    n = np.bincount(flat, minlength=math.prod(_COUNT_SHAPE))
+    return n.reshape(2 * len(ALICE_DETECTORS), -1).astype(np.int64)
 
 
-def _term_quadruple(alice_setting, bob_setting):
-    a_plus, a_minus = ALICE_DETECTORS[alice_setting]
-    b_plus, b_minus = BOB_DETECTORS[bob_setting]
-    return a_plus, a_minus, b_plus, b_minus
-
-
-def correlation_coefficient(
-    counts: np.ndarray,
-    alice_setting: AliceSetting,
-    bob_setting: BobSetting,
-) -> float:
+def correlation_coefficient(counts: np.ndarray, alice_setting: AliceSetting,
+                            bob_setting: BobSetting) -> float:
     """E for one analyzer pairing from the coincidence-count matrix.
 
     E = (n_pp + n_mm - n_pm - n_mp) / (n_pp + n_mm + n_pm + n_mp), where
     the first subscript is the sign of Alice's detector and the second
     Bob's.
     """
-    ap, am, bp, bm = _term_quadruple(alice_setting, bob_setting)
-    n = np.asarray(counts, dtype=float)
-    same = n[ap - 1, bp - 1] + n[am - 1, bm - 1]
-    diff = n[ap - 1, bm - 1] + n[am - 1, bp - 1]
+    n = np.asarray(counts, dtype=float).reshape(_COUNT_SHAPE)[alice_setting, :, bob_setting, :]
+    same = n[0, 0] + n[1, 1]
+    diff = n[0, 1] + n[1, 0]
     total = same + diff
     if total == 0:
         raise EmptyTermError(f"no counts for term ({alice_setting.name}, {bob_setting.name})")
@@ -109,39 +124,28 @@ def chsh_value(counts: np.ndarray) -> BellEstimate:
     quadrature.
     """
     n = np.asarray(counts, dtype=float)
-    terms = []
-    totals = []
-    var = 0.0
-    s = 0.0
-    for (sa, sb), sign in zip(CHSH_TERMS, CHSH_SIGNS):
-        e = correlation_coefficient(n, sa, sb)
-        ap, am, bp, bm = _term_quadruple(sa, sb)
-        total = n[ap - 1, bp - 1] + n[am - 1, bm - 1] + n[ap - 1, bm - 1] + n[am - 1, bp - 1]
-        terms.append(e)
-        totals.append(total)
-        s += sign * e
-        var += (1.0 - e * e) / total
-    return BellEstimate(float(s), math.sqrt(var), tuple(terms), tuple(totals))
+    terms = tuple(correlation_coefficient(n, sa, sb) for sa, sb in CHSH_TERMS)
+    totals = tuple(n.reshape(_COUNT_SHAPE)[sa, :, sb, :].sum() for sa, sb in CHSH_TERMS)
+    s = sum(sign * e for sign, e in zip(CHSH_SIGNS, terms))
+    var = sum((1.0 - e * e) / total for e, total in zip(terms, totals))
+    return BellEstimate(float(s), math.sqrt(var), terms, totals)
 
 
 def alice_key_bits(alice_detectors) -> np.ndarray:
-    """Alice's raw key bits: detector 1 -> 0, detector 2 -> 1."""
-    a = np.asarray(alice_detectors, dtype=np.int64)
-    if a.size and ((a < 1) | (a > 2)).any():
-        raise InvalidDetectorError("key branch requires Alice detectors 1 or 2")
-    return (a - 1).astype(np.uint8)
+    """Alice's raw key bits: her key analyzer's "+1" detector -> 0, "-1" -> 1."""
+    ids, _ = _settings(alice_detectors, ALICE_SETTING, "Alice", AliceSetting.KEY)
+    return _ALICE_OUTCOME[ids]
 
 
 def bob_key_bits(bob_detectors) -> np.ndarray:
-    """Bob's raw key bits, inverted: detector 2 -> 0, detector 1 -> 1.
+    """Bob's raw key bits, inverted: his key analyzer's "-1" detector -> 0,
+    "+1" -> 1.
 
     The inversion makes noiseless (perfectly anti-correlated) runs yield
     identical keys on both sides.
     """
-    b = np.asarray(bob_detectors, dtype=np.int64)
-    if b.size and ((b < 1) | (b > 2)).any():
-        raise InvalidDetectorError("key branch requires Bob detectors 1 or 2")
-    return (2 - b).astype(np.uint8)
+    ids, _ = _settings(bob_detectors, BOB_SETTING, "Bob", BobSetting.KEY)
+    return _BOB_OUTCOME[ids] ^ np.uint8(1)
 
 
 def extract_raw_key(alice_detectors, bob_detectors):

@@ -2,9 +2,10 @@
 
 Nothing in here imports the package under test, except the former
 ``find_delay``, which shares the current histogram helpers, the former
-stream assembly, which shares the current pair draws, and the former
+stream assembly, which shares the current pair draws, the former
 Cascade, which shares the current permutations, sample split and key
-tag.  Each other
+tag, and the former sifting maps, which share the current class and
+refusal types.  Each other
 function derives its answer from first principles (state vectors,
 explicit matrices, plain loops) so the unit tests compare two genuinely
 different routes to the same number.
@@ -37,6 +38,7 @@ from bellqkd.physics import (
     _sample_pairs,
     _time_origin_ticks,
 )
+from bellqkd.sifting import CoincidenceClass, InvalidDetectorError
 from bellqkd.timetag import (
     TICK_SECONDS,
     DelayEstimate,
@@ -691,3 +693,58 @@ def reconcile_pair_former(alice_bits, bob_bits, params, qber_estimate=None) -> d
         "exchanged_messages": state.exchanged_messages,
         "verified": tag == verify_keys(alice.bits, TAG_BITS, seed),
     }
+
+
+# ---------------------------------------------------------------------------
+# The former sifting maps, which compared detector ids by hand (Alice 1-2
+# key, 3-6 rotated; Bob 1-2 key, 3-4 rotated), kept unchanged as the
+# reference for the tables ``bellqkd.sifting`` builds from the station
+# layout.  The class and refusal types are the package's own.
+
+def classify_by_comparison(alice_detector, bob_detector):
+    a = np.asarray(alice_detector, dtype=np.int64)
+    b = np.asarray(bob_detector, dtype=np.int64)
+    if a.size and ((a < 1) | (a > 6)).any():
+        raise InvalidDetectorError("Alice detector ids must be in 1..6")
+    if b.size and ((b < 1) | (b > 4)).any():
+        raise InvalidDetectorError("Bob detector ids must be in 1..4")
+    out = np.where(
+        a >= 3,
+        CoincidenceClass.BELL,
+        np.where(b <= 2, CoincidenceClass.KEY, CoincidenceClass.DISCARD),
+    ).astype(np.int8)
+    if np.isscalar(alice_detector) or np.ndim(alice_detector) == 0:
+        return CoincidenceClass(int(out))
+    return out
+
+
+def count_coincidences_by_offset(alice_detectors, bob_detectors) -> np.ndarray:
+    a = np.asarray(alice_detectors, dtype=np.int64)
+    b = np.asarray(bob_detectors, dtype=np.int64)
+    classify_by_comparison(a, b)  # validates ranges
+    flat = (a - 1) * 4 + (b - 1)
+    return np.bincount(flat, minlength=24).reshape(6, 4).astype(np.int64)
+
+
+def alice_key_bits_by_offset(alice_detectors) -> np.ndarray:
+    a = np.asarray(alice_detectors, dtype=np.int64)
+    if a.size and ((a < 1) | (a > 2)).any():
+        raise InvalidDetectorError("key branch requires Alice detectors 1 or 2")
+    return (a - 1).astype(np.uint8)
+
+
+def bob_key_bits_by_offset(bob_detectors) -> np.ndarray:
+    b = np.asarray(bob_detectors, dtype=np.int64)
+    if b.size and ((b < 1) | (b > 2)).any():
+        raise InvalidDetectorError("key branch requires Bob detectors 1 or 2")
+    return (2 - b).astype(np.uint8)
+
+
+def basis_to_detector_by_where(basis: np.ndarray) -> np.ndarray:
+    # the key basis behaves like detector 1, the rotated basis like 3
+    return np.where(basis == 0, 1, 3).astype(np.uint8)
+
+
+def detector_to_basis_by_comparison(dets) -> np.ndarray:
+    # 0 for the key analyzer's detectors 1-2, 1 for the rotated analyzer's 3-4
+    return (np.asarray(dets) >= 3).astype(np.uint8)

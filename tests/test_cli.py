@@ -30,10 +30,10 @@ from bellqkd.cli import (
 )
 import bellqkd.cli
 import bellqkd.protocol
-from bellqkd.physics import (AttackConfig, ChannelConfig, JointSegmentSource, _time_origin_ticks,
-                             boundary_slack_s)
+from bellqkd.physics import (ALICE_DETECTORS, BOB_DETECTORS, AttackConfig, ChannelConfig,
+                             JointSegmentSource, _time_origin_ticks, boundary_slack_s)
 from bellqkd.protocol import BlockStats, SessionConfig
-from bellqkd.timetag import read_tag_file, seconds_to_ticks, write_tag_file
+from bellqkd.timetag import TagFileError, read_tag_file, seconds_to_ticks, write_tag_file
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -358,6 +358,21 @@ def test_replay_refuses_impossible_records(recording, tmp_path, capsys,
     err = capsys.readouterr().err
     label = "tick" if column == "tick" else "detector id"
     assert f"error: {tampered}: record {first % len(ticks)}: {label} {value} " in err
+
+
+def test_tag_file_ids_are_exactly_the_station_layouts(tmp_path):
+    # every byte on each side: a record is read iff a detector has its id
+    path = tmp_path / "one.tags"
+    for side, layout in (("alice", ALICE_DETECTORS), ("bob", BOB_DETECTORS)):
+        ids = {det for pair in layout for det in pair}
+        for det in range(256):
+            write_tag_file(path, side, np.array([1], np.uint64), np.array([det], np.uint8))
+            try:
+                read = len(list(bellqkd.cli._read_chunks(str(path), side)))
+            except TagFileError as exc:
+                assert str(exc) == f"{path}: record 0: detector id {det} is not one of {side}'s"
+                read = 0
+            assert read == (det in ids), (side, det)
 
 
 def test_replay_in_small_chunks(recording, tmp_path, capsys, monkeypatch):

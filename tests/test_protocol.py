@@ -24,7 +24,8 @@ from bellqkd.cascade import (
     VerifyTagMsg,
 )
 from bellqkd import protocol
-from bellqkd.physics import AttackConfig, ChannelConfig, JointSegmentSource
+from bellqkd.physics import (BOB_DETECTORS, AttackConfig, BobSetting, ChannelConfig,
+                             JointSegmentSource)
 from bellqkd.protocol import (
     ANNOUNCE_BLOCK,
     ANNOUNCE_CONTINUE,
@@ -443,13 +444,17 @@ def test_alice_empty_batch_ends_session():
     assert MatchAnnounce.decode(sent[-1].payload).flag == ANNOUNCE_END
 
 
-def test_alice_rejects_bad_basis_codes():
+@pytest.mark.parametrize("code", [len(BOB_DETECTORS), 3, 255])
+def test_alice_rejects_bad_basis_codes(code):
+    # Bob's codes are his settings; the first past them is the range's edge
     segments = [(np.array([100], np.uint64), np.array([1], np.uint8))]
-    batch = _frame(TimetagBatch(np.array([100], np.uint64), np.array([3], np.uint8)))
+    batch = _frame(TimetagBatch(np.array([100], np.uint64), np.array([code], np.uint8)))
     result, sent = _replay(AliceSession, [_BOB_HELLO, batch],
                            segments)
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert sent[-1].type == FrameType.ABORT
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                 "basis code out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +509,8 @@ def test_transcript_audit_matches_reported_leakage():
 
 
 def test_benchmark_hooks_see_every_batch_and_reconciliation_frame(monkeypatch):
-    # perfbench/tracer.py times these three by swapping them in by name;
-    # a session that went round them would zero its per-layer figures
+    # perfbench/tracer.py times these by swapping them in by name; a
+    # session that went round them would zero its per-layer figures
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -514,7 +519,8 @@ def test_benchmark_hooks_see_every_batch_and_reconciliation_frame(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("encode_timetag_batch", "decode_timetag_batch"):
+    for name in ("encode_timetag_batch", "decode_timetag_batch", "classify",
+                 "count_coincidences"):
         monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
     monkeypatch.setattr(protocol.AliceReconciler, "handle",
                         counted("handle", protocol.AliceReconciler.handle))
@@ -525,6 +531,10 @@ def test_benchmark_hooks_see_every_batch_and_reconciliation_frame(monkeypatch):
     batches = types.count(FrameType.TIMETAG_BATCH)
     assert batches >= 2
     assert calls["encode_timetag_batch"] == calls["decode_timetag_batch"] == batches
+    # Alice classifies every segment she matches; each side runs the Bell test
+    blocks = len(rb.stats)
+    assert blocks >= 1 and calls["classify"] >= blocks
+    assert calls["count_coincidences"] == 2 * blocks
     # a VERIFY_TAG after a PA_SEED is the confirm tag, which Alice checks herself
     reconciliation = sum(types.count(t) for t in (
         FrameType.SHUFFLE_SEED, FrameType.QBER_SAMPLE, FrameType.PARITY_REQUEST,
@@ -904,6 +914,19 @@ def test_bob_aborts_on_block_without_key_bits():
                         src.segments("bob"))
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == "block without key bits"
+
+
+@pytest.mark.parametrize("det", BOB_DETECTORS[BobSetting.DIAG])
+def test_bob_aborts_on_key_class_outside_key_basis(det):
+    key_match = MatchAnnounce(ANNOUNCE_BLOCK, 0, 0, np.array([0], np.uint32),
+                              np.array([0], np.uint32), np.array([0], np.uint8))
+    segments = [(np.array([100], np.uint64), np.array([det], np.uint8))]
+    result, sent = _replay(BobSession, [_frame(Hello(0)),
+                                        Frame(FrameType.MATCH_ANNOUNCE, key_match.encode())],
+                           segments)
+    assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
+    assert _abort_of(sent[-1]) == (int(AbortReason.PROTOCOL_VIOLATION),
+                                 "key class outside key basis")
 
 
 def test_bob_aborts_on_unknown_announce_flag():

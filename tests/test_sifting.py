@@ -16,8 +16,11 @@ from bellqkd.physics import (
     AliceSetting,
     BobSetting,
 )
-from bellqkd.protocol import _basis_to_detector, _detector_to_basis
+from bellqkd.protocol import _BOB_PLUS
 from bellqkd.sifting import (
+    ALICE_SETTING,
+    BOB_SETTING,
+    NO_SETTING,
     BellEstimate,
     CoincidenceClass,
     EmptyTermError,
@@ -30,6 +33,14 @@ from bellqkd.sifting import (
     count_coincidences,
     extract_raw_key,
     qber,
+)
+from oracles import (
+    alice_key_bits_by_offset,
+    basis_to_detector_by_where,
+    bob_key_bits_by_offset,
+    classify_by_comparison,
+    count_coincidences_by_offset,
+    detector_to_basis_by_comparison,
 )
 
 
@@ -47,8 +58,13 @@ def test_classify_exhaustive():
 
 
 def test_station_layout_consistency():
-    # Sifting and Bob's basis code compare detector ids directly; they
-    # must agree with the layout the source generates tags from.
+    # The setting tables sifting, Bob's basis code and the tag-file check
+    # read are built from the layout the source generates tags from.
+    for table, layout in ((ALICE_SETTING, ALICE_DETECTORS), (BOB_SETTING, BOB_DETECTORS)):
+        want = np.full(257, NO_SETTING)  # the last entry stands for ids past a byte
+        for setting, ids in enumerate(layout):
+            want[list(ids)] = setting
+        np.testing.assert_array_equal(table, want)
     for sa, a_pair in enumerate(ALICE_DETECTORS):
         for sb, b_pair in enumerate(BOB_DETECTORS):
             for a, b in itertools.product(a_pair, b_pair):
@@ -59,15 +75,74 @@ def test_station_layout_consistency():
                 else:
                     want = CoincidenceClass.DISCARD
                 assert classify(a, b) == want, (a, b)
+                # Alice classifies from the basis code Bob announces
+                assert classify(a, _BOB_PLUS[BOB_SETTING[b]]) == want, (a, b)
     # anticorrelated key outcomes: Alice's plus with Bob's minus and back
     (a_plus, a_minus), (b_plus, b_minus) = ALICE_DETECTORS[0], BOB_DETECTORS[0]
     a_bits = alice_key_bits([a_plus, a_minus])
+    np.testing.assert_array_equal(a_bits, [0, 1])
     np.testing.assert_array_equal(a_bits, bob_key_bits([b_minus, b_plus]))
-    assert a_bits[0] != a_bits[1]
-    # the basis code Bob announces is his setting, and maps back into it
-    for sb, b_pair in enumerate(BOB_DETECTORS):
-        np.testing.assert_array_equal(_detector_to_basis(b_pair), [sb, sb])
-        assert _basis_to_detector(np.array([sb]))[0] in b_pair
+    # a count matrix row per Alice detector, a column per Bob detector
+    a_ids = [i for pair in ALICE_DETECTORS for i in pair]
+    b_ids = [j for pair in BOB_DETECTORS for j in pair]
+    counts = count_coincidences(*zip(*itertools.product(a_ids, b_ids)))
+    np.testing.assert_array_equal(counts, np.ones((len(a_ids), len(b_ids))))
+
+
+# ids on and off the layout, past 255 and at the int64 ends included
+_IDS = st.one_of(st.integers(1, 6), st.integers(-3, 300), st.integers(-2**63, 2**63 - 1))
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the oracle's refusals, of whatever type
+        return type(exc)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want
+
+
+def _raw_key_by_offset(a, b):
+    return alice_key_bits_by_offset(a), bob_key_bits_by_offset(b)
+
+
+@given(st.one_of(_IDS.map(lambda a: [a]), st.lists(_IDS, max_size=6)),
+       st.one_of(_IDS.map(lambda b: [b]), st.lists(_IDS, max_size=6)),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_sifting_maps_match_the_former_id_comparisons(a, b, scalar):
+    n = min(len(a), len(b))
+    if scalar:
+        inputs = [(a[0], b[0])] if n else []
+    else:
+        inputs = [(np.array(a[:n], np.int64), np.array(b[:n], np.int64))]
+        if all(0 <= x <= 255 for x in a[:n] + b[:n]):  # the dtype of station data
+            inputs.append(tuple(x.astype(np.uint8) for x in inputs[0]))
+    for x, y in inputs:
+        for fn, oracle, args in (
+                (classify, classify_by_comparison, (x, y)),
+                (count_coincidences, count_coincidences_by_offset, (x, y)),
+                (alice_key_bits, alice_key_bits_by_offset, (x,)),
+                (bob_key_bits, bob_key_bits_by_offset, (y,)),
+                (extract_raw_key, _raw_key_by_offset, (x, y))):
+            _assert_same(_result(fn, *args), _result(oracle, *args))
+        if _result(classify_by_comparison, x, y) is InvalidDetectorError:
+            continue
+        # Bob announces his setting; Alice classifies from it
+        code = BOB_SETTING[y]
+        np.testing.assert_array_equal(code, detector_to_basis_by_comparison(y))
+        _assert_same(classify(x, _BOB_PLUS[code]),
+                     classify_by_comparison(x, basis_to_detector_by_where(code)))
 
 
 def test_classify_arrays_match_scalars():
