@@ -17,6 +17,7 @@ permuted bits (``_prefix_parity``): permuted range [s, s + l) has parity
 
 Message payloads are defined here; the protocol layer wraps them in
 frames, and LocalChannel runs the two roles in one process for tests.
+A decoder takes any bytes-like payload and keeps no view of it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .privamp import generate_toeplitz_seed, pack_key_bits, toeplitz_hash
+from .privamp import generate_toeplitz_seed, pack_key_bits
 
 _PASS_TAG = 0xCA5C
 _SAMPLE_TAG = 0x5A3B
@@ -67,7 +68,7 @@ class CountedBits:
         (count,) = struct.unpack("<I", payload[:4])
         if len(payload) != 4 + (count + 7) // 8:
             raise ValueError(f"{count} bits need {(count + 7) // 8} bytes, got {len(payload) - 4}")
-        return cls(count, payload[4:])
+        return cls(count, bytes(payload[4:]))
 
 
 class QberSampleMsg(CountedBits):
@@ -107,7 +108,7 @@ class ParityRequestMsg:
         pass_index, count = struct.unpack("<BI", payload[:5])
         if len(payload) != 5 + 8 * count:
             raise ValueError(f"{count} ranges need {8 * count} bytes, got {len(payload) - 5}")
-        return ParityRequestMsg(pass_index, np.frombuffer(payload, dtype="<u4", offset=5))
+        return ParityRequestMsg(pass_index, np.frombuffer(payload, dtype="<u4", offset=5).copy())
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class VerifyTagMsg:
     @staticmethod
     def decode(payload: bytes) -> "VerifyTagMsg":
         if len(payload) == TAG_BITS // 8:
-            return VerifyTagMsg(tag=payload)
+            return VerifyTagMsg(tag=bytes(payload))
         if payload in (b"\x00", b"\x01"):
             return VerifyTagMsg(status=payload[0])
         raise ValueError(f"{len(payload)} bytes are neither a status nor a {TAG_BITS}-bit tag")
@@ -210,19 +211,41 @@ def _sample_prior(mine: np.ndarray, theirs: np.ndarray):
     return mismatches, max(mismatches, 1) / len(mine)
 
 
+# parity of each byte value
+_BYTE_PARITY = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
+
+
 def verify_keys(bits: np.ndarray, tag_bits: int, seed: int) -> bytes:
     """Universal-hash key tag; collision probability 2**-tag_bits.
 
-    Toeplitz hash with a seed derived from the (public) shared seed.
-    Keys shorter than the tag are zero-padded.
+    The Toeplitz hash (``privamp.toeplitz_hash``) of the key, zero-padded
+    to at least ``tag_bits`` bits, with a seed derived from the (public)
+    shared seed; its bits packed MSB first.
+
+    With so few rows it is computed on packed bits, not by FFT.  Row i is
+    the seed from bit ``tag_bits - 1 - i`` on, which is one of the seed's
+    8 bit-offset packings read from a whole byte.  Its bit with the key is
+    the parity of the XOR of the row's words ANDed with the key's; the key's
+    zero padding masks the seed bits past the key.
     """
     x = np.asarray(bits, dtype=np.uint8)
-    if len(x) < tag_bits:
-        x = np.concatenate([x, np.zeros(tag_bits - len(x), dtype=np.uint8)])
-    seed_bits = generate_toeplitz_seed(
-        len(x), tag_bits, np.random.SeedSequence([seed, _VERIFY_TAG])
-    )
-    return np.packbits(toeplitz_hash(x, seed_bits, tag_bits)).tobytes()
+    n = max(len(x), tag_bits)
+    seed_bits = generate_toeplitz_seed(n, tag_bits, np.random.SeedSequence([seed, _VERIFY_TAG]))
+    size = 8 * -(-n // 64)  # key bytes, in whole u64 words
+    key = np.zeros(size, dtype=np.uint8)
+    key[: -(-len(x) // 8)] = np.packbits(x)
+    key = key.view(np.uint64)
+    # packed[r][q:q + size] holds seed bits 8q + r onwards
+    packed = [np.zeros((tag_bits - 1) // 8 + size, dtype=np.uint8) for _ in range(8)]
+    for r, p in enumerate(packed):
+        row = np.packbits(seed_bits[r:])
+        p[: len(row)] = row[: len(p)]
+    words = np.empty(tag_bits, dtype=np.uint64)
+    for i in range(tag_bits):
+        q, r = divmod(tag_bits - 1 - i, 8)
+        words[i] = np.bitwise_xor.reduce(packed[r][q : q + size].view(np.uint64) & key)
+    parity = _BYTE_PARITY[np.bitwise_xor.reduce(words.view(np.uint8).reshape(tag_bits, 8), axis=1)]
+    return np.packbits(parity).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -106,15 +106,15 @@ from .sifting import (
     count_coincidences,
 )
 from .timetag import (COARSE_TAGS, MAX_TICK, TAG_RECORD, NoPeakError, WindowConfig,
-                      count_accidentals, find_delay, match_coincidences, pack_tag_records)
+                      count_accidentals, find_delay, match_coincidences)
 
 FRAME_MAGIC = b"QKDP"
 FRAME_VERSION = 1
 _HEADER = struct.Struct("<4sBBI")
 # Largest payload a frame may carry, far above the largest legal one: at
-# the ChannelConfig defaults a 1 s TIMETAG_BATCH is ~1.2 MB and a 100k-bit
-# block's MATCH_ANNOUNCE ~2 MB.  A stream reader refuses a larger header
-# before it reads the payload.
+# the ChannelConfig defaults a 1 s TIMETAG_BATCH is ~0.8 MB and a 100k-bit
+# block's MATCH_ANNOUNCE ~3.65 MB (405k matches, 9 bytes each).  A stream
+# reader refuses a larger header before it reads the payload.
 MAX_FRAME_PAYLOAD = 1 << 26
 
 # Seed-derivation tags so the per-block cascade shuffle, the Toeplitz
@@ -123,6 +123,7 @@ _CASCADE_SEED_TAG = 0x5EED
 _PA_SEED_TAG = 0x70E9
 _CONFIRM_SEED_TAG = 0xC0F1
 
+_ANNOUNCE_HEAD = struct.Struct("<BqII")  # flag, delay, accidentals, match count
 _MATCH_RECORD = np.dtype([("a", "<u4"), ("b", "<u4"), ("cls", "u1")])
 _MAX_BLOCK_TAGS = 1 << 32  # tags per side a block's u32 match indices can address
 
@@ -190,17 +191,38 @@ class SessionTimeoutError(Exception):
 @dataclass(frozen=True)
 class Frame:
     type: int
-    payload: bytes = b""
+    payload: bytes = b""  # any bytes-like object
+
+
+class _FrameBuffer(bytearray):
+    """One frame's only buffer: the header, then the payload, written in place."""
+
+
+def _framed(ftype: int, size: int) -> memoryview:
+    """The payload, ``size`` zero bytes, of a new frame buffer whose header
+    is written in front of it; ``encode_frame`` returns that buffer as it is."""
+    frame = _FrameBuffer(_HEADER.size + size)
+    _HEADER.pack_into(frame, 0, FRAME_MAGIC, FRAME_VERSION, int(ftype), size)
+    return memoryview(frame)[_HEADER.size:]
 
 
 def encode_frame(ftype: int, payload: bytes = b"") -> bytes:
+    """The frame's bytes: its header, then ``payload``.  A payload that is
+    the whole tail of a ``_framed`` buffer with this header is not copied:
+    that buffer is the frame."""
     if len(payload) > 0xFFFFFFFF:
         raise ValueError("payload too large for a frame")
-    return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(ftype), len(payload)) + payload
+    header = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(ftype), len(payload))
+    frame = getattr(payload, "obj", None)
+    if (isinstance(frame, _FrameBuffer) and payload.contiguous
+            and len(frame) == len(header) + payload.nbytes and frame[:len(header)] == header):
+        return frame
+    return header + payload
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Decode one complete frame; rejects bad magic, version, type, size."""
+    """Decode one complete frame; rejects bad magic, version, type, size.
+    The payload is a view of ``data``, not a copy."""
     if len(data) < _HEADER.size:
         raise MalformedFrameError("frame shorter than header")
     magic, version, ftype, length = _HEADER.unpack_from(data)
@@ -217,7 +239,7 @@ def decode_frame(data: bytes) -> Frame:
                                   f"{MAX_FRAME_PAYLOAD}-byte limit")
     if len(data) != _HEADER.size + length:
         raise MalformedFrameError("frame length mismatch")
-    return Frame(ftype, data[_HEADER.size :])
+    return Frame(ftype, memoryview(data)[_HEADER.size:])
 
 
 def iter_frames(data: bytes) -> Iterator[Frame]:
@@ -237,6 +259,10 @@ def iter_frames(data: bytes) -> Iterator[Frame]:
 # ---------------------------------------------------------------------------
 # Messages: one class per frame type, each with ``encode()`` and
 # ``decode(payload)``.  A decoder raises only ValueError or struct.error.
+# It takes any bytes-like payload, a view of a received frame included,
+# and keeps no view of it: every field it returns is its own copy, so a
+# message never holds its frame alive.  TimetagBatch and MatchAnnounce
+# encode straight into their frame's buffer (``_framed``).
 # Hello, TimetagBatch, MatchAnnounce, BellReveal and Abort are plain
 # classes: a frozen dataclass costs about a millisecond of import time, and
 # its generated ``__eq__`` raises on array fields.
@@ -255,8 +281,14 @@ class Hello:
         return Hello(payload[0])
 
 
-def encode_timetag_batch(ticks: np.ndarray, codes: np.ndarray) -> bytes:
-    return pack_tag_records(ticks, codes)
+def encode_timetag_batch(ticks: np.ndarray, codes: np.ndarray) -> memoryview:
+    """The 9-byte tag records, written into a TIMETAG_BATCH frame buffer."""
+    if len(ticks) != len(codes):
+        raise ValueError("ticks and codes must have equal length")
+    payload = _framed(FrameType.TIMETAG_BATCH, TAG_RECORD.itemsize * len(ticks))
+    rec = np.frombuffer(payload, dtype=TAG_RECORD)
+    rec["tick"], rec["det"] = ticks, codes
+    return payload
 
 
 def decode_timetag_batch(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
@@ -294,24 +326,25 @@ class MatchAnnounce:
         self.b_idx = np.empty(0, np.uint32) if b_idx is None else b_idx
         self.classes = np.empty(0, np.uint8) if classes is None else classes
 
-    def encode(self) -> bytes:
-        head = struct.pack("<BqII", self.flag, self.delay_ticks, self.accidentals, len(self.a_idx))
-        rec = np.zeros(len(self.a_idx), dtype=_MATCH_RECORD)
-        rec["a"] = self.a_idx
-        rec["b"] = self.b_idx
-        rec["cls"] = self.classes
-        return b"".join((head, rec.data))
+    def encode(self) -> memoryview:
+        count = len(self.a_idx)
+        payload = _framed(FrameType.MATCH_ANNOUNCE,
+                          _ANNOUNCE_HEAD.size + count * _MATCH_RECORD.itemsize)
+        _ANNOUNCE_HEAD.pack_into(payload, 0, self.flag, self.delay_ticks, self.accidentals, count)
+        rec = np.frombuffer(payload, dtype=_MATCH_RECORD, offset=_ANNOUNCE_HEAD.size)
+        rec["a"], rec["b"], rec["cls"] = self.a_idx, self.b_idx, self.classes
+        return payload
 
     @staticmethod
     def decode(payload: bytes) -> "MatchAnnounce":
-        flag, delay, acc, count = struct.unpack_from("<BqII", payload)
+        flag, delay, acc, count = _ANNOUNCE_HEAD.unpack_from(payload)
         if flag not in (ANNOUNCE_END, ANNOUNCE_BLOCK, ANNOUNCE_CONTINUE):
             raise ValueError(f"unknown flag {flag}")
-        body = payload[17:]
-        if len(body) != count * _MATCH_RECORD.itemsize:
+        size = len(payload) - _ANNOUNCE_HEAD.size
+        if size != count * _MATCH_RECORD.itemsize:
             raise ValueError(f"{count} matches need {count * _MATCH_RECORD.itemsize} bytes,"
-                             f" got {len(body)}")
-        rec = np.frombuffer(body, dtype=_MATCH_RECORD)
+                             f" got {size}")
+        rec = np.frombuffer(payload, dtype=_MATCH_RECORD, offset=_ANNOUNCE_HEAD.size)
         return MatchAnnounce(
             flag, delay, acc,
             rec["a"].astype(np.uint32), rec["b"].astype(np.uint32), rec["cls"].astype(np.uint8),
@@ -397,7 +430,7 @@ class Abort:
     def decode(payload: bytes) -> "Abort":
         if not payload:
             raise ValueError("no reason byte")
-        return Abort(payload[0], payload[1:].decode("utf-8", errors="replace"))
+        return Abort(payload[0], str(payload[1:], "utf-8", errors="replace"))
 
 
 MESSAGES = {
@@ -434,9 +467,11 @@ _CLOSED = object()  # ends the peer's stream in a receive queue
 
 
 class QueueTransport:
-    """In-process duplex pipe; frames travel as encoded bytes.
+    """In-process duplex pipe; each frame travels as its one encoded buffer.
 
-    ``recorder`` (if set) sees every encoded outgoing frame, in order.
+    ``recorder`` (if set) sees every outgoing frame, in order, as a
+    bytes-like object whose bytes are the frame's wire bytes: the same
+    buffer the peer receives, which nothing writes to after it is sent.
     Incoming frames are read from the ``rx`` queue, where ``_CLOSED``
     marks the end of the peer's stream.
     """
@@ -506,35 +541,34 @@ class SocketTransport(QueueTransport):
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
-    def _read_exact(self, size: int) -> Optional[bytes]:
-        # recv_into a bytearray: no quadratic copies.  The buffer starts at
-        # most _READ_STEP long and doubles only once it is full, so a
-        # header that claims more than the peer sends costs no memory.
-        buf = bytearray(min(size, _READ_STEP))
-        got = 0
+    def _fill(self, frame: bytearray, size: int) -> bool:
+        """Receive until ``frame`` holds ``size`` bytes; False if the stream
+        ends first.  recv_into the one buffer, so no byte is copied twice.
+        It grows by at most _READ_STEP at first and then by doubling, so a
+        header that claims more than the peer sends costs no memory."""
+        got = len(frame)
         while got < size:
-            if got == len(buf):
-                buf.extend(bytes(min(got, size - got)))
-            n = self._sock.recv_into(memoryview(buf)[got:])
-            if not n:
-                return None
-            got += n
-        return bytes(buf)
+            frame.extend(bytes(min(max(got, _READ_STEP), size - got)))
+            while got < len(frame):
+                n = self._sock.recv_into(memoryview(frame)[got:])
+                if not n:
+                    return False
+                got += n
+        return True
 
     def _read_loop(self) -> None:
         try:
             while True:
-                header = self._read_exact(_HEADER.size)
-                if header is None:
+                frame = bytearray()
+                if not self._fill(frame, _HEADER.size):
                     break
-                _, _, _, length = _HEADER.unpack(header)
+                _, _, _, length = _HEADER.unpack(frame)
                 if length > MAX_FRAME_PAYLOAD:
-                    self._rx.put(header)  # decode_frame refuses it
+                    self._rx.put(frame)  # decode_frame refuses it
                     break
-                payload = self._read_exact(length)
-                if payload is None:
+                if not self._fill(frame, _HEADER.size + length):
                     break
-                self._rx.put(header + payload)
+                self._rx.put(frame)
         except OSError:
             pass
         self._rx.put(_CLOSED)
@@ -626,6 +660,11 @@ def _derived_seed(seed: int, block_index: int, tag: int) -> int:
 
 def _confirm_tag(final_bits: np.ndarray, seed: int, block_index: int) -> bytes:
     return verify_keys(final_bits, TAG_BITS, _derived_seed(seed, block_index, _CONFIRM_SEED_TAG))
+
+
+def _joined(parts) -> np.ndarray:
+    """The parts as one array; one part is itself, not a copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # Bob's "+1" detector by announced setting: Alice classifies with it.
@@ -980,8 +1019,8 @@ class AliceSession(_Endpoint):
         if self.delay is None:
             self._warm_a.append(own)
             self._warm_b.append((b_ticks, b_codes))
-            a_ticks, a_dets = (np.concatenate(c) for c in zip(*self._warm_a))
-            b_ticks, b_codes = (np.concatenate(c) for c in zip(*self._warm_b))
+            a_ticks, a_dets = (_joined(c) for c in zip(*self._warm_a))
+            b_ticks, b_codes = (_joined(c) for c in zip(*self._warm_b))
             try:
                 est = find_delay(a_ticks, b_ticks, _WINDOW)
             except NoPeakError as exc:
@@ -1049,7 +1088,7 @@ class BobSession(_Endpoint):
         cfg = self.cfg
         blk = self._block
         self.phase = Phase.SYNC
-        det_chunks: list = []
+        my_dets = bytearray()  # the block's detector bytes, one byte a tag
 
         while True:
             ticks, dets = self._pending or next(self.segments, None) or _NO_SEGMENT
@@ -1061,11 +1100,10 @@ class BobSession(_Endpoint):
             del ticks  # sent; a block's last ticks would otherwise live through Cascade
             # generate the next segment while the peer matches this batch
             self._pending = None if ended else next(self.segments, None)
-            if not ended:
-                # A compact copy: the segment is a view that pins the source's
-                # merged array.  Copied before the generation above, it raised
-                # the tag-cap peak RSS by 34 MiB.
-                det_chunks.append(np.array(dets, dtype=np.uint8))
+            # A compact copy: the segment is a view that pins the source's
+            # merged array.  Copied before the generation above, it raised
+            # the tag-cap peak RSS by 34 MiB.
+            my_dets.extend(np.ascontiguousarray(dets, dtype=np.uint8))
             del dets
             ma = self._expect(MatchAnnounce)
             if ended:
@@ -1082,8 +1120,8 @@ class BobSession(_Endpoint):
         # Sift in one step: only the two branches outlive it, so the block's
         # detectors and the announce are freed before the Bell test.
         self.phase = Phase.SIFT
-        my_key, bell_mine = self._sift(np.concatenate(det_chunks), ma)
-        del det_chunks, ma
+        my_key, bell_mine = self._sift(np.frombuffer(my_dets, dtype=np.uint8), ma)
+        del my_dets, ma
 
         bell_theirs = self._expect(BellReveal).detectors
         if len(bell_theirs) != len(bell_mine):

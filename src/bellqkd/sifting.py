@@ -76,19 +76,21 @@ def _settings(ids, table: np.ndarray, side: str, only=None):
 
 
 def classify(alice_detector, bob_detector):
-    """Branch class for detector-id pairs (scalars or arrays)."""
+    """Branch class for detector-id pairs (scalars or arrays, broadcast):
+    a CoincidenceClass for two scalars, else an int8 array."""
     out = _CLASS[_settings(alice_detector, ALICE_SETTING, "Alice")[1],
                  _settings(bob_detector, BOB_SETTING, "Bob")[1]]
-    return CoincidenceClass(int(out)) if np.ndim(alice_detector) == 0 else out
+    return CoincidenceClass(int(out)) if np.ndim(out) == 0 else out
 
 
 def count_coincidences(alice_detectors, bob_detectors) -> np.ndarray:
-    """Count matrix over detector-id pairs, a row per Alice detector and a
-    column per Bob detector in layout order: n[i-1, j-1] for ids i, j."""
+    """Count matrix over detector-id pairs (scalars or arrays, broadcast),
+    a row per Alice detector and a column per Bob detector in layout
+    order: n[i-1, j-1] for ids i, j."""
     a, a_set = _settings(alice_detectors, ALICE_SETTING, "Alice")
     b, b_set = _settings(bob_detectors, BOB_SETTING, "Bob")
     flat = np.ravel_multi_index((a_set, _ALICE_OUTCOME[a], b_set, _BOB_OUTCOME[b]), _COUNT_SHAPE)
-    n = np.bincount(flat, minlength=math.prod(_COUNT_SHAPE))
+    n = np.bincount(np.ravel(flat), minlength=math.prod(_COUNT_SHAPE))
     return n.reshape(2 * len(ALICE_DETECTORS), -1).astype(np.int64)
 
 

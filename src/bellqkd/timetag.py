@@ -99,7 +99,8 @@ class DelayEstimate:
 
 # Tags per histogram chunk, and the granularity of the ``max_diffs`` stop,
 # a whole number of chunks.  A chunk of 500 coarse-scan tags forms ~0.7 MB
-# of differences at the ChannelConfig defaults.
+# of differences at the ChannelConfig defaults.  The fine stage, with 0.08
+# differences a tag there, bins its tags a whole stop chunk at a time.
 _HIST_CHUNK = 500
 _HIST_STOP_CHUNK = 20_000
 # Merged neighbours compared per step of the matcher's link scan, so the
@@ -113,26 +114,26 @@ COARSE_TAGS = 32_000
 PEAK_FALSE_ALARM = 1e-6
 
 
-def _difference_histogram(a, b, span, binw, max_diffs=60_000_000, shift=0):
+def _difference_histogram(a, b, span, binw, max_diffs=60_000_000, shift=0, chunk=_HIST_CHUNK):
     """Histogram of (b - shift - a) differences restricted to |diff| <= span.
 
     Bin ``k`` holds the differences with ``(diff + span) // binw == k``,
     for ``k`` in ``0 .. 2 * (span // binw)``; when ``span`` is not a
     multiple of ``binw`` the few differences past the last bin fall into
-    it.  Tags of ``a`` go in chunks of ``_HIST_CHUNK``: two searchsorted
-    calls find each tag's partner range in ``b``, and the differences are
-    formed and binned in place, so no array is as long as ``a``.  Stops
-    early, at a 20k-tag boundary, once more than ``max_diffs`` differences
-    have been binned (the histogram is statistical, truncation only loses
-    tail statistics).
+    it.  Tags of ``a`` go in chunks of ``chunk``, a divisor of
+    ``_HIST_STOP_CHUNK``: two searchsorted calls find each tag's partner
+    range in ``b``, and the differences are formed and binned in place,
+    so no array is as long as ``a``.  Stops early, at a 20k-tag boundary,
+    once more than ``max_diffs`` differences have been binned (the
+    histogram is statistical, truncation only loses tail statistics).
     """
     nbins = 2 * (span // binw) + 1
     hist = np.zeros((2 * span) // binw + 1, dtype=np.int64)
     total = 0
-    for i in range(0, len(a), _HIST_CHUNK):
+    for i in range(0, len(a), chunk):
         if i % _HIST_STOP_CHUNK == 0 and total > max_diffs:
             break
-        low = a[i : i + _HIST_CHUNK] + (shift - span)  # each tag's lowest partner
+        low = a[i : i + chunk] + (shift - span)  # each tag's lowest partner
         lo = np.searchsorted(b, low, side="left")
         c = np.searchsorted(b, low + 2 * span, side="right") - lo
         ends = np.cumsum(c)
@@ -231,7 +232,8 @@ def find_delay(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: WindowConfig
     # Fine stage at single-tick resolution around the coarse peak, all tags.
     fine_span = 2 * binw
     fine_bins = 2 * fine_span + 1
-    fine_hist, fine_total = _difference_histogram(a, b, fine_span, 1, shift=coarse_delay)
+    fine_hist, fine_total = _difference_histogram(a, b, fine_span, 1, shift=coarse_delay,
+                                                  chunk=_HIST_STOP_CHUNK)
     if fine_total == 0:
         return DelayEstimate(int(coarse_delay), confidence)
 

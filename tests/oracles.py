@@ -4,8 +4,9 @@ Nothing in here imports the package under test, except the former
 ``find_delay``, which shares the current histogram helpers, the former
 stream assembly, which shares the current pair draws, the former
 Cascade, which shares the current permutations, sample split and key
-tag, and the former sifting maps, which share the current class and
-refusal types.  Each other
+tag, the former key tag, which shares the current seed draw, and the
+former sifting maps, which share the current class and refusal types.
+Each other
 function derives its answer from first principles (state vectors,
 explicit matrices, plain loops) so the unit tests compare two genuinely
 different routes to the same number.
@@ -18,6 +19,7 @@ import mpmath as mp
 import numpy as np
 
 from bellqkd.cascade import (
+    _VERIFY_TAG,
     TAG_BITS,
     ChannelClosedError,
     _pass_permutation,
@@ -38,6 +40,7 @@ from bellqkd.physics import (
     _sample_pairs,
     _time_origin_ticks,
 )
+from bellqkd.privamp import generate_toeplitz_seed
 from bellqkd.sifting import CoincidenceClass, InvalidDetectorError
 from bellqkd.timetag import (
     TICK_SECONDS,
@@ -162,6 +165,40 @@ def toeplitz_hash_dense(bits: np.ndarray, seed_bits: np.ndarray, m: int) -> np.n
         out[i : i + chunk] = (rows @ xf).astype(np.int64) & 1
     # windows[t] corresponds to row m-1-t, so flip into row order.
     return out[::-1].copy()
+
+
+def toeplitz_hash_pow2(bits: np.ndarray, seed_bits: np.ndarray, m: int) -> np.ndarray:
+    """The former FFT kernel: one real-FFT convolution of power-of-two
+    length, the one at or above n + m - 1; same contract as
+    bellqkd.privamp.toeplitz_hash."""
+    x = np.asarray(bits, dtype=np.uint8)
+    s = np.asarray(seed_bits, dtype=np.uint8)
+    n = len(x)
+    if m < 0 or m > n:
+        raise ValueError("output length m must satisfy 0 <= m <= n")
+    if len(s) != n + m - 1:
+        raise ValueError(f"seed must have length n + m - 1 = {n + m - 1}")
+    if m == 0:
+        return np.empty(0, dtype=np.uint8)
+    size = 1 << (n + m - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(s, size) * np.fft.rfft(x[::-1], size), size)
+    y = conv[n - 1 : n + m - 1][::-1]
+    r = np.rint(y)
+    residual = np.max(np.abs(y - r))
+    if not residual < 0.25:  # also catches NaN
+        raise FloatingPointError(f"Toeplitz FFT rounding residual {residual} >= 0.25")
+    return (r.astype(np.int64) & 1).astype(np.uint8)
+
+
+def verify_keys_fft(bits: np.ndarray, tag_bits: int, seed: int) -> bytes:
+    """The former key tag: the key zero-padded to ``tag_bits``, hashed by
+    the power-of-two FFT kernel, packed MSB first."""
+    x = np.asarray(bits, dtype=np.uint8)
+    if len(x) < tag_bits:
+        x = np.concatenate([x, np.zeros(tag_bits - len(x), dtype=np.uint8)])
+    seed_bits = generate_toeplitz_seed(len(x), tag_bits,
+                                       np.random.SeedSequence([seed, _VERIFY_TAG]))
+    return np.packbits(toeplitz_hash_pow2(x, seed_bits, tag_bits)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +734,11 @@ def reconcile_pair_former(alice_bits, bob_bits, params, qber_estimate=None) -> d
 
 # ---------------------------------------------------------------------------
 # The former sifting maps, which compared detector ids by hand (Alice 1-2
-# key, 3-6 rotated; Bob 1-2 key, 3-4 rotated), kept unchanged as the
-# reference for the tables ``bellqkd.sifting`` builds from the station
-# layout.  The class and refusal types are the package's own.
+# key, 3-6 rotated; Bob 1-2 key, 3-4 rotated), kept as the reference for
+# the tables ``bellqkd.sifting`` builds from the station layout.  The class
+# and refusal types are the package's own.  Both take a scalar beside an
+# array, as the package's maps do: the class is an enum for two scalars
+# only, and the counts bin a 0-d index too.
 
 def classify_by_comparison(alice_detector, bob_detector):
     a = np.asarray(alice_detector, dtype=np.int64)
@@ -713,7 +752,7 @@ def classify_by_comparison(alice_detector, bob_detector):
         CoincidenceClass.BELL,
         np.where(b <= 2, CoincidenceClass.KEY, CoincidenceClass.DISCARD),
     ).astype(np.int8)
-    if np.isscalar(alice_detector) or np.ndim(alice_detector) == 0:
+    if out.ndim == 0:  # two scalars
         return CoincidenceClass(int(out))
     return out
 
@@ -723,7 +762,7 @@ def count_coincidences_by_offset(alice_detectors, bob_detectors) -> np.ndarray:
     b = np.asarray(bob_detectors, dtype=np.int64)
     classify_by_comparison(a, b)  # validates ranges
     flat = (a - 1) * 4 + (b - 1)
-    return np.bincount(flat, minlength=24).reshape(6, 4).astype(np.int64)
+    return np.bincount(flat.ravel(), minlength=24).reshape(6, 4).astype(np.int64)
 
 
 def alice_key_bits_by_offset(alice_detectors) -> np.ndarray:

@@ -251,6 +251,17 @@ def test_verify_keys_pads_short_input():
     assert tag != verify_keys(np.array([0], dtype=np.uint8), 64, seed=5)
 
 
+@given(st.one_of(st.integers(0, 80), st.integers(0, 3000)), st.integers(0, 2**64 - 1),
+       st.sampled_from([TAG_BITS, 1, 8, 13]))
+@settings(max_examples=150, deadline=None)
+def test_verify_keys_matches_the_fft_tag(n, seed, tag_bits):
+    # keys shorter than the tag (zero-padded) and lengths off whole bytes included
+    bits = np.random.default_rng(seed).integers(0, 2, n).astype(np.uint8)
+    tag = verify_keys(bits, tag_bits, seed)
+    assert tag == oracles.verify_keys_fft(bits, tag_bits, seed)
+    assert len(tag) == (tag_bits + 7) // 8
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(64, 500), st.floats(0.0, 0.12))
 @settings(max_examples=40, deadline=None)
 def test_verified_implies_equal_keys(seed, n, q):

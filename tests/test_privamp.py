@@ -18,6 +18,7 @@ from bellqkd.privamp import (
     secret_fraction,
     toeplitz_hash,
     toeplitz_seed_length,
+    _fft_length,
 )
 
 
@@ -174,12 +175,26 @@ def test_toeplitz_linear_over_gf2(seed_int, n, m_raw):
     np.testing.assert_array_equal(hx, oracles.toeplitz_hash_reference(x, seed, m))
 
 
+# 2**a * 3**b * 5**c up to 8192: the FFT lengths toeplitz_hash takes for n + m - 1 < 8192
+_SMOOTH = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)
+                 if 2**a * 3**b * 5**c <= 8192)
+
+
+def test_fft_length_is_the_smallest_smooth_length():
+    for n in range(0, 8192):
+        assert _fft_length(n) == next(k for k in _SMOOTH if k >= n)
+    assert _fft_length(99_000 + 45_000 - 1) == 144_000  # 2**7 * 3**2 * 5**3
+
+
 @st.composite
 def toeplitz_shapes(draw):
-    """(n, m) with m in {0, 1, n, any}, or with n + m - 1 next to a power of two."""
-    kind = draw(st.sampled_from(["zero", "one", "full", "any", "pow2"]))
-    if kind == "pow2":
-        total = (1 << draw(st.integers(1, 13))) + draw(st.sampled_from([-1, 0, 1]))
+    """(n, m) with m in {0, 1, n, any}, or with n + m - 1 next to a power of
+    two or to another 2*3*5-smooth FFT length."""
+    kind = draw(st.sampled_from(["zero", "one", "full", "any", "pow2", "smooth"]))
+    if kind in ("pow2", "smooth"):
+        base = (1 << draw(st.integers(1, 13)) if kind == "pow2"
+                else draw(st.sampled_from(_SMOOTH[1:])))
+        total = base + draw(st.sampled_from([-1, 0, 1]))
         total = min(total, 2 * 4096 - 1)  # n + m - 1
         n = draw(st.integers((total + 2) // 2, min(4096, total + 1)))
         return n, total + 1 - n

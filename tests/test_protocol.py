@@ -8,6 +8,7 @@ import queue
 import socket
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -206,6 +207,48 @@ def test_message_codec(ftype):
             frame_message(Frame(ftype, payload))
 
 
+@given(st.sampled_from([(ftype, msg) for ftype, (samples, _) in _MESSAGE_SAMPLES.items()
+                        for msg in samples]),
+       st.binary(max_size=16), st.binary(max_size=16))
+@settings(max_examples=100, deadline=None)
+def test_a_message_decodes_the_same_from_a_view_and_keeps_none(sample, before, after):
+    # a received payload is a view of its frame; the message must not pin it
+    ftype, msg = sample
+    payload = bytes(msg.encode())
+    frame = bytearray(before + payload + after)
+    view = memoryview(frame)[len(before):len(before) + len(payload)]
+    got = frame_message(Frame(ftype, view))
+    assert _same_fields(got, frame_message(Frame(ftype, payload)))
+    for field in vars(got).values():
+        assert not isinstance(field, memoryview)
+        if isinstance(field, np.ndarray):
+            assert field.flags.c_contiguous
+    view.release()
+    frame.extend(b"\x00")  # raises BufferError while any field still views the frame
+
+
+def test_a_match_announce_in_transit_holds_about_two_frames():
+    # A 100k-bit block's announce, 405k matches: encoded into its frame,
+    # sent through the in-process pipe and decoded, it peaks at the frame
+    # and the decoded fields, with no further copy of the payload.
+    n = 405_000
+    classes = np.random.default_rng(0).integers(0, 3, n).astype(np.uint8)
+    ma = MatchAnnounce(ANNOUNCE_BLOCK, 123, 45, np.arange(n, dtype=np.uint32),
+                       np.arange(n, dtype=np.uint32) * 2, classes)
+    size = len(encode_frame(FrameType.MATCH_ANNOUNCE, ma.encode()))
+    alice, bob = inproc_pair()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        alice.send_frame(Frame(FrameType.MATCH_ANNOUNCE, ma.encode()))
+        got = frame_message(bob.recv_frame())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert _same_fields(got, ma)
+    assert peak <= 2.2 * size, f"peak {peak / size:.2f} frames"
+
+
 def test_match_announce_rejects_bad_sizes():
     with pytest.raises(MalformedFrameError):
         frame_message(Frame(FrameType.MATCH_ANNOUNCE, b"\x00" * 10))
@@ -276,9 +319,15 @@ def test_queue_transport_recorder():
     alice, bob = inproc_pair(recorders=(seen.append, None))
     alice.send_frame(Frame(FrameType.HELLO, b"\x00"))
     alice.send_frame(_frame(Abort(1)))
-    assert len(seen) == 2
+    batch = TimetagBatch(np.array([5, 9], np.uint64), np.array([0, 1], np.uint8))
+    alice.send_frame(_frame(batch))  # encoded straight into its frame buffer
+    assert len(seen) == 3
     assert decode_frame(seen[0]).type == FrameType.HELLO
     assert decode_frame(seen[1]).type == FrameType.ABORT
+    # the recorder sees the wire bytes, and the peer receives the same frame
+    assert bytes(seen[2]) == encode_frame(FrameType.TIMETAG_BATCH, bytes(batch.encode()))
+    for _ in range(3):
+        assert bob.recv_frame() == decode_frame(bytes(seen.pop(0)))
 
 
 def test_socket_transport_roundtrip():
@@ -704,7 +753,8 @@ class _Tamper:
 
 
 def _flip_last_byte(frame):
-    return Frame(frame.type, frame.payload[:-1] + bytes([frame.payload[-1] ^ 1]))
+    payload = bytes(frame.payload)  # a received frame's payload is a view
+    return Frame(frame.type, payload[:-1] + bytes([payload[-1] ^ 1]))
 
 
 def test_tampered_block_stats_detected():
@@ -819,6 +869,23 @@ def test_each_side_frees_what_the_rest_of_the_block_does_not_read(monkeypatch):
     assert len(alive_at_reconcile) == len(alice_indices) == len(rb.stats)
     assert alive_at_reconcile == [[]] * len(rb.stats)
     assert alice_indices == [[]] * len(rb.stats)
+
+
+def test_a_delay_found_on_the_first_batch_scans_and_matches_it_uncopied(monkeypatch):
+    # one batch and one segment in the warm-up: the scan and the matcher
+    # take them as they are (at the tag cap, copies raised the peak RSS)
+    decoded, scanned, matched = [], [], []
+    decode, scan, match = (protocol.decode_timetag_batch, protocol.find_delay,
+                           protocol.match_coincidences)
+    monkeypatch.setattr(protocol, "decode_timetag_batch",
+                        lambda payload: decoded.append(decode(payload)) or decoded[-1])
+    monkeypatch.setattr(protocol, "find_delay",
+                        lambda a, b, *rest: scanned.append(b) or scan(a, b, *rest))
+    monkeypatch.setattr(protocol, "match_coincidences",
+                        lambda a, b, *rest: matched.append(b) or match(a, b, *rest))
+    ra, rb = _run(_channel(duration=1.5), block_min_key_bits=2000)
+    assert ra.done and rb.done and len(scanned) == 1
+    assert scanned[0] is matched[0] is decoded[0][0]
 
 
 def test_pa_seed_other_than_the_derived_one_is_refused():
@@ -1238,7 +1305,8 @@ def test_session_config_validation():
             SessionConfig(**kw)
 
 
-def _mutated_payload(data, payload: bytes) -> bytes:
+def _mutated_payload(data, payload) -> bytes:
+    payload = bytes(payload)  # a received frame's payload is a view
     kind = data.draw(st.sampled_from(["keep", "truncate", "extend", "flip", "random"]))
     if kind == "truncate":
         return payload[: data.draw(st.integers(0, max(0, len(payload) - 1)))]

@@ -22,6 +22,7 @@ from bellqkd.timetag import (
     NoPeakError,
     TagFileError,
     WindowConfig,
+    _HIST_STOP_CHUNK,
     _difference_histogram,
     _poisson_tail,
     count_accidentals,
@@ -440,6 +441,23 @@ def test_difference_histogram_truncates_like_full_chunks(seed, n_a, cap_fraction
     assert total == want_total
     if cap < full * (20_000 / n_a) * 0.9:
         assert total < full  # the cap cut the histogram short
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 65_000), st.integers(-60, 60),
+       st.floats(0.0, 1.2), st.sampled_from([_HIST_STOP_CHUNK, 2_500]))
+@settings(max_examples=25, deadline=None)
+def test_difference_histogram_is_the_same_in_any_chunking(seed, n_a, shift, cap_fraction, chunk):
+    # find_delay's fine stage bins a whole stop stretch of tags at a time
+    rng = np.random.default_rng(seed)
+    a = np.sort(rng.integers(0, 200_000, n_a))
+    b = np.sort(rng.integers(0, 200_000, 30_000))
+    span, binw = 12, 1
+    full = _difference_histogram(a, b, span, binw, shift=shift)[1]
+    cap = int(cap_fraction * full)
+    hist, total = _difference_histogram(a, b, span, binw, cap, shift, chunk=chunk)
+    want_hist, want_total = _difference_histogram(a, b, span, binw, cap, shift)
+    np.testing.assert_array_equal(hist, want_hist)
+    assert total == want_total
 
 
 # ---------------------------------------------------------------------------
