@@ -537,10 +537,13 @@ def _merge_sorted(t1, d1, t2, d2):
     Returns the merged ticks and the detector ids carried along.  Only
     the stretch where the runs overlap is sorted: ``t1`` up to ``t2[0]``
     comes first and ``t2`` past ``t1[-1]`` comes last, ties going to
-    ``t1`` as in the stable sort.
+    ``t1`` as in the stable sort.  When one run is empty the other is
+    returned as it is, not copied, so no caller may write to the result.
     """
-    if len(t1) == 0 or len(t2) == 0:
-        return np.concatenate([t1, t2]), np.concatenate([d1, d2])
+    if len(t2) == 0:
+        return t1, d1
+    if len(t1) == 0:
+        return t2, d2
     i = int(np.searchsorted(t1, t2[0], side="right"))
     j = int(np.searchsorted(t2, t1[-1], side="right"))
     mid = np.concatenate([t1[i:], t2[:j]])
@@ -549,14 +552,18 @@ def _merge_sorted(t1, d1, t2, d2):
             np.concatenate([d1[:i], np.concatenate([d1[i:], d2[:j]])[order], d2[j:]]))
 
 
+_NO_TAGS = (np.empty(0, np.uint64), np.empty(0, np.uint8))
+
+
 class JointSegmentSource:
     """Lazily generates one acquisition in fixed time segments.
 
     Both sides' segments come from the same pair process, generated once
     per segment from that segment's child seed and re-cut on exact tick
     boundaries so that the concatenation of a side's segments equals the
-    time-sorted full stream.  Memory stays bounded by a couple of
-    segments plus the one Bob holds ahead, regardless of run length.
+    time-sorted full stream.  Memory stays bounded by the segments the
+    two sides have yet to take, the carry and the raw segment being cut,
+    regardless of run length.
 
     Each side has one consumer, and the two may iterate concurrently.
     The lock guards generation only: a side whose next segment is
@@ -571,10 +578,16 @@ class JointSegmentSource:
     ``generate_event_streams``.  The raw segment's keys count ticks from
     its first boundary, so they fit an int64 while a segment spans less
     than 2**60 ticks, which ``check_run_bounds`` requires.
-    The carried-over tags stay sorted, and each raw segment is appended
-    by ``_merge_sorted``, which sorts only the few tags where the two
-    runs overlap: those that jitter and the Bob delay carry across a
-    boundary.
+    Each segment is cut from its own raw arrays, never from a merge of
+    two raw segments.  The carry holds a side's tags past the last
+    boundary.  At the next boundary the carry and each newly drawn raw
+    segment are split there, the parts below are merged into the
+    segment and the parts above into the new carry.  ``_merge_sorted``
+    sorts only the tags where two parts overlap, those that jitter and
+    the Bob delay carry across a boundary, and passes a part through
+    uncopied when the other is empty.  So at the defaults Alice's
+    segments and carry view her raw segments, and Bob's carry is copied
+    once a segment for the few tags his delay carries across.
     """
 
     def __init__(
@@ -590,10 +603,7 @@ class JointSegmentSource:
         self.origin_tick = _time_origin_ticks(channel)
         self.n_segments = segment_count(channel.duration, segment_seconds)
         self._raw_index = 0
-        self._carry = {
-            "alice": (np.empty(0, np.uint64), np.empty(0, np.uint8)),
-            "bob": (np.empty(0, np.uint64), np.empty(0, np.uint8)),
-        }
+        self._carry = {"alice": _NO_TAGS, "bob": _NO_TAGS}
         self._ready = {"alice": deque(), "bob": deque()}
         self._emitted = 0
         self._lock = threading.Lock()
@@ -616,25 +626,27 @@ class JointSegmentSource:
         if self._emitted >= self.n_segments:
             return False
         k = self._emitted
+        pieces = {side: [carry] for side, carry in self._carry.items()}
         # Pull raw segments until raw k+1 has been seen (or the end); only
         # then is everything below boundary k+1 known, since jitter and the
         # Bob delay spill tags across adjacent boundaries at most.
         while self._raw_index <= k + 1 and self._raw_index < self.n_segments:
             raw = self._generate_raw(self._raw_index)
-            for side, ticks, dets in (
-                ("alice", raw.alice_ticks, raw.alice_detectors),
-                ("bob", raw.bob_ticks, raw.bob_detectors),
-            ):
-                self._carry[side] = _merge_sorted(*self._carry[side], ticks, dets)
+            pieces["alice"].append((raw.alice_ticks, raw.alice_detectors))
+            pieces["bob"].append((raw.bob_ticks, raw.bob_detectors))
             self._raw_index += 1
         last = k + 1 >= self.n_segments
         boundary = np.uint64(self._boundary_tick(k + 1))
-        for side in ("alice", "bob"):
-            ticks, dets = self._carry[side]
-            # The final segment flushes everything so no tail tag is lost.
-            cut = len(ticks) if last else int(np.searchsorted(ticks, boundary, side="left"))
-            self._ready[side].append((ticks[:cut], dets[:cut]))
-            self._carry[side] = (ticks[cut:], dets[cut:])
+        for side, runs in pieces.items():
+            below = above = _NO_TAGS
+            # oldest run first, so that equal ticks keep the older run's tags first
+            for ticks, dets in runs:
+                # The final segment flushes everything so no tail tag is lost.
+                cut = len(ticks) if last else int(np.searchsorted(ticks, boundary, side="left"))
+                below = _merge_sorted(*below, ticks[:cut], dets[:cut])
+                above = _merge_sorted(*above, ticks[cut:], dets[cut:])
+            self._ready[side].append(below)
+            self._carry[side] = above
         self._emitted += 1
         return True
 

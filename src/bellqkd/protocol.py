@@ -261,8 +261,9 @@ def iter_frames(data: bytes) -> Iterator[Frame]:
 # ``decode(payload)``.  A decoder raises only ValueError or struct.error.
 # It takes any bytes-like payload, a view of a received frame included,
 # and keeps no view of it: every field it returns is its own copy, so a
-# message never holds its frame alive.  TimetagBatch and MatchAnnounce
-# encode straight into their frame's buffer (``_framed``).
+# message never holds its frame alive.  TimetagBatch, MatchAnnounce and
+# BellReveal, the messages that grow with a block, encode straight into
+# their frame's buffer (``_framed``).
 # Hello, TimetagBatch, MatchAnnounce, BellReveal and Abort are plain
 # classes: a frozen dataclass costs about a millisecond of import time, and
 # its generated ``__eq__`` raises on array fields.
@@ -357,8 +358,12 @@ class BellReveal:
     def __init__(self, detectors: np.ndarray):
         self.detectors = detectors
 
-    def encode(self) -> bytes:
-        return struct.pack("<I", len(self.detectors)) + np.asarray(self.detectors, np.uint8).tobytes()
+    def encode(self) -> memoryview:
+        count = len(self.detectors)
+        payload = _framed(FrameType.BELL_REVEAL, 4 + count)
+        struct.pack_into("<I", payload, 0, count)
+        np.frombuffer(payload, np.uint8, offset=4)[:] = self.detectors
+        return payload
 
     @staticmethod
     def decode(payload: bytes) -> "BellReveal":
@@ -1100,9 +1105,8 @@ class BobSession(_Endpoint):
             del ticks  # sent; a block's last ticks would otherwise live through Cascade
             # generate the next segment while the peer matches this batch
             self._pending = None if ended else next(self.segments, None)
-            # A compact copy: the segment is a view that pins the source's
-            # merged array.  Copied before the generation above, it raised
-            # the tag-cap peak RSS by 34 MiB.
+            # A copy, so that the segment, a view of the source's raw
+            # segment or of its carry, is freed below.
             my_dets.extend(np.ascontiguousarray(dets, dtype=np.uint8))
             del dets
             ma = self._expect(MatchAnnounce)

@@ -3,6 +3,7 @@
 Nothing in here imports the package under test, except the former
 ``find_delay``, which shares the current histogram helpers, the former
 stream assembly, which shares the current pair draws, the former
+segment source, which shares the current raw segments, the former
 Cascade, which shares the current permutations, sample split and key
 tag, the former key tag, which shares the current seed draw, and the
 former sifting maps, which share the current class and refusal types.
@@ -37,6 +38,7 @@ from bellqkd.physics import (
     BobSetting,
     EventStreams,
     GroundTruth,
+    JointSegmentSource,
     _sample_pairs,
     _time_origin_ticks,
 )
@@ -576,6 +578,44 @@ def generate_event_streams_stable_sorts(channel, attack, ground_truth=True, rng=
         truth = GroundTruth(a_set, b_set, a_out, b_out, a_flag, b_flag,
                             a_pair_ticks, b_pair_ticks, attacked)
     return EventStreams(a_ticks, a_dets, b_ticks, b_dets, channel, truth)
+
+
+# ---------------------------------------------------------------------------
+# The former segment source: each raw segment was merged whole into the
+# carry, and the merge was cut at the boundary, so every tag was copied
+# twice and each segment viewed an array spanning two raw segments.
+
+def merge_sorted_by_argsort(t1, d1, t2, d2):
+    """``concatenate([t1, t2])`` and its ids, put in order by a stable argsort."""
+    ticks = np.concatenate([t1, t2])
+    order = np.argsort(ticks, kind="stable")
+    return ticks[order], np.concatenate([d1, d2])[order]
+
+
+class RemergingSegmentSource(JointSegmentSource):
+    """``JointSegmentSource`` with the former merge-and-cut ``_advance``."""
+
+    def _advance(self) -> bool:
+        if self._emitted >= self.n_segments:
+            return False
+        k = self._emitted
+        while self._raw_index <= k + 1 and self._raw_index < self.n_segments:
+            raw = self._generate_raw(self._raw_index)
+            for side, ticks, dets in (
+                ("alice", raw.alice_ticks, raw.alice_detectors),
+                ("bob", raw.bob_ticks, raw.bob_detectors),
+            ):
+                self._carry[side] = merge_sorted_by_argsort(*self._carry[side], ticks, dets)
+            self._raw_index += 1
+        last = k + 1 >= self.n_segments
+        boundary = np.uint64(self._boundary_tick(k + 1))
+        for side in ("alice", "bob"):
+            ticks, dets = self._carry[side]
+            cut = len(ticks) if last else int(np.searchsorted(ticks, boundary, side="left"))
+            self._ready[side].append((ticks[:cut], dets[:cut]))
+            self._carry[side] = (ticks[cut:], dets[cut:])
+        self._emitted += 1
+        return True
 
 
 # ---------------------------------------------------------------------------

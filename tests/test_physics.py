@@ -606,6 +606,56 @@ def test_segment_source_equals_sorted_raw_streams():
     assert overlapped
 
 
+@st.composite
+def _source_configs(draw):
+    """A channel and a segment length for the segment source: Bob's delay
+    negative, zero or large, jitter up to 5 ns, segments from just above
+    the boundary slack up, durations that need not be whole segments, and
+    rates down to raw segments with no tags at all."""
+    delay = draw(st.sampled_from([-400_000.0, -3000.0, 0.0, 500.0, 10_000.0, 400_000.0]))
+    jitter = draw(st.floats(0.0, 5.0))
+    slack = boundary_slack_s(_small_channel(bob_delay=delay, jitter_sigma=jitter))
+    seg_s = draw(st.one_of(st.floats(1.0 + 1e-9, 1.01).map(lambda f: slack * f),
+                           st.sampled_from([5e-4, 0.01, 0.25]).filter(lambda s: s > slack)))
+    per_segment = draw(st.sampled_from([0.0, 0.3, 3.0, 200.0]))  # expected pair tags
+    background = draw(st.sampled_from([0.0, 0.2]))  # of the pair rate, per detector
+    ch = _small_channel(
+        bob_delay=delay, jitter_sigma=jitter, pair_rate=per_segment / seg_s,
+        background_rate=background * per_segment / seg_s,
+        duration=seg_s * draw(st.floats(0.5, 6.0)), rng_seed=draw(st.integers(0, 2**16)))
+    return ch, seg_s
+
+
+@given(config=_source_configs(), attacked=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_segment_source_equals_the_former_merge_and_cut(config, attacked):
+    ch, seg_s = config
+    attack = AttackConfig(intercept_fraction=0.5 if attacked else 0.0)
+    src = JointSegmentSource(ch, attack, segment_seconds=seg_s)
+    ref = oracles.RemergingSegmentSource(ch, attack, segment_seconds=seg_s)
+    for side in ("alice", "bob"):
+        got, want = list(src.segments(side)), list(ref.segments(side))
+        assert len(got) == len(want) == src.n_segments
+        for (ticks, dets), (ref_ticks, ref_dets) in zip(got, want):
+            assert ticks.dtype == ref_ticks.dtype == np.uint64
+            assert dets.dtype == ref_dets.dtype == np.uint8
+            np.testing.assert_array_equal(ticks, ref_ticks)
+            np.testing.assert_array_equal(dets, ref_dets)
+
+
+def test_a_segment_pins_no_more_than_its_own_raw_segment():
+    # Each segment is cut from its own raw segment's arrays (Bob's from
+    # the carry copied from them), so the buffer behind it holds little
+    # more than the segment: not the two raw segments a merge would span.
+    src = JointSegmentSource(ChannelConfig(duration=4.0))
+    assert src.n_segments == 4
+    for side in ("alice", "bob"):
+        for ticks, dets in src.segments(side):
+            for part in (ticks, dets):
+                owner = part if part.base is None else part.base
+                assert part.nbytes > 0 and owner.nbytes <= 1.01 * part.nbytes, side
+
+
 def test_segment_source_validation():
     ch = _small_channel()
     with pytest.raises(ValueError):

@@ -314,19 +314,34 @@ def test_queue_transport_timeout():
         t.recv_frame()
 
 
+_FRAMED_SAMPLES = [
+    (FrameType.TIMETAG_BATCH, TimetagBatch(np.array([5, 9], np.uint64), np.array([0, 1], np.uint8))),
+    (FrameType.MATCH_ANNOUNCE, MatchAnnounce(ANNOUNCE_BLOCK, 5, 0, np.array([1], np.uint32),
+                                             np.array([2], np.uint32), np.array([0], np.uint8))),
+    (FrameType.BELL_REVEAL, BellReveal(np.array([3, 4, 5], np.uint8))),
+]
+
+
 def test_queue_transport_recorder():
     seen = []
     alice, bob = inproc_pair(recorders=(seen.append, None))
     alice.send_frame(Frame(FrameType.HELLO, b"\x00"))
     alice.send_frame(_frame(Abort(1)))
-    batch = TimetagBatch(np.array([5, 9], np.uint64), np.array([0, 1], np.uint8))
-    alice.send_frame(_frame(batch))  # encoded straight into its frame buffer
-    assert len(seen) == 3
+    for ftype, msg in _FRAMED_SAMPLES:
+        # encoded straight into its frame buffer, which is the frame as it is
+        payload = msg.encode()
+        frame = encode_frame(ftype, payload)
+        assert frame is payload.obj
+        assert bytes(frame) == protocol._HEADER.pack(protocol.FRAME_MAGIC, protocol.FRAME_VERSION,
+                                                     int(ftype), len(payload)) + bytes(payload)
+        alice.send_frame(_frame(msg))
+    assert len(seen) == 2 + len(_FRAMED_SAMPLES)
     assert decode_frame(seen[0]).type == FrameType.HELLO
     assert decode_frame(seen[1]).type == FrameType.ABORT
     # the recorder sees the wire bytes, and the peer receives the same frame
-    assert bytes(seen[2]) == encode_frame(FrameType.TIMETAG_BATCH, bytes(batch.encode()))
-    for _ in range(3):
+    for got, (ftype, msg) in zip(seen[2:], _FRAMED_SAMPLES):
+        assert bytes(got) == encode_frame(ftype, bytes(msg.encode()))
+    for _ in range(len(seen)):
         assert bob.recv_frame() == decode_frame(bytes(seen.pop(0)))
 
 
