@@ -94,6 +94,8 @@ from .privamp import (
     toeplitz_hash,
 )
 from .sifting import (
+    BOB_IDS,
+    BOB_POSITION,
     BOB_SETTING,
     BellEstimate,
     CoincidenceClass,
@@ -201,8 +203,13 @@ class _FrameBuffer(bytearray):
 def _framed(ftype: int, size: int) -> memoryview:
     """The payload, ``size`` zero bytes, of a new frame buffer whose header
     is written in front of it; ``encode_frame`` returns that buffer as it is."""
-    frame = _FrameBuffer(_HEADER.size + size)
-    _HEADER.pack_into(frame, 0, FRAME_MAGIC, FRAME_VERSION, int(ftype), size)
+    return _sealed(_FrameBuffer(_HEADER.size + size), ftype)
+
+
+def _sealed(frame: _FrameBuffer, ftype: int) -> memoryview:
+    """The payload of ``frame``, all of it past the header, which is
+    written in front of it."""
+    _HEADER.pack_into(frame, 0, FRAME_MAGIC, FRAME_VERSION, int(ftype), len(frame) - _HEADER.size)
     return memoryview(frame)[_HEADER.size:]
 
 
@@ -335,6 +342,20 @@ class MatchAnnounce:
         rec = np.frombuffer(payload, dtype=_MATCH_RECORD, offset=_ANNOUNCE_HEAD.size)
         rec["a"], rec["b"], rec["cls"] = self.a_idx, self.b_idx, self.classes
         return payload
+
+    @staticmethod
+    def written(frame: _FrameBuffer, delay_ticks: int, accidentals: int) -> "MatchAnnounce":
+        """The ANNOUNCE_BLOCK whose match records ``frame`` already holds,
+        behind room for the frame header and ``_ANNOUNCE_HEAD``.  Both
+        headers are written; the fields view the records, and ``encode``
+        returns the frame's payload as it is, so the frame is sent uncopied."""
+        payload = _sealed(frame, FrameType.MATCH_ANNOUNCE)
+        count = (len(payload) - _ANNOUNCE_HEAD.size) // _MATCH_RECORD.itemsize
+        _ANNOUNCE_HEAD.pack_into(payload, 0, ANNOUNCE_BLOCK, delay_ticks, accidentals, count)
+        rec = np.frombuffer(payload, dtype=_MATCH_RECORD, offset=_ANNOUNCE_HEAD.size)
+        ma = MatchAnnounce(ANNOUNCE_BLOCK, delay_ticks, accidentals, rec["a"], rec["b"], rec["cls"])
+        ma.encode = lambda: payload
+        return ma
 
     @staticmethod
     def decode(payload: bytes) -> "MatchAnnounce":
@@ -748,21 +769,29 @@ class _Block:
         self.recon: Optional[ReconciliationResult] = None
         self.estimate: Optional[SecurityEstimate] = None
         self.final = np.empty(0, dtype=np.uint8)
-        # Alice only: per segment, the (a_idx, b_idx, classes) matches, the
-        # key bits and the Bell-branch detectors
+        # Alice only: the matches, as the MATCH_ANNOUNCE records of the
+        # frame that will carry them, and per segment the key bits and the
+        # Bell-branch detectors
         self.a_base = 0
         self.b_base = 0
-        self.matches: list = []
+        self.matches = _FrameBuffer(_HEADER.size + _ANNOUNCE_HEAD.size)
         self.key_bits: list = []
         self.bell_dets: list = []
         self.key_count = 0
 
+    def add_matches(self, ia: np.ndarray, ib: np.ndarray, classes: np.ndarray) -> None:
+        """Append one segment's matches, indexed from the segment's first
+        tags (``a_base`` and ``b_base`` on from the block's), as records."""
+        rec = np.empty(len(ia), _MATCH_RECORD)
+        rec["a"], rec["b"], rec["cls"] = self.a_base + ia, self.b_base + ib, classes
+        self.matches.extend(rec)
+        self.coincidences += len(ia)
+
     def announce(self, delay: int) -> MatchAnnounce:
-        """The block's MATCH_ANNOUNCE.  The per-segment matches go with it,
-        so they are freed once it is sent."""
-        a_idx, b_idx, classes = (np.concatenate(parts) for parts in zip(*self.matches))
-        self.matches = []
-        return MatchAnnounce(ANNOUNCE_BLOCK, delay, self.accidentals, a_idx, b_idx, classes)
+        """The block's MATCH_ANNOUNCE, in the frame its records were written
+        into.  The frame goes with it, so it is freed once it is sent."""
+        frame, self.matches = self.matches, None
+        return MatchAnnounce.written(frame, delay, self.accidentals)
 
     def bell_refusal(self, alice_dets: np.ndarray, bob_dets: np.ndarray) -> Optional[str]:
         """Estimate S from the revealed Bell branch; why the block is
@@ -1050,14 +1079,12 @@ class AliceSession(_Endpoint):
                                " more than the match indices address; lower block_min_key_bits")
         ia, ib = match_coincidences(a_ticks, b_ticks, self.delay, _WINDOW)
         cls = classify(a_dets[ia], _BOB_PLUS[b_codes[ib]]).view(np.uint8)
-        blk.matches.append(((blk.a_base + ia).astype(np.uint32),
-                            (blk.b_base + ib).astype(np.uint32), cls))
+        blk.add_matches(ia, ib, cls)
         key = cls == int(CoincidenceClass.KEY)
         bell = cls == int(CoincidenceClass.BELL)
         blk.key_bits.append(alice_key_bits(a_dets[ia[key]]))
         blk.bell_dets.append(a_dets[ia[bell]])
         blk.key_count += int(key.sum())
-        blk.coincidences += len(ia)
         blk.accidentals += count_accidentals(a_ticks, b_ticks, self.delay, _WINDOW)
         blk.a_base += len(a_ticks)
         blk.b_base += len(b_ticks)
@@ -1067,6 +1094,40 @@ class AliceSession(_Endpoint):
 # Bob: driving endpoint
 
 _NO_SEGMENT = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint8))
+
+
+class _PackedDetectors:
+    """Bob's detector ids of one block, each as its 2-bit position in his
+    layout (``sifting.BOB_POSITION``), 4 to a byte from the low bits up and
+    packed across segment boundaries.  Ids must be his station's own: one
+    outside his layout is kept as his first detector's."""
+
+    def __init__(self):
+        self.packed = bytearray()
+        self.count = 0  # tags held; the last byte's slots past it are padding
+
+    def __len__(self) -> int:
+        return self.count
+
+    def extend(self, dets: np.ndarray) -> None:
+        free = -self.count % 4  # slots left in the last byte
+        self.count += len(dets)
+        for slot, code in enumerate(BOB_POSITION[dets[:free]].tolist(), 4 - free):
+            self.packed[-1] |= code << 2 * slot
+        dets = dets[free:]
+        # a byte per 4 tags, filled slot by slot: no temporary outgrows it
+        quads = BOB_POSITION[dets[0::4]]
+        for slot in (1, 2, 3):
+            codes = BOB_POSITION[dets[slot::4]]
+            codes <<= 2 * slot
+            quads[:len(codes)] |= codes
+        self.packed.extend(quads)
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """The ids at ``idx``, uint32 indices below ``len(self)``."""
+        packed = np.frombuffer(self.packed, np.uint8)  # freed on return: the store may grow again
+        shift = (idx.astype(np.uint8) & 3) << 1
+        return BOB_IDS[(packed[idx >> 2] >> shift) & 3]
 
 
 class BobSession(_Endpoint):
@@ -1093,22 +1154,23 @@ class BobSession(_Endpoint):
         cfg = self.cfg
         blk = self._block
         self.phase = Phase.SYNC
-        my_dets = bytearray()  # the block's detector bytes, one byte a tag
+        my_dets = _PackedDetectors()
 
         while True:
             ticks, dets = self._pending or next(self.segments, None) or _NO_SEGMENT
+            self._pending = None  # the names below are this segment's last references
             if not len(ticks) and next(self.segments, None) is not None:
                 raise _AbortSignal(AbortReason.EMPTY_SEGMENT,
                                    f"segment {blk.seg_end} has no tags and is not the last")
             self.send(TimetagBatch(ticks, BOB_SETTING[dets]))
             ended = len(ticks) == 0
             del ticks  # sent; a block's last ticks would otherwise live through Cascade
+            # packed before the next segment is generated, so that this one,
+            # a view of the source's raw segment or of its carry, is freed first
+            my_dets.extend(dets)
+            del dets
             # generate the next segment while the peer matches this batch
             self._pending = None if ended else next(self.segments, None)
-            # A copy, so that the segment, a view of the source's raw
-            # segment or of its carry, is freed below.
-            my_dets.extend(np.ascontiguousarray(dets, dtype=np.uint8))
-            del dets
             ma = self._expect(MatchAnnounce)
             if ended:
                 if ma.flag != ANNOUNCE_END:
@@ -1124,7 +1186,7 @@ class BobSession(_Endpoint):
         # Sift in one step: only the two branches outlive it, so the block's
         # detectors and the announce are freed before the Bell test.
         self.phase = Phase.SIFT
-        my_key, bell_mine = self._sift(np.frombuffer(my_dets, dtype=np.uint8), ma)
+        my_key, bell_mine = self._sift(my_dets, ma)
         del my_dets, ma
 
         bell_theirs = self._expect(BellReveal).detectors
@@ -1150,7 +1212,7 @@ class BobSession(_Endpoint):
         self._close_block(stats)
         return True
 
-    def _sift(self, my_dets: np.ndarray, ma: MatchAnnounce) -> Tuple[np.ndarray, np.ndarray]:
+    def _sift(self, my_dets: _PackedDetectors, ma: MatchAnnounce) -> Tuple[np.ndarray, np.ndarray]:
         """Recover the key bits and Bell-branch detectors from the announced matches."""
         blk = self._block
         if len(ma.b_idx) and int(ma.b_idx.max()) >= len(my_dets):
@@ -1158,14 +1220,14 @@ class BobSession(_Endpoint):
         self.delay = ma.delay_ticks
         blk.coincidences = len(ma.b_idx)
         blk.accidentals = ma.accidentals
-        key_dets = my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.KEY)]]
+        key_dets = my_dets.at(ma.b_idx[ma.classes == int(CoincidenceClass.KEY)])
         if len(key_dets) == 0:
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "block without key bits")
         try:
             key_bits = bob_key_bits(key_dets)
         except InvalidDetectorError:  # a key-branch event must sit in this side's key basis
             raise _AbortSignal(AbortReason.PROTOCOL_VIOLATION, "key class outside key basis")
-        return key_bits, my_dets[ma.b_idx[ma.classes == int(CoincidenceClass.BELL)]]
+        return key_bits, my_dets.at(ma.b_idx[ma.classes == int(CoincidenceClass.BELL)])
 
     def _agree(self, msg) -> None:
         self.send(msg)

@@ -5,7 +5,8 @@ Works on the detector-id pairs of identified coincidences, in the
 layout of ``physics.ALICE_DETECTORS``/``BOB_DETECTORS``.  Every rule
 that reads a detector id goes through tables built from those two
 tuples at import: per side, each id's setting and outcome bit, and the
-class of each (Alice setting, Bob setting) pair.
+class of each (Alice setting, Bob setting) pair; for Bob, also each id's
+position in his layout and back.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def _id_tables(detectors):
 
 ALICE_SETTING, _ALICE_OUTCOME = _id_tables(ALICE_DETECTORS)
 BOB_SETTING, _BOB_OUTCOME = _id_tables(BOB_DETECTORS)
+# Bob's ids in layout order, and by id its position there (0 for an id no
+# detector of his has): a position, 0..3, is the 2-bit form of an id
+BOB_IDS = np.array(BOB_DETECTORS, np.uint8).ravel()
+BOB_POSITION = np.zeros(256, np.uint8)
+BOB_POSITION[BOB_IDS] = np.arange(len(BOB_IDS))
 # by (Alice setting, Bob setting)
 _CLASS = np.full((len(ALICE_DETECTORS), len(BOB_DETECTORS)), CoincidenceClass.BELL, np.int8)
 _CLASS[AliceSetting.KEY] = CoincidenceClass.DISCARD

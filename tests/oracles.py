@@ -5,9 +5,10 @@ Nothing in here imports the package under test, except the former
 stream assembly, which shares the current pair draws, the former
 segment source, which shares the current raw segments, the former
 Cascade, which shares the current permutations, sample split and key
-tag, the former key tag, which shares the current seed draw, and the
-former sifting maps, which share the current class and refusal types.
-Each other
+tag, the former key tag, which shares the current seed draw, the former
+sifting maps, which share the current class and refusal types, and the
+former block stores of the session, which share the current
+MatchAnnounce.  Each other
 function derives its answer from first principles (state vectors,
 explicit matrices, plain loops) so the unit tests compare two genuinely
 different routes to the same number.
@@ -43,6 +44,7 @@ from bellqkd.physics import (
     _time_origin_ticks,
 )
 from bellqkd.privamp import generate_toeplitz_seed
+from bellqkd.protocol import ANNOUNCE_BLOCK, MatchAnnounce
 from bellqkd.sifting import CoincidenceClass, InvalidDetectorError
 from bellqkd.timetag import (
     TICK_SECONDS,
@@ -616,6 +618,43 @@ class RemergingSegmentSource(JointSegmentSource):
             self._carry[side] = (ticks[cut:], dets[cut:])
         self._emitted += 1
         return True
+
+
+# ---------------------------------------------------------------------------
+# The former block stores of the session, kept as the reference.  Alice
+# kept each segment's matches as three arrays and concatenated them into
+# the block's MATCH_ANNOUNCE, which encoded them into its frame; Bob kept
+# his detector ids one byte a tag.  Each has the interface of the store
+# that replaced it (``protocol._Block``'s matches, ``protocol._PackedDetectors``).
+
+class ListedMatches:
+    def __init__(self):
+        self.a_base = 0
+        self.b_base = 0
+        self.matches = []
+
+    def add_matches(self, ia, ib, classes):
+        self.matches.append(((self.a_base + ia).astype(np.uint32),
+                             (self.b_base + ib).astype(np.uint32), classes))
+
+    def announce(self, delay, accidentals) -> MatchAnnounce:
+        a_idx, b_idx, classes = (np.concatenate(parts) for parts in zip(*self.matches))
+        self.matches = []
+        return MatchAnnounce(ANNOUNCE_BLOCK, delay, accidentals, a_idx, b_idx, classes)
+
+
+class ByteDetectors:
+    def __init__(self):
+        self.dets = bytearray()
+
+    def __len__(self):
+        return len(self.dets)
+
+    def extend(self, dets):
+        self.dets.extend(np.ascontiguousarray(dets, dtype=np.uint8))
+
+    def at(self, idx):
+        return np.frombuffer(self.dets, dtype=np.uint8)[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from bellqkd.cascade import (
 from bellqkd import protocol
 from bellqkd.physics import (BOB_DETECTORS, AttackConfig, BobSetting, ChannelConfig,
                              JointSegmentSource)
+from bellqkd.sifting import BOB_IDS
 from bellqkd.protocol import (
     ANNOUNCE_BLOCK,
     ANNOUNCE_CONTINUE,
@@ -62,6 +63,7 @@ from bellqkd.protocol import (
     _CLOSED,
     _derived_seed,
 )
+from oracles import ByteDetectors, ListedMatches
 
 
 def _frame(msg) -> Frame:
@@ -257,6 +259,58 @@ def test_match_announce_rejects_bad_sizes():
                          np.array([0], np.uint8)).encode()
     with pytest.raises(MalformedFrameError):
         frame_message(Frame(FrameType.MATCH_ANNOUNCE, good[:-1]))
+
+
+_SEGMENT_MATCHES = st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.integers(n, 60), st.integers(n, 60),
+    st.lists(st.integers(0, 59), min_size=n, max_size=n),
+    st.lists(st.integers(0, 59), min_size=n, max_size=n),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+@given(st.lists(_SEGMENT_MATCHES, min_size=1, max_size=5),
+       st.integers(-2**63, 2**63 - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_announce_written_while_matching_equals_the_concatenated_lists(segments, delay, acc):
+    # segments without matches and blocks without any included; the
+    # indices need only lie in their segment
+    built, listed = protocol._Block(0, 0, 1.0), ListedMatches()
+    for n_a, n_b, ia, ib, cls in segments:
+        ia = np.array([i % n_a for i in ia], np.int64)
+        ib = np.array([i % n_b for i in ib], np.int64)
+        cls = np.array(cls, np.uint8)
+        for store in (built, listed):
+            store.add_matches(ia, ib, cls)
+            store.a_base += n_a
+            store.b_base += n_b
+    built.accidentals = acc
+    payload = built.announce(delay).encode()
+    frame = encode_frame(FrameType.MATCH_ANNOUNCE, payload)
+    assert frame is payload.obj and built.matches is None
+    assert built.coincidences == sum(len(seg[2]) for seg in segments)
+    want = listed.announce(delay, acc)
+    assert bytes(frame) == encode_frame(FrameType.MATCH_ANNOUNCE, bytes(want.encode()))
+    assert _same_fields(MatchAnnounce.decode(payload), want)
+
+
+@given(st.lists(st.lists(st.sampled_from(BOB_IDS.tolist()), max_size=13), max_size=6),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_detectors_read_back_what_one_byte_a_tag_held(segments, data):
+    # segment lengths 0 to 13, so a segment starts at every slot of a byte
+    packed, former = protocol._PackedDetectors(), ByteDetectors()
+    for dets in segments:
+        for store in (packed, former):
+            store.extend(np.array(dets, np.uint8))
+    count = len(former)
+    assert len(packed) == count and len(packed.packed) == -(-count // 4)
+    # the first and the last tag, and any others
+    idx = [] if not count else [0, count - 1] + data.draw(
+        st.lists(st.integers(0, count - 1), max_size=20))
+    idx = np.array(idx, np.uint32)
+    got, want = packed.at(idx), former.at(idx)
+    assert got.dtype == want.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
 
 
 def test_match_announce_rejects_unknown_flag():
@@ -886,6 +940,31 @@ def test_each_side_frees_what_the_rest_of_the_block_does_not_read(monkeypatch):
     assert alice_indices == [[]] * len(rb.stats)
 
 
+def test_bob_frees_the_segment_he_sent_before_he_generates_the_next():
+    # he packs its detectors and drops its ticks first, so no two of his
+    # segments are alive while he generates
+    ch = _channel(duration=2.0)
+    cfg = SessionConfig(block_min_key_bits=2000, seed=ch.rng_seed, segment_seconds=0.25)
+    src = JointSegmentSource(ch, segment_seconds=cfg.segment_seconds)
+    prev_alive = []  # per request for a segment, whether the last one's arrays are alive
+
+    def bob_segments():
+        segments, prev = src.segments("bob"), ()
+        while True:
+            prev_alive.append([r() is not None for r in prev])
+            seg = next(segments, None)
+            if seg is None:
+                return
+            prev = tuple(weakref.ref(x) for x in seg)
+            yield seg
+            del seg
+
+    ra, rb = run_inproc_pair(src.segments("alice"), bob_segments(), cfg)
+    assert ra.done and rb.done and len(rb.stats) >= 2
+    assert prev_alive == [[]] + [[False, False]] * (len(prev_alive) - 1)
+    assert len(prev_alive) > src.n_segments
+
+
 def test_a_delay_found_on_the_first_batch_scans_and_matches_it_uncopied(monkeypatch):
     # one batch and one segment in the warm-up: the scan and the matcher
     # take them as they are (at the tag cap, copies raised the peak RSS)
@@ -996,6 +1075,24 @@ def test_bob_aborts_on_block_without_key_bits():
                         src.segments("bob"))
     assert result.abort_reason == AbortReason.PROTOCOL_VIOLATION
     assert result.abort_message == "block without key bits"
+
+
+@pytest.mark.parametrize("tags", range(1, 9))
+def test_bob_refuses_a_match_index_at_his_tag_count(tags):
+    # Bob holds his detectors 4 to a byte: an index into the padding of
+    # the last byte is out of range like any other, and the last tag is not
+    segments = [(np.arange(1, tags + 1, dtype=np.uint64) * 100, np.full(tags, 1, np.uint8))]
+    messages = []
+    for b_idx in (tags - 1, tags):
+        announce = MatchAnnounce(ANNOUNCE_BLOCK, 0, 0, np.array([0], np.uint32),
+                                 np.array([b_idx], np.uint32), np.array([0], np.uint8))
+        result, _ = _replay(BobSession, [_frame(Hello(0)),
+                                         Frame(FrameType.MATCH_ANNOUNCE, announce.encode())],
+                            segments)
+        messages.append((result.abort_reason, result.abort_message))
+    # in range, he sifts and waits for a Bell reveal that never comes
+    assert messages[0][0] == AbortReason.PEER_DISCONNECTED
+    assert messages[1] == (AbortReason.PROTOCOL_VIOLATION, "match index out of range")
 
 
 @pytest.mark.parametrize("det", BOB_DETECTORS[BobSetting.DIAG])

@@ -122,11 +122,14 @@ def _raw_key_by_offset(a, b):
        st.sampled_from(["both", "alice", "bob", "neither"]))
 @settings(max_examples=300, deadline=None)
 def test_sifting_maps_match_the_former_id_comparisons(a, b, scalar):
-    # ``scalar`` names the sides that pass one id; the other sides pass arrays
-    if scalar == "neither":
-        a, b = a[:min(len(a), len(b))], b[:min(len(a), len(b))]
+    # ``scalar`` names the sides that pass one id; the other sides pass
+    # arrays, and a side named with no id to pass does too.  The maps take
+    # broadcastable inputs only, so two arrays are cut to one length.
     x = a[0] if scalar in ("both", "alice") and a else np.array(a, np.int64)
     y = b[0] if scalar in ("both", "bob") and b else np.array(b, np.int64)
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+        n = min(len(x), len(y))
+        x, y, a, b = x[:n], y[:n], a[:n], b[:n]
     inputs = [(x, y)]
     if all(0 <= v <= 255 for v in a + b):  # the dtype of station data
         inputs.append(tuple(np.asarray(v).astype(np.uint8) for v in (x, y)))
