@@ -246,21 +246,35 @@ ALICE_ROUTING = {AliceSetting.KEY: 0.5, AliceSetting.BELL_1: 0.25, AliceSetting.
 BOB_ROUTING = {BobSetting.KEY: 0.5, BobSetting.DIAG: 0.5}
 
 
+def _settings(side: str, u: np.ndarray) -> np.ndarray:
+    """Each photon's analyzer setting as int8, from its uniform draw in
+    ``u``, by the splitting ratios of ``ALICE_ROUTING`` / ``BOB_ROUTING``."""
+    out = (u >= 0.5).view(np.int8)  # Alice's Bell settings, Bob's DIAG
+    if side == "alice":
+        out += u >= 0.75  # BELL_2
+    return out
+
+
+def _signs(minus: np.ndarray) -> np.ndarray:
+    """+1 / -1 outcomes as int8, -1 where ``minus`` is set, in its bytes."""
+    out = minus.view(np.int8)
+    out *= -2
+    out += 1
+    return out
+
+
 def route_detection(side: str, rng: np.random.Generator, size: Optional[int] = None):
     """Sample the analyzer setting a photon is routed to.
 
     ``side`` is ``"alice"`` or ``"bob"``.  Returns a scalar setting when
     ``size`` is None, else an int8 array.
     """
-    if side == "alice":
-        u = rng.random(size)
-        out = np.where(u < 0.5, AliceSetting.KEY, np.where(u < 0.75, AliceSetting.BELL_1, AliceSetting.BELL_2))
-        return AliceSetting(int(out)) if size is None else out.astype(np.int8)
-    if side == "bob":
-        u = rng.random(size)
-        out = np.where(u < 0.5, BobSetting.KEY, BobSetting.DIAG)
-        return BobSetting(int(out)) if size is None else out.astype(np.int8)
-    raise ValueError("side must be 'alice' or 'bob'")
+    if side not in ("alice", "bob"):
+        raise ValueError("side must be 'alice' or 'bob'")
+    out = _settings(side, np.atleast_1d(rng.random(size)))
+    if size is not None:
+        return out
+    return (AliceSetting if side == "alice" else BobSetting)(int(out[0]))
 
 
 def _correlation_table(channel: ChannelConfig, attack: AttackConfig) -> np.ndarray:
@@ -375,41 +389,79 @@ def check_run_bounds(channel: ChannelConfig, segment_seconds: float) -> None:
                               f" plus the boundary slack, must stay below 2**62 ({limit_s:.4g} s)")
 
 
+def _detector_ids(settings, outcomes, detector_table) -> np.ndarray:
+    # column 0 holds each setting's "+1" detector, column 1 its "-1" one
+    return np.array(detector_table, dtype=np.uint8)[settings, (outcomes < 0).view(np.uint8)]
+
+
+def _pair_tags(times, detected, settings, outcomes, detector_table):
+    """The detected pairs' (times, detector ids), in emission order."""
+    idx = np.flatnonzero(detected)
+    return times.take(idx), _detector_ids(settings.take(idx), outcomes.take(idx), detector_table)
+
+
 def _sample_pairs(
     channel: ChannelConfig,
     attack: AttackConfig,
     rng: np.random.Generator,
     t0: float,
     t1: float,
+    ground_truth: bool,
 ):
-    """Emit and measure pairs with emission times in [t0, t1)."""
-    n = rng.poisson(channel.pair_rate * (t1 - t0))
-    t_emit = np.sort(rng.uniform(t0, t1, n))
-    attacked = (
-        rng.random(n) < attack.intercept_fraction
-        if attack.intercept_fraction > 0.0
-        else np.zeros(n, dtype=bool)
-    )
-    a_set = route_detection("alice", rng, n)
-    b_set = route_detection("bob", rng, n)
+    """Emit and measure pairs with emission times in [t0, t1).
 
-    e_pair = _pair_correlation(a_set, b_set, attacked, channel, attack)
-    a_out = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    b_out = np.where(rng.random(n) < (1.0 + a_out * e_pair) / 2.0, 1, -1).astype(np.int8)
+    Returns Alice's and Bob's detected pair tags, each ``(times, ids)``
+    in emission order, and the ``GroundTruth`` when ``ground_truth`` is
+    set, else None.  Every ``random()`` draw goes into one reused buffer,
+    which then holds Alice's times while ``t_emit`` becomes Bob's; every
+    per-pair array dies on return unless the ground truth holds it.
+    """
+    n = rng.poisson(channel.pair_rate * (t1 - t0))
+    t_emit = rng.uniform(t0, t1, n)
+    t_emit.sort()
+    u = np.empty(n)
+    if attack.intercept_fraction > 0.0:
+        attacked = rng.random(out=u) < attack.intercept_fraction
+    else:
+        attacked = np.zeros(n, dtype=bool)
+    a_set = _settings("alice", rng.random(out=u))
+    b_set = _settings("bob", rng.random(out=u))
+
+    p_plus = _pair_correlation(a_set, b_set, attacked, channel, attack)
+    a_out = _signs(rng.random(out=u) >= 0.5)
+    p_plus *= a_out  # Bob's "+1" probability, (1 + a_out * E) / 2
+    p_plus += 1.0
+    p_plus /= 2.0
+    b_out = _signs(rng.random(out=u) >= p_plus)
+    del p_plus
 
     eff = channel.detector_efficiency
-    a_det_flag = rng.random(n) < eff
-    b_det_flag = rng.random(n) < eff * channel.bob_transmission
+    a_flag = rng.random(out=u) < eff
+    b_flag = rng.random(out=u) < eff * channel.bob_transmission
 
     jit = channel.jitter_sigma * 1e-9
-    t_a = t_emit + (jit * rng.standard_normal(n) if jit > 0 else 0.0)
-    t_b = t_emit + channel.bob_delay * 1e-9 + (jit * rng.standard_normal(n) if jit > 0 else 0.0)
-    return attacked, a_set, b_set, a_out, b_out, a_det_flag, b_det_flag, t_a, t_b
-
-
-def _detector_ids(settings, outcomes, detector_table) -> np.ndarray:
-    # column 0 holds each setting's "+1" detector, column 1 its "-1" one
-    return np.array(detector_table, dtype=np.uint8)[settings, (outcomes < 0).view(np.uint8)]
+    # Alice's times go into u, and Bob's into t_emit
+    if jit > 0:
+        rng.standard_normal(out=u)
+        u *= jit
+        u += t_emit
+    else:
+        np.copyto(u, t_emit)
+    alice = _pair_tags(u, a_flag, a_set, a_out, ALICE_DETECTORS)
+    if ground_truth:
+        origin = _time_origin_ticks(channel)
+        a_tick = _to_ticks(u, origin, 0, np.empty(n, np.int64)).view(np.uint64)
+    t_emit += channel.bob_delay * 1e-9
+    if jit > 0:
+        rng.standard_normal(out=u)
+        u *= jit
+        t_emit += u
+    bob = _pair_tags(t_emit, b_flag, b_set, b_out, BOB_DETECTORS)
+    if not ground_truth:
+        return alice, bob, None
+    b_tick = _to_ticks(t_emit, origin, 0, np.empty(n, np.int64)).view(np.uint64)
+    return alice, bob, GroundTruth(a_set, b_set, a_out, b_out, a_flag, b_flag,
+                                   a_tick, b_tick, attacked)
 
 
 def _background(
@@ -492,6 +544,12 @@ def generate_event_streams(
     order is the stable one.  Raises ValueError when ``t_stop - t_start``
     plus the boundary slack reaches 2**60 ticks, past which the keys
     would overflow.
+
+    Both sides' detected pair tags are taken before either side's
+    background is drawn, and every other per-pair array is freed then,
+    unless ``ground_truth`` keeps them.  So while Alice's side is built
+    only Bob's pair tags (time and id) wait beside it, and while Bob's
+    side is built only Alice's finished stream.
     """
     rng = rng if rng is not None else np.random.default_rng(channel.rng_seed)
     t0 = t_start
@@ -501,33 +559,17 @@ def generate_event_streams(
     origin = _time_origin_ticks(channel)
     base = origin + seconds_to_ticks(t0)
 
-    (attacked, a_set, b_set, a_out, b_out,
-     a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
+    alice, bob, truth = _sample_pairs(channel, attack, rng, t0, t1, ground_truth)
     # Alice's background is drawn before Bob's; each side's runs are
     # assembled as soon as they are drawn.
     a_ticks, a_dets = _side_stream(
-        t_a[a_flag], _detector_ids(a_set[a_flag], a_out[a_flag], ALICE_DETECTORS),
-        _background(channel.background_rate, ALICE_DETECTORS, rng, t0, t1, 0.0),
+        *alice, _background(channel.background_rate, ALICE_DETECTORS, rng, t0, t1, 0.0),
         origin, base)
+    del alice
     b_ticks, b_dets = _side_stream(
-        t_b[b_flag], _detector_ids(b_set[b_flag], b_out[b_flag], BOB_DETECTORS),
-        _background(channel.background_rate, BOB_DETECTORS, rng, t0, t1,
-                    channel.bob_delay * 1e-9),
+        *bob, _background(channel.background_rate, BOB_DETECTORS, rng, t0, t1,
+                          channel.bob_delay * 1e-9),
         origin, base)
-
-    truth = None
-    if ground_truth:
-        truth = GroundTruth(
-            alice_setting=a_set,
-            bob_setting=b_set,
-            alice_outcome=a_out,
-            bob_outcome=b_out,
-            alice_detected=a_flag,
-            bob_detected=b_flag,
-            alice_tick=_to_ticks(t_a, origin, 0, np.empty(len(t_a), np.int64)).view(np.uint64),
-            bob_tick=_to_ticks(t_b, origin, 0, np.empty(len(t_b), np.int64)).view(np.uint64),
-            attacked=attacked,
-        )
     return EventStreams(a_ticks, a_dets, b_ticks, b_dets, channel, truth)
 
 

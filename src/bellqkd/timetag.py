@@ -106,6 +106,13 @@ _HIST_STOP_CHUNK = 20_000
 # Merged neighbours compared per step of the matcher's link scan, so the
 # key gaps never fill a full-length int64 array.
 _LINK_CHUNK = 1 << 16
+# Alice tags per chunk of the matcher, which merges and clusters one chunk
+# of her stream, with the Bob tags beside it, at a time.
+_MATCH_CHUNK = 1 << 15
+# Alice tags tried for each cut, from each multiple of _MATCH_CHUNK on.
+# At the tag cap 23 % of Alice's tags refuse a cut, most for a Bob partner
+# just below them, so all the tries of one cut fail with chance ~1e-41.
+_CUT_TRIES = 64
 # Alice tags binned by the coarse delay scan.
 COARSE_TAGS = 32_000
 # Largest expected number of coarse bins, out of all of them, that would
@@ -354,6 +361,31 @@ def _clusters(a, b, delay, half):
     return pair_a, pair_b, crowd[(crowd & 1) == 0] >> 1, crowd[(crowd & 1) == 1] >> 1
 
 
+def _cuts(a, b, delay, half):
+    """Where the matcher cuts the streams into chunks.
+
+    Returns Alice indices ``i`` and Bob indices ``j``, increasing: for each
+    multiple of ``_MATCH_CHUNK``, a cut before the first of the next
+    ``_CUT_TRIES`` Alice tags that no link crosses, or no cut when every
+    tried tag has one.  The cut before Alice's tag ``a[i]`` puts Bob's
+    tags with ``b - delay < a[i]``, the first ``j``, on its left.  No link
+    crosses it when ``a[i - 1]`` lies more than ``half`` below ``a[i]``
+    and no Bob tick minus the delay lies in ``[a[i] - half - 1, a[i])``:
+    every key on the left then lies more than the window below ``a[i]``'s,
+    the least key on the right.  ``a`` and ``b`` are int64.
+    """
+    tries = (np.arange(_MATCH_CHUNK, len(a), _MATCH_CHUNK)[:, None]
+             + np.arange(min(_CUT_TRIES, _MATCH_CHUNK)))
+    i = np.minimum(tries, len(a) - 1)
+    at = a[i]
+    j = np.searchsorted(b, at + delay)
+    ok = (tries < len(a)) & (at - a[i - 1] > half)
+    ok &= np.searchsorted(b, at + (delay - half - 1)) == j
+    rows = np.flatnonzero(ok.any(axis=1))
+    first = ok.argmax(axis=1)[rows]
+    return i[rows, first], j[rows, first]
+
+
 def match_coincidences(
     alice_ticks: np.ndarray,
     bob_ticks: np.ndarray,
@@ -382,6 +414,13 @@ def match_coincidences(
     That gives the same pairs as running the rounds on every tag: a
     tag's nearest in-window partner always shares its cluster.
 
+    The keys are merged and split into clusters one chunk at a time,
+    about ``_MATCH_CHUNK`` Alice tags and the Bob tags beside them, so
+    the scratch memory follows the chunk, not the streams.  A chunk ends
+    only at such a gap (``_cuts``), so no cluster, and no pair, crosses
+    from one chunk to the next, and the chunks give the clusters of the
+    whole merge.
+
     Returns (alice_indices, bob_indices) into the input arrays, ordered by
     Alice's tag time.
     """
@@ -394,7 +433,16 @@ def match_coincidences(
     if any(abs(t) >= MAX_TICK for t in (delay, *ends, *shifted)):
         raise ValueError(f"ticks, shifted ticks and delay must lie within +-{MAX_TICK}")
 
-    pair_a, pair_b, crowd_a, crowd_b = _clusters(a, b, delay, half)
+    cut_a, cut_b = _cuts(_signed(a), _signed(b), delay, half)
+    bounds = zip([0, *cut_a.tolist()], [*cut_a.tolist(), len(a)],
+                 [0, *cut_b.tolist()], [*cut_b.tolist(), len(b)])
+    pair_a, pair_b, crowd_a, crowd_b = zip(*[_clusters(a[i:k], b[j:l], delay, half)
+                                             for i, k, j, l in bounds])
+    # each name's pieces are freed as soon as they are joined
+    pair_a = np.concatenate(pair_a)
+    pair_b = np.concatenate(pair_b)
+    crowd_a = np.concatenate(crowd_a)
+    crowd_b = np.concatenate(crowd_b)
     ra, rb = _mutual_rounds(crowd_a, crowd_b, half)
 
     # Copies of one tick are linked, so they share a cluster: a lone
@@ -402,8 +450,10 @@ def match_coincidences(
     # tick is in the crowd, as _indices_of needs.
     ia = np.concatenate([np.searchsorted(a, pair_a.astype(a.dtype)),
                          _indices_of(a, crowd_a)[ra]])
+    del pair_a, crowd_a  # each side's ticks die once they are indices
     ib = np.concatenate([np.searchsorted(b, (pair_b + delay).astype(b.dtype)),
                          _indices_of(b, crowd_b + delay)[rb]])
+    del pair_b, crowd_b
     order = np.argsort(ia, kind="stable")
     ib = ib[order]  # the unsorted ib is freed before ia[order] is made
     return ia[order], ib
@@ -420,7 +470,8 @@ def count_accidentals(
     Estimates the uncorrelated (accidental) rate inside the real window;
     expected value is r_alice * r_bob * window * duration for independent
     streams.  It runs the exact matcher at the offset delay, where few
-    tags have a partner, so its cost is mostly the one merge.
+    tags have a partner, so almost every tag stops at the chunks' merges
+    and link scans and few reach the rounds.
     """
     ia, _ = match_coincidences(alice_ticks, bob_ticks, delay_ticks + cfg.offset_ticks, cfg)
     return int(len(ia))

@@ -2,15 +2,16 @@
 
 Nothing in here imports the package under test, except the former
 ``find_delay``, which shares the current histogram helpers, the former
-stream assembly, which shares the current pair draws, the former
-segment source, which shares the current raw segments, the former
-Cascade, which shares the current permutations, sample split and key
-tag, the former key tag, which shares the current seed draw, the former
-sifting maps, which share the current class and refusal types, and the
-former block stores of the session, which share the current
-MatchAnnounce.  Each other
-function derives its answer from first principles (state vectors,
-explicit matrices, plain loops) so the unit tests compare two genuinely
+single-pass matcher, which shares the current cluster split, rounds and
+index mapping, the former pair draws, which share the current per-pair
+correlation table, the former segment source, which shares the current
+raw segments, the former Cascade, which shares the current
+permutations, sample split and key tag, the former key tag, which
+shares the current seed draw, the former sifting maps, which share the
+current class and refusal types, and the former block stores of the
+session, which share the current MatchAnnounce.  Each other function
+derives its answer from first principles (state vectors, explicit
+matrices, plain loops) so the unit tests compare two genuinely
 different routes to the same number.
 """
 
@@ -40,18 +41,22 @@ from bellqkd.physics import (
     EventStreams,
     GroundTruth,
     JointSegmentSource,
-    _sample_pairs,
+    _pair_correlation,
     _time_origin_ticks,
 )
 from bellqkd.privamp import generate_toeplitz_seed
 from bellqkd.protocol import ANNOUNCE_BLOCK, MatchAnnounce
 from bellqkd.sifting import CoincidenceClass, InvalidDetectorError
 from bellqkd.timetag import (
+    MAX_TICK,
     TICK_SECONDS,
     DelayEstimate,
     NoPeakError,
     WindowConfig,
+    _clusters,
     _difference_histogram,
+    _indices_of,
+    _mutual_rounds,
     _peak_and_background,
 )
 
@@ -398,6 +403,45 @@ def match_coincidences_partner_merge(
     return ia[order], ib[order]
 
 
+# ---------------------------------------------------------------------------
+# The former single-pass matcher, kept unchanged as the reference: one
+# merge and one cluster split over both whole streams, where the matcher
+# now takes them a chunk of Alice's stream at a time.
+
+def match_coincidences_single_pass(
+    alice_ticks: np.ndarray,
+    bob_ticks: np.ndarray,
+    delay_ticks: int,
+    cfg: WindowConfig,
+):
+    """Pair up tags with |(bob - delay) - alice| <= window/2.
+
+    Mutual-nearest pairing, iterated to closure, the rounds run only on
+    the tags of clusters larger than one lone pair, found by one stable
+    sort of both streams' int64 keys.  Raises ValueError when a key could
+    wrap.  Returns (alice_indices, bob_indices) into the input arrays,
+    ordered by Alice's tag time.
+    """
+    a = np.asarray(alice_ticks)
+    b = np.asarray(bob_ticks)
+    delay = int(delay_ticks)
+    half = cfg.half_window_ticks
+    ends = [int(t) for t in (*a[:1], *a[-1:], *b[:1], *b[-1:])]
+    shifted = [int(t) - delay for t in (*b[:1], *b[-1:])]
+    if any(abs(t) >= MAX_TICK for t in (delay, *ends, *shifted)):
+        raise ValueError(f"ticks, shifted ticks and delay must lie within +-{MAX_TICK}")
+
+    pair_a, pair_b, crowd_a, crowd_b = _clusters(a, b, delay, half)
+    ra, rb = _mutual_rounds(crowd_a, crowd_b, half)
+    ia = np.concatenate([np.searchsorted(a, pair_a.astype(a.dtype)),
+                         _indices_of(a, crowd_a)[ra]])
+    ib = np.concatenate([np.searchsorted(b, (pair_b + delay).astype(b.dtype)),
+                         _indices_of(b, crowd_b + delay)[rb]])
+    order = np.argsort(ia, kind="stable")
+    ib = ib[order]
+    return ia[order], ib
+
+
 def difference_histogram_full_chunks(a, b, span, nbins, to_bin, max_diffs=60_000_000):
     """Histogram of (b - a) differences restricted to |diff| <= span.
 
@@ -497,10 +541,40 @@ def find_delay_200k_tags(alice_ticks: np.ndarray, bob_ticks: np.ndarray, cfg: Wi
 # ---------------------------------------------------------------------------
 # The former stream assembly of ``physics.generate_event_streams``, kept
 # unchanged as the reference: per-detector float sorts, tick copies, the
-# concatenation of each side's runs and one stable argsort per side.  The
-# pair draws are the package's own ``_sample_pairs``; the per-pair
-# correlation and detector-id kernels it replaced have their references
-# here too.
+# concatenation of each side's runs and one stable argsort per side.  Its
+# pair draws are the former ``_sample_pairs``, each into a fresh array and
+# through ``np.where``, which shares the package's per-pair correlation
+# table; the per-pair correlation and detector-id kernels it replaced
+# have their references here too.
+
+
+def sample_pairs_by_where(channel, attack, rng, t0, t1):
+    """Emit and measure pairs with emission times in [t0, t1)."""
+    n = rng.poisson(channel.pair_rate * (t1 - t0))
+    t_emit = np.sort(rng.uniform(t0, t1, n))
+    attacked = (
+        rng.random(n) < attack.intercept_fraction
+        if attack.intercept_fraction > 0.0
+        else np.zeros(n, dtype=bool)
+    )
+    u = rng.random(n)
+    a_set = np.where(u < 0.5, AliceSetting.KEY,
+                     np.where(u < 0.75, AliceSetting.BELL_1, AliceSetting.BELL_2)).astype(np.int8)
+    u = rng.random(n)
+    b_set = np.where(u < 0.5, BobSetting.KEY, BobSetting.DIAG).astype(np.int8)
+
+    e_pair = _pair_correlation(a_set, b_set, attacked, channel, attack)
+    a_out = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+    b_out = np.where(rng.random(n) < (1.0 + a_out * e_pair) / 2.0, 1, -1).astype(np.int8)
+
+    eff = channel.detector_efficiency
+    a_det_flag = rng.random(n) < eff
+    b_det_flag = rng.random(n) < eff * channel.bob_transmission
+
+    jit = channel.jitter_sigma * 1e-9
+    t_a = t_emit + (jit * rng.standard_normal(n) if jit > 0 else 0.0)
+    t_b = t_emit + channel.bob_delay * 1e-9 + (jit * rng.standard_normal(n) if jit > 0 else 0.0)
+    return attacked, a_set, b_set, a_out, b_out, a_det_flag, b_det_flag, t_a, t_b
 
 
 def pair_correlation_by_angles(a_set, b_set, attacked, channel, attack) -> np.ndarray:
@@ -553,7 +627,7 @@ def generate_event_streams_stable_sorts(channel, attack, ground_truth=True, rng=
     origin = _time_origin_ticks(channel)
 
     (attacked, a_set, b_set, a_out, b_out,
-     a_flag, b_flag, t_a, t_b) = _sample_pairs(channel, attack, rng, t0, t1)
+     a_flag, b_flag, t_a, t_b) = sample_pairs_by_where(channel, attack, rng, t0, t1)
 
     a_pair_ticks = _to_ticks_copy(t_a, origin)
     b_pair_ticks = _to_ticks_copy(t_b, origin)

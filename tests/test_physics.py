@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -340,26 +341,36 @@ def _stream_configs(draw):
     return channel, attack, t_start, t_stop
 
 
-@given(case=_stream_configs())
+@given(case=_stream_configs(), truth=st.booleans())
 @settings(max_examples=150, deadline=None)
 @example(case=(_small_channel(pair_rate=2e9, background_rate=2e9, jitter_sigma=0.0,
-                              bob_delay=-2000.0), AttackConfig(), 0.5, 0.5 + 1e-6))
-@example(case=(_small_channel(pair_rate=0.0, background_rate=1e9), AttackConfig(), 0.0, 2e-6))
-@example(case=(_small_channel(pair_rate=1e9, background_rate=0.0, jitter_sigma=0.0),
-               AttackConfig(intercept_fraction=0.5), 0.25, 0.25 + 2e-6))
-@example(case=(_small_channel(pair_rate=0.0, background_rate=0.0), AttackConfig(), 0.0, 1e-6))
-@example(case=(_small_channel(pair_rate=1e9, background_rate=1e9), AttackConfig(), 0.5, 0.5))
-def test_event_streams_equal_stable_sort_oracle(case):
+                              bob_delay=-2000.0), AttackConfig(), 0.5, 0.5 + 1e-6), truth=True)
+@example(case=(_small_channel(pair_rate=2e9, background_rate=2e9, jitter_sigma=0.0,
+                              bob_delay=-2000.0), AttackConfig(), 0.5, 0.5 + 1e-6), truth=False)
+@example(case=(_small_channel(pair_rate=0.0, background_rate=1e9), AttackConfig(), 0.0, 2e-6),
+         truth=True)
+@example(case=(_small_channel(pair_rate=1e9, background_rate=0.0, jitter_sigma=0.0,
+                              detector_efficiency=0.6),
+               AttackConfig(intercept_fraction=0.5), 0.25, 0.25 + 2e-6), truth=False)
+@example(case=(_small_channel(pair_rate=0.0, background_rate=0.0), AttackConfig(), 0.0, 1e-6),
+         truth=False)
+@example(case=(_small_channel(pair_rate=1e9, background_rate=1e9), AttackConfig(), 0.5, 0.5),
+         truth=True)
+def test_event_streams_equal_stable_sort_oracle(case, truth):
+    # The oracle draws the pairs as the former _sample_pairs did, each into
+    # a fresh array, so equal bytes mean the same draws in the same order.
     channel, attack, t_start, t_stop = case
-    got = generate_event_streams(channel, attack, rng=np.random.default_rng(channel.rng_seed),
+    got = generate_event_streams(channel, attack, ground_truth=truth,
+                                 rng=np.random.default_rng(channel.rng_seed),
                                  t_start=t_start, t_stop=t_stop)
     want = oracles.generate_event_streams_stable_sorts(
-        channel, attack, rng=np.random.default_rng(channel.rng_seed),
+        channel, attack, ground_truth=truth, rng=np.random.default_rng(channel.rng_seed),
         t_start=t_start, t_stop=t_stop)
     for name in ("alice_ticks", "alice_detectors", "bob_ticks", "bob_detectors"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for f in fields(GroundTruth):
+    assert (got.ground_truth is None) == (want.ground_truth is None) == (not truth)
+    for f in fields(GroundTruth) if truth else ():
         a, b = getattr(got.ground_truth, f.name), getattr(want.ground_truth, f.name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
@@ -654,6 +665,23 @@ def test_a_segment_pins_no_more_than_its_own_raw_segment():
             for part in (ticks, dets):
                 owner = part if part.base is None else part.base
                 assert part.nbytes > 0 and owner.nbytes <= 1.01 * part.nbytes, side
+
+
+def test_a_raw_segment_peaks_under_three_times_its_output():
+    # Every random() draw goes into one reused buffer, and the per-pair
+    # arrays die once both sides' pair tags are taken, before either
+    # side's background is drawn: ~2.55 times the output at 400k pairs/s,
+    # where fresh arrays that lived until both sides were built made 3.58.
+    ch = ChannelConfig(pair_rate=400_000.0, duration=1.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ev = generate_event_streams(ch, ground_truth=False)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (ev.alice_ticks, ev.alice_detectors, ev.bob_ticks, ev.bob_detectors))
+    assert peak <= 3.0 * out, f"peak {peak / out:.2f} times the output"
 
 
 def test_segment_source_validation():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from bellqkd.timetag import (
     TagFileError,
     WindowConfig,
     _HIST_STOP_CHUNK,
+    _cuts,
     _difference_histogram,
     _poisson_tail,
     count_accidentals,
@@ -381,6 +383,72 @@ def test_match_and_accidentals_equal_partner_merge(streams, delay, window, offse
     else:
         with pytest.raises(ValueError):
             count_accidentals(a, b, delay, cfg)
+
+
+@given(st.one_of(st.tuples(dense_ticks, dense_ticks), burst_streams(), clustered_streams()),
+       st.integers(-90, 90) | st.integers(-600, 600),
+       st.sampled_from([0.125, 1.0, 3.75, 10.0]), st.integers(1, 8))
+@example(([], [3, 4]), 0, 3.75, 1)
+@example(([3, 4], []), 0, 3.75, 1)
+@example(([10, 10, 10, 50, 50, 90], [10, 10, 50, 51, 90, 90]), 0, 3.75, 1)  # repeats
+@example(([0, 15], [15, 15]), 0, 3.75, 1)  # Alice 0 pairs in round 2 with Bob's second 15
+@example(([0, 100, 200, 300], [0, 100, 200, 300]), 500, 3.75, 1)  # Bob before Alice's first
+@example(([0, 100, 200, 300], [0, 100, 200, 300]), -500, 3.75, 1)  # Bob past Alice's last
+@settings(max_examples=300, deadline=None)
+def test_match_in_chunks_equals_one_pass(streams, delay, window, chunk):
+    # Chunks of 1-8 Alice tags put cuts among the clusters wherever a cut
+    # is allowed, and the results must not depend on where they fall.
+    cfg = WindowConfig(coincidence_window=window, accidental_offset=2.5)
+    a = np.array(streams[0], dtype=np.uint64)
+    b = np.array(streams[1], dtype=np.uint64)
+    shifted = delay + cfg.offset_ticks
+    if not (_keys_fit(streams[0], streams[1], delay) and _keys_fit(streams[0], streams[1], shifted)):
+        return  # the refusal is test_match_and_accidentals_equal_partner_merge's
+    with mock.patch.object(timetag, "_MATCH_CHUNK", chunk):
+        ia, ib = match_coincidences(a, b, delay, cfg)
+        accidentals = count_accidentals(a, b, delay, cfg)
+    ra, rb = oracles.match_coincidences_single_pass(a, b, delay, cfg)
+    np.testing.assert_array_equal(ia, ra)
+    np.testing.assert_array_equal(ib, rb)
+    assert ia.dtype == ib.dtype == np.int64
+    assert accidentals == len(oracles.match_coincidences_single_pass(a, b, shifted, cfg)[0])
+
+
+@pytest.mark.parametrize("chunk, tries", [(1, 1), (2, 2), (2, 64)])
+def test_cuts_fall_only_where_no_link_crosses(chunk, tries):
+    # Half window 15 ticks, delay 0.  A cut before Alice's a[i] needs
+    # a[i] - a[i - 1] > 15 and no Bob tick in [a[i] - 16, a[i]).
+    a = np.array([0, 10, 40, 100, 130, 200, 260], np.int64)
+    b = np.array([38, 125, 184], np.int64)
+    # refused before 10 (Alice 0 within 15), 40 (Bob 38), 130 (Bob 125)
+    # and 200 (Bob 184, whose key gap to 200 is exactly the link limit)
+    with mock.patch.object(timetag, "_MATCH_CHUNK", chunk), \
+            mock.patch.object(timetag, "_CUT_TRIES", tries):
+        i, j = _cuts(a, b, 0, WindowConfig().half_window_ticks)
+    assert i.tolist() == [3, 6] and j.tolist() == [1, 3]
+    with mock.patch.object(timetag, "_MATCH_CHUNK", 1):
+        i, j = _cuts(a, b - 1, 0, WindowConfig().half_window_ticks)
+    assert i.tolist() == [3, 5, 6] and j.tolist() == [1, 3, 3]  # Bob 183 allows the cut at 200
+    with mock.patch.object(timetag, "_MATCH_CHUNK", 1):
+        i, j = _cuts(a, b, -10, WindowConfig().half_window_ticks)
+    assert i.tolist() == [2, 3, 4, 6] and j.tolist() == [0, 1, 1, 3]  # Bob at 48, 135, 194
+
+
+def test_match_scratch_memory_follows_the_chunk_not_the_streams():
+    # 2**20 tags a side, uncorrelated, so the few matches hold little: the
+    # traced peak above entry is the scratch of one chunk, ~42 bytes per
+    # _MATCH_CHUNK tag, where one merge of both streams held ~19 MiB.
+    rng = np.random.default_rng(0)
+    a, b = (np.sort(rng.integers(0, 1 << 31, 1 << 20)).astype(np.uint64) for _ in range(2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ia, _ = match_coincidences(a, b, 1000, WindowConfig())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(ia) < len(a) // 50
+    assert peak <= 64 * timetag._MATCH_CHUNK, f"peak {peak / timetag._MATCH_CHUNK:.1f} bytes a chunk tag"
 
 
 def test_match_refuses_ticks_whose_keys_could_wrap():
